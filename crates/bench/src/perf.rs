@@ -460,12 +460,10 @@ mod tests {
             let p95 = r.get("p95_ns").unwrap().as_u64().unwrap();
             assert!(p50 > 0 && p50 <= p95, "{line}");
             assert!(r.get("mean_ns").unwrap().as_u64().unwrap() > 0, "{line}");
-            // Exact extremes bracket the interpolated percentiles (the
-            // interpolation can only drift within one bucket).
+            // Exact extremes bracket the interpolated percentiles.
             let min = r.get("min_ns").unwrap().as_u64().unwrap();
             let max = r.get("max_ns").unwrap().as_u64().unwrap();
-            assert!(min > 0 && min <= max, "{line}");
-            assert!(min <= p50 + p50 / 2 && p95 <= 2 * max, "{line}");
+            assert!(min > 0 && min <= p50 && p95 <= max, "{line}");
             assert!(r.get("throughput_units_per_s").unwrap().as_f64().unwrap() > 0.0, "{line}");
         }
     }

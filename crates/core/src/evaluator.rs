@@ -59,10 +59,6 @@ impl AccuracyEvaluator {
         let t0 = Instant::now();
         let preprocessed = preprocess(sfg, output, npsd)?;
         let preprocess_seconds = t0.elapsed().as_secs_f64();
-        #[cfg(feature = "obs")]
-        if let Some(reg) = psdacc_obs::stage::registry() {
-            reg.histogram("core_tau_pp_ns").record(t0.elapsed());
-        }
         Ok(AccuracyEvaluator { sfg: sfg.clone(), output, preprocessed, preprocess_seconds })
     }
 
@@ -169,10 +165,6 @@ impl AccuracyEvaluator {
             }
         };
         let elapsed = t0.elapsed();
-        #[cfg(feature = "obs")]
-        if let Some(reg) = psdacc_obs::stage::registry() {
-            reg.histogram("core_tau_eval_ns").record(elapsed);
-        }
         Estimate {
             method: Method::PsdMethod,
             power: est.power(),

@@ -18,11 +18,11 @@
 //! Buckets are log-spaced in **nanoseconds**: bucket `i` counts
 //! observations in `[2^i, 2^(i+1))` ns (bucket 0 also absorbs 0–1 ns, the
 //! last bucket absorbs everything from ~39 h up). 48 buckets cover the
-//! whole range this stack sees, from sub-µs stage timers to multi-second
-//! preprocessing builds. Derived quantiles use the **bucket-upper-bound
-//! convention**: `quantile(q)` returns the upper bound `2^(i+1)` of the
-//! bucket holding the `ceil(q·count)`-th observation — a conservative
-//! overestimate by at most 2×, and stable under merging.
+//! whole range this stack sees, from sub-µs unit timings to multi-second
+//! preprocessing builds. Derived quantiles interpolate linearly inside
+//! the bucket holding the `ceil(q·count)`-th observation and are clamped
+//! to the exact observed `[min_ns, max_ns]`, so `min ≤ p50 ≤ p95 ≤ p99 ≤
+//! max` holds for every histogram.
 //!
 //! All cells are relaxed atomics: writers are hot paths, readers are
 //! `stats`/`metrics` verbs, and eventual consistency is all either needs.
@@ -168,61 +168,42 @@ impl Histogram {
 }
 
 impl HistogramSnapshot {
-    /// The `q`-quantile (0 < q ≤ 1) in nanoseconds, by the bucket-
-    /// upper-bound convention; `None` for an empty histogram.
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(upper_bound_ns(i));
-            }
-        }
-        Some(upper_bound_ns(NUM_BUCKETS - 1))
-    }
-
     /// The `q`-quantile (0 ≤ q ≤ 1) in nanoseconds with **linear
     /// sub-bucket interpolation**: the rank is placed inside its bucket by
     /// the midpoint convention (`rank - 0.5` of the bucket's occupants),
     /// so repeated measurements resolve below the 2x bucket granularity
-    /// instead of snapping to a power of two. Upper-bounded by the
-    /// bucket's upper bound, lower-bounded by its lower bound — it never
-    /// contradicts [`HistogramSnapshot::quantile_ns`] by more than one
-    /// bucket width. `None` for an empty histogram.
-    ///
-    /// Use this where resolution matters more than the conservative
-    /// stability of the bucket-upper-bound convention (the bench harness
-    /// compares runs through it); keep `quantile_ns` for merged fleet
-    /// stats where the overestimate guarantee is load-bearing.
+    /// instead of snapping to a power of two. The result is clamped to the
+    /// exact observed `[min_ns, max_ns]`: a bucket is 2x wide, so the
+    /// interpolated point alone can fall outside what was ever recorded.
+    /// Monotone in `q`. `None` for an empty histogram.
     pub fn quantile_interp_ns(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
+        let mut point = upper_bound_ns(NUM_BUCKETS - 1) as f64;
         for (i, &n) in self.buckets.iter().enumerate() {
             if n > 0 && seen + n >= rank {
                 let lower = if i == 0 { 0.0 } else { (1u64 << i) as f64 };
                 let width = upper_bound_ns(i) as f64 - lower;
                 let within = (rank - seen) as f64 - 0.5;
-                return Some(lower + width * (within / n as f64).clamp(0.0, 1.0));
+                point = lower + width * (within / n as f64).clamp(0.0, 1.0);
+                break;
             }
             seen += n;
         }
-        Some(upper_bound_ns(NUM_BUCKETS - 1) as f64)
+        // `max` then `min` rather than `clamp`: a snapshot racing a
+        // histogram's first writer may briefly see `min_ns > max_ns`.
+        Some(point.min(self.max_ns as f64).max(self.min_ns as f64))
     }
 
     /// Renders the histogram body fields (`count`, `total_ns`, `min_ns`,
     /// `max_ns`, `p50_ns`, `p95_ns`, `p99_ns`, `buckets`) into an
     /// existing writer. `min_ns`/`max_ns` are the exact observed
     /// extremes; the derived percentiles use
-    /// [`HistogramSnapshot::quantile_interp_ns`] (sub-bucket resolution);
-    /// the raw bucket array is always present, so consumers needing the
-    /// conservative bucket-upper-bound values can recompute them.
+    /// [`HistogramSnapshot::quantile_interp_ns`] (sub-bucket resolution,
+    /// clamped to the extremes); the raw bucket array is always present.
     pub fn write_fields(&self, w: &mut JsonWriter) {
         w.field_u64("count", self.count);
         w.field_u64("total_ns", self.total_ns);
@@ -473,6 +454,8 @@ mod tests {
         assert_eq!(s.max_ns, 200_000_000_000_000);
     }
 
+    /// The upper bound of the bucket holding a quantile's rank caps it;
+    /// the exact maximum caps it further when it is lower.
     #[test]
     fn quantiles_use_the_bucket_upper_bound() {
         let h = Histogram::default();
@@ -481,63 +464,93 @@ mod tests {
         }
         h.record_ns(1 << 20); // bucket 20
         let s = h.snapshot();
-        assert_eq!(s.quantile_ns(0.50), Some(128), "p50 = upper bound of bucket 6");
-        assert_eq!(s.quantile_ns(0.95), Some(128));
-        assert_eq!(s.quantile_ns(0.99), Some(128), "rank 99 of 100 still in bucket 6");
-        assert_eq!(s.quantile_ns(1.0), Some(1 << 21), "max = upper bound of bucket 20");
-        let empty = HistogramSnapshot {
-            buckets: [0; NUM_BUCKETS],
-            count: 0,
-            total_ns: 0,
-            min_ns: 0,
-            max_ns: 0,
-        };
-        assert_eq!(empty.quantile_ns(0.5), None);
+        for q in [0.50, 0.95, 0.99] {
+            let v = s.quantile_interp_ns(q).unwrap();
+            assert!(v >= 100.0 && v < upper_bound_ns(6) as f64, "q={q} stays in bucket 6: {v}");
+        }
+        // q=1 ranks the outlier: inside bucket 20, at the exact maximum.
+        assert_eq!(s.quantile_interp_ns(1.0), Some((1u64 << 20) as f64));
+        assert!(s.quantile_interp_ns(1.0).unwrap() < upper_bound_ns(20) as f64);
     }
 
     #[test]
     fn quantile_edge_cases_are_total() {
         let empty = Histogram::default().snapshot();
-        assert_eq!(empty.quantile_ns(0.5), None);
         assert_eq!(empty.quantile_interp_ns(0.5), None);
         assert_eq!((empty.min_ns, empty.max_ns), (0, 0), "empty extremes normalize to 0");
 
-        // A single sample: every quantile names its bucket, q=0 and q=1
-        // clamp to rank 1 instead of panicking or returning nonsense.
+        // A single sample: q=0 and q=1 clamp to rank 1 instead of
+        // panicking, and every quantile is that sample.
         let h = Histogram::default();
-        h.record_ns(100); // bucket 6: [64, 128)
+        h.record_ns(100);
         let s = h.snapshot();
         for q in [0.0, 0.5, 1.0] {
-            assert_eq!(s.quantile_ns(q), Some(128), "q={q}");
-            let interp = s.quantile_interp_ns(q).unwrap();
-            assert!((64.0..=128.0).contains(&interp), "q={q} -> {interp}");
+            assert_eq!(s.quantile_interp_ns(q), Some(100.0), "q={q}");
         }
-        // Midpoint convention: one occupant sits in the bucket middle.
-        assert!((s.quantile_interp_ns(0.5).unwrap() - 96.0).abs() < 1e-9);
+        // A snapshot racing a first writer may see min above max; the
+        // clamp must not panic on it.
+        let torn = HistogramSnapshot { min_ns: 100, max_ns: 0, ..s };
+        assert!(torn.quantile_interp_ns(0.5).is_some());
+    }
+
+    #[test]
+    fn quantiles_stay_within_the_observed_extremes() {
+        // Three samples of exactly 100 ns: the unclamped midpoint rule put
+        // p50 at 96 ns (below min) and p99 near 117 ns (above max).
+        let h = Histogram::default();
+        for _ in 0..3 {
+            h.record_ns(100);
+        }
+        let s = h.snapshot();
+        for q in [0.50, 0.95, 0.99] {
+            assert_eq!(s.quantile_interp_ns(q), Some(100.0), "q={q}");
+        }
+        // The ordering invariant over histograms of assorted shapes.
+        let shapes: [&[u64]; 5] = [
+            &[100, 100, 100],
+            &[65, 127],
+            &[0, 1, 3],
+            &[1_000, 1_000, 1_000, 900_000],
+            &[70_000, 70_001, 131_071, 131_071, 131_071],
+        ];
+        for shape in shapes {
+            let h = Histogram::default();
+            for &ns in shape {
+                h.record_ns(ns);
+            }
+            let s = h.snapshot();
+            let q = |q| s.quantile_interp_ns(q).unwrap();
+            let (min, max) = (s.min_ns as f64, s.max_ns as f64);
+            assert!(
+                min <= q(0.50) && q(0.50) <= q(0.95) && q(0.95) <= q(0.99) && q(0.99) <= max,
+                "{shape:?}: min {min} p50 {} p95 {} p99 {} max {max}",
+                q(0.50),
+                q(0.95),
+                q(0.99)
+            );
+        }
     }
 
     #[test]
     fn interpolated_quantiles_resolve_below_bucket_granularity() {
-        // 20 identical-bucket observations (the bench-harness shape): the
-        // upper-bound convention collapses every quantile to 131072, the
-        // interpolated one spreads ranks across [65536, 131072).
+        // 20 distinct observations inside one bucket (the bench-harness
+        // shape): the interpolated quantiles spread ranks across the
+        // bucket instead of snapping to a power of two.
         let h = Histogram::default();
-        for _ in 0..20 {
-            h.record_ns(100_000); // bucket 16: [65536, 131072)
+        for i in 0..20 {
+            h.record_ns(70_000 + i * 3_000); // bucket 16: [65536, 131072)
         }
         let s = h.snapshot();
-        assert_eq!(s.quantile_ns(0.50), Some(131_072));
         let p50 = s.quantile_interp_ns(0.50).unwrap();
         let p95 = s.quantile_interp_ns(0.95).unwrap();
         assert!(p50 > 65_536.0 && p50 < 131_072.0, "{p50}");
         assert!(p95 > p50 && p95 < 131_072.0, "{p95}");
         // rank 10 of 20 -> lower + (9.5/20) * width.
         assert!((p50 - (65_536.0 + 65_536.0 * 9.5 / 20.0)).abs() < 1e-6, "{p50}");
-        // Interpolation stays within one bucket of the conservative answer
-        // and respects bucket 0's zero lower bound.
+        // Bucket 0's zero lower bound holds.
         let h0 = Histogram::default();
         h0.record_ns(0);
-        assert!(h0.snapshot().quantile_interp_ns(0.5).unwrap() >= 0.0);
+        assert_eq!(h0.snapshot().quantile_interp_ns(0.5), Some(0.0));
     }
 
     #[test]
@@ -556,9 +569,8 @@ mod tests {
         assert_eq!(h.get("min_ns").unwrap().as_u64(), Some(40_000));
         assert_eq!(h.get("max_ns").unwrap().as_u64(), Some(40_000));
         assert_eq!(h.get("buckets").unwrap().as_array().unwrap().len(), NUM_BUCKETS);
-        // 40 µs = 40000 ns -> bucket 15 ([32768, 65536)); one occupant
-        // interpolates to the bucket midpoint.
-        assert_eq!(h.get("p50_ns").unwrap().as_f64(), Some(49152.0));
+        // One occupant: the derived percentile is that observation.
+        assert_eq!(h.get("p50_ns").unwrap().as_f64(), Some(40_000.0));
     }
 
     #[test]

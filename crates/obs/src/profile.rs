@@ -1,25 +1,23 @@
 //! Hierarchical self-profiler: scoped frames aggregated into a call tree.
 //!
-//! The flat stage timers in [`crate::stage`] answer *how long* a stage
-//! took; this module answers *where inside it* the time went. A harness
-//! installs one process-global [`Profiler`], and instrumented code opens
-//! scoped [`frame`]s. Each thread keeps its own frame stack; a frame's
-//! path is the `;`-joined chain of open frame names on that thread
+//! This module answers *where* the time went. A harness installs one
+//! process-global [`Profiler`], and instrumented code opens scoped
+//! [`frame`]s. Each thread keeps its own frame stack; a frame's path is
+//! the `;`-joined chain of open frame names on that thread
 //! (`preprocess;multirate;kernels;region[1/2];source[3]`), and on exit
 //! the guard folds (count, total ns, self ns) into a process-wide call
 //! tree keyed by path. `self ns` is total minus time attributed to child
 //! frames, so the hotspot ranking points at the code that actually burns
 //! the cycles, not just the roots above it.
 //!
-//! The install contract is the same first-install-wins scheme as
-//! [`crate::stage::install`]: the first [`install`] call wins for the
-//! process lifetime, later calls return `false` and leave the original in
-//! place, and when nothing is installed every [`frame`] call is a single
-//! relaxed atomic load returning `None` — no `Instant::now()`, no
-//! allocation, no lock. Profiling is observational only: it never feeds
-//! back into evaluation, so profiled and unprofiled runs are bit-identical
-//! (asserted end-to-end by the engine's profile tests and the
-//! `psdacc-engine profile` subcommand itself).
+//! The install contract is first-install-wins: the first [`install`]
+//! call wins for the process lifetime, later calls return `false` and
+//! leave the original in place, and when nothing is installed every
+//! [`frame`] call is a single relaxed atomic load returning `None` — no
+//! `Instant::now()`, no allocation, no lock. Profiling is observational
+//! only: it never feeds back into evaluation, so profiled and unprofiled
+//! runs are bit-identical (asserted end-to-end by the engine's profile
+//! tests and the `psdacc-engine profile` subcommand itself).
 //!
 //! Snapshots render three ways: a ranked hotspot table
 //! ([`ProfileSnapshot::to_text`]), a canonical `"kind":"profile"` JSON
@@ -118,7 +116,7 @@ impl Profiler {
 }
 
 // ---------------------------------------------------------------------------
-// Global install (first-install-wins, mirroring stage.rs)
+// Global install (first-install-wins)
 // ---------------------------------------------------------------------------
 
 static PROFILER: OnceLock<Arc<Profiler>> = OnceLock::new();
@@ -126,10 +124,9 @@ static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// Installs the process-global profiler. **First install wins**: later
 /// calls return `false` and leave the original in place for the process
-/// lifetime (there is no uninstall). This is the same contract as
-/// [`crate::stage::install`]; when several harness layers race, exactly
-/// one `install` returns `true`, and every subsequent frame from any
-/// thread aggregates into that winner.
+/// lifetime (there is no uninstall). When several harness layers race,
+/// exactly one `install` returns `true`, and every subsequent frame from
+/// any thread aggregates into that winner.
 pub fn install(profiler: Arc<Profiler>) -> bool {
     let won = PROFILER.set(profiler).is_ok();
     if won {

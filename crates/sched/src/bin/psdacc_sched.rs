@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! psdacc-sched submit --daemons HOST:PORT[,HOST:PORT...] SPECFILE
-//!                     [--graph NAME=FILE]... [--static] [--window-factor N]
+//!                     [--graph NAME=FILE]... [--window-factor N]
 //!                     [--timeout-seconds N] [--stats-json PATH]
 //! ```
 //!
@@ -13,8 +13,7 @@
 //! lines stream to stdout in submission order — bit-identical to a local
 //! `psdacc-engine run` on every stable field — and one `{"kind":"fleet"}`
 //! stats line (steal / re-dispatch counters, per-daemon accounting) goes
-//! to stderr, or to `--stats-json PATH` for scripts. `--static` falls
-//! back to `psdacc-serve`'s round-robin sharding.
+//! to stderr, or to `--stats-json PATH` for scripts.
 //!
 //! `--graph NAME=FILE` (repeatable) registers a declarative `GraphSpec`
 //! JSON file as a named scenario: locally (so the spec parses) and on
@@ -33,7 +32,7 @@ use psdacc_serve::client;
 const USAGE: &str = "usage:
   psdacc-sched submit --daemons HOST:PORT[,HOST:PORT...] SPECFILE
                       [--graph NAME=FILE]... [--trace-dir DIR]
-                      [--static] [--window-factor N]
+                      [--window-factor N]
                       [--timeout-seconds N] [--stats-json PATH]
                       [--trace PATH] [--batch ID]
   psdacc-sched trace  --daemons HOST:PORT[,HOST:PORT...] --batch ID
@@ -44,10 +43,9 @@ Dispatches a batch spec across psdacc-serve daemons with pull-based work
 stealing: per-daemon in-flight windows sized by advertised capacity,
 idle daemons stealing stragglers' queued units, dead daemons' units
 retried once elsewhere, results merged back in submission order
-(bit-identical to a single-process run). --static uses the legacy
-round-robin sharding instead. --graph NAME=FILE (repeatable) registers a
-GraphSpec JSON file as scenario NAME locally and on every daemon
-(define_scenario) before units stream; --trace-dir DIR resolves
+(bit-identical to a single-process run). --graph NAME=FILE (repeatable)
+registers a GraphSpec JSON file as scenario NAME locally and on every
+daemon (define_scenario) before units stream; --trace-dir DIR resolves
 \"trace\":\"<hash>\" references in measured nodes to inline samples from
 a content-addressed trace store before definitions ship, so daemons
 never hold trace state.
@@ -71,7 +69,6 @@ struct SubmitArgs {
     spec_path: String,
     graphs: Vec<String>,
     trace_dir: Option<String>,
-    static_shard: bool,
     window_factor: usize,
     timeout: Duration,
     stats_json: Option<String>,
@@ -222,7 +219,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
 fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
     let mut daemons: Vec<String> = Vec::new();
     let mut spec_path: Option<String> = None;
-    let mut static_shard = false;
     let mut window_factor = 2usize;
     let mut timeout = Duration::from_secs(30);
     let mut stats_json = None;
@@ -246,7 +242,6 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
                     .map(String::from)
                     .collect();
             }
-            "--static" => static_shard = true,
             "--window-factor" => {
                 window_factor = value("--window-factor")?
                     .parse::<usize>()
@@ -269,8 +264,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
             other if other.starts_with("--") => {
                 return Err(format!(
                     "unknown argument `{other}` (allowed: --daemons, --graph, --trace-dir, \
-                     --static, --window-factor, --timeout-seconds, --stats-json, --trace, \
-                     --batch)"
+                     --window-factor, --timeout-seconds, --stats-json, --trace, --batch)"
                 ));
             }
             positional => {
@@ -285,18 +279,6 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
     if daemons.is_empty() {
         return Err("missing --daemons HOST:PORT[,HOST:PORT...]".to_string());
     }
-    if static_shard && stats_json.is_some() {
-        return Err("--stats-json reports coordinator scheduling stats, which static round-robin \
-             sharding does not produce; drop --static or --stats-json"
-            .to_string());
-    }
-    if static_shard && trace.is_some() {
-        return Err(
-            "--trace records the coordinator's end-to-end trace, which static round-robin \
-             sharding does not produce; drop --static or --trace"
-                .to_string(),
-        );
-    }
     if batch.is_some() && trace.is_none() {
         return Err("--batch names the trace batch and needs --trace PATH".to_string());
     }
@@ -306,7 +288,6 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
         spec_path,
         graphs,
         trace_dir,
-        static_shard,
         window_factor,
         timeout,
         stats_json,
@@ -354,41 +335,6 @@ fn cmd_submit(args: &SubmitArgs) -> ExitCode {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }
-    let stdout = std::io::stdout();
-    if args.static_shard {
-        // Static sharding has no handshake phase; register definitions on
-        // every worker up front instead.
-        if let Err(e) = client::define_scenarios(&args.daemons, &definitions) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-        let outcome = {
-            let mut out = stdout.lock();
-            client::submit_streaming(&args.daemons, &jobs, |line| {
-                use std::io::Write as _;
-                let _ = writeln!(out, "{line}");
-            })
-        };
-        return match outcome {
-            Ok(outcome) => {
-                eprintln!(
-                    "{} jobs across {} daemons (static round-robin) | {} failed",
-                    outcome.lines.len(),
-                    args.daemons.len(),
-                    outcome.failed
-                );
-                if outcome.failed == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     // The trace batch id: caller-chosen, or derived from the wall clock
     // so concurrent submits against the same daemons stay distinct.
     let batch = args.trace.as_ref().map(|_| {
@@ -407,7 +353,7 @@ fn cmd_submit(args: &SubmitArgs) -> ExitCode {
         ..FleetConfig::default()
     };
     let outcome = {
-        let mut out = stdout.lock();
+        let mut out = std::io::stdout().lock();
         run_fleet(&args.daemons, &jobs, &config, |line| {
             use std::io::Write as _;
             let _ = writeln!(out, "{line}");

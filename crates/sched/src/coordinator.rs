@@ -35,10 +35,14 @@ use psdacc_serve::protocol::{
     define_request_line, evaluate_units_line, job_request_line, parse_define_ack,
     parse_trace_reply, read_capped_line, trace_request_line, TraceContext,
 };
-use psdacc_serve::{client, ScenarioDefinition, PROTOCOL_REVISION};
+use psdacc_serve::{client, PROTOCOL_REVISION};
 
 use crate::error::SchedError;
 use crate::queue::{FleetQueue, QueueCounters, Unit};
+
+/// One named graph definition to forward to daemons: `(name, canonical
+/// GraphSpec JSON)`.
+pub type ScenarioDefinition = (String, String);
 
 /// Coordinator policy knobs.
 #[derive(Debug, Clone)]

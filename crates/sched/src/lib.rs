@@ -4,10 +4,10 @@
 //! the scheduling layer that turns a set of heterogeneous `psdacc-serve`
 //! daemons into one machine.
 //!
-//! The static sharding of `psdacc-serve submit` (job `i` to daemon
-//! `i % n`) is only as fast as its slowest daemon: one cold cache, one
-//! loaded box, one slow CPU gates the whole batch. This crate replaces it
-//! with **pull-based work stealing** at fleet scale:
+//! Static sharding (job `i` to daemon `i % n`) is only as fast as its
+//! slowest daemon: one cold cache, one loaded box, one slow CPU gates the
+//! whole batch. This crate dispatches with **pull-based work stealing**
+//! at fleet scale instead:
 //!
 //! * a batch spec decomposes into [`psdacc_engine::WorkUnit`]s through the
 //!   engine's one shared expansion path, so unit ids *are* submission
@@ -40,7 +40,7 @@ pub mod queue;
 
 pub use coordinator::{
     fetch_daemon_trace, fetch_fleet_trace, run_fleet, DaemonReport, FleetConfig, FleetEvent,
-    FleetOutcome, FleetStats, VerbLatency,
+    FleetOutcome, FleetStats, ScenarioDefinition, VerbLatency,
 };
 pub use error::SchedError;
 pub use queue::QueueCounters;

@@ -3,8 +3,11 @@
 //! engine run — including under deliberate skew (one daemon slowed by
 //! injected per-unit delay) and under failure (one daemon killed
 //! mid-batch) — with steal / re-dispatch counters proving the dynamic
-//! behavior actually happened.
+//! behavior actually happened, and a daemon restarted over the same
+//! persistent store must serve the fleet with zero preprocessing builds.
 
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use psdacc_engine::json::{self, Json};
@@ -12,6 +15,7 @@ use psdacc_engine::{BatchSpec, Engine};
 use psdacc_obs::{EventKind, TraceEvent};
 use psdacc_sched::{fetch_fleet_trace, run_fleet, FleetConfig};
 use psdacc_serve::{client, Server, ServerConfig, ServerHandle};
+use psdacc_store::PersistentCache;
 
 /// Two scenario families x a bits sweep, plus refinement, budget
 /// attribution, and simulation jobs — enough units for stealing to be
@@ -27,8 +31,46 @@ const SPEC: &str = "scenario fir-cascade stages=1 taps=9 cutoff=0.3\n\
                     budget npsd=64 bits=8\n\
                     simulate npsd=64 bits=8 samples=1024 nfft=32 seed=11 trials=1\n";
 
+/// Three scenario families x estimates under two methods, refinement,
+/// min-uniform, budget attribution, and a small seeded simulation — every
+/// protocol job kind.
+const ALL_KINDS_SPEC: &str = "scenario fir-cascade stages=2 taps=15 cutoff=0.2\n\
+                              scenario freq-filter\n\
+                              scenario dwt-pipeline levels=1\n\
+                              batch npsd=128 bits=8..11 methods=psd,flat\n\
+                              refine npsd=128 budget=1e-6 start=14 min=4\n\
+                              min-uniform npsd=128 budget=1e-6 min=2 max=24\n\
+                              budget npsd=128 bits=9\n\
+                              simulate npsd=128 bits=10 samples=4096 nfft=64 seed=11 trials=1\n";
+
+/// Distinct `(scenario, npsd)` keys in [`ALL_KINDS_SPEC`].
+const ALL_KINDS_KEYS: u64 = 3;
+
 fn spawn_daemon(threads: usize, config: ServerConfig) -> ServerHandle {
     Server::bind_with("127.0.0.1:0", Engine::new(threads), config).unwrap().spawn().unwrap()
+}
+
+/// A daemon whose cache persists to `dir`; a second one over the same
+/// directory is a restart.
+fn spawn_store_daemon(dir: &Path, threads: usize) -> ServerHandle {
+    let cache = Arc::new(PersistentCache::open(dir).unwrap());
+    Server::bind("127.0.0.1:0", Engine::with_shared_cache(threads, cache)).unwrap().spawn().unwrap()
+}
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("psdacc-fleet-it-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// One numeric field of a daemon's `stats` reply.
+fn daemon_stat(addr: &str, field: &str) -> u64 {
+    let stats = client::request_control(addr, "stats").unwrap();
+    json::parse(&stats)
+        .unwrap()
+        .get(field)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no {field} in {stats}"))
 }
 
 /// A result line minus its run-dependent fields (timings, cache hit flag):
@@ -47,6 +89,122 @@ fn stable_fields(line: &str) -> Vec<(String, Json)> {
 
 fn expected_lines(spec: &BatchSpec) -> Vec<String> {
     Engine::new(4).run(spec.jobs()).results.iter().map(|r| r.to_json_line()).collect()
+}
+
+fn assert_bit_identical(got: &[String], want: &[String]) {
+    assert_eq!(got.len(), want.len());
+    for (got, want) in got.iter().zip(want) {
+        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
+    }
+}
+
+/// Two equal daemons: the merged fleet output of every protocol job kind
+/// is bit-identical to the single-process engine, and the streaming
+/// callback sees exactly the merged order.
+#[test]
+fn two_daemon_fleet_matches_single_process_engine_bit_for_bit() {
+    let spec = BatchSpec::parse(ALL_KINDS_SPEC).unwrap();
+    let expected = expected_lines(&spec);
+    let a = spawn_daemon(2, ServerConfig::default());
+    let b = spawn_daemon(2, ServerConfig::default());
+    let daemons = vec![a.addr().to_string(), b.addr().to_string()];
+
+    let mut streamed: Vec<String> = Vec::new();
+    let outcome = run_fleet(&daemons, &spec.jobs(), &FleetConfig::default(), |line| {
+        streamed.push(line.to_string());
+    })
+    .unwrap();
+
+    assert_eq!(outcome.stats.failed, 0, "{:?}", outcome.stats);
+    assert_bit_identical(&outcome.lines, &expected);
+    assert_eq!(streamed, outcome.lines, "streaming callback saw the merged order");
+    let served: usize = outcome.stats.daemons.iter().map(|d| d.served).sum();
+    assert_eq!(served, expected.len(), "no deaths, so every unit served exactly once");
+    a.shutdown();
+    b.shutdown();
+}
+
+/// The persistence acceptance shape through the fleet: a cold daemon
+/// builds and persists every key; a fresh daemon over the same store
+/// serves the same batch with **zero** preprocessing builds,
+/// bit-identically.
+#[test]
+fn warm_fleet_restart_serves_with_zero_builds() {
+    let dir = tmp_dir("warm");
+    let spec = BatchSpec::parse(ALL_KINDS_SPEC).unwrap();
+
+    let cold = spawn_store_daemon(&dir, 3);
+    let cold_addr = vec![cold.addr().to_string()];
+    let cold_outcome =
+        run_fleet(&cold_addr, &spec.jobs(), &FleetConfig::default(), |_| {}).unwrap();
+    assert_eq!(cold_outcome.stats.failed, 0);
+    assert_eq!(daemon_stat(&cold_addr[0], "cache_builds"), ALL_KINDS_KEYS);
+    assert_eq!(daemon_stat(&cold_addr[0], "disk_writes"), ALL_KINDS_KEYS);
+    assert_eq!(daemon_stat(&cold_addr[0], "disk_hits"), 0);
+    cold.shutdown();
+
+    // "Restart": a brand-new daemon state over the same directory.
+    let warm = spawn_store_daemon(&dir, 3);
+    let warm_addr = vec![warm.addr().to_string()];
+    let warm_outcome =
+        run_fleet(&warm_addr, &spec.jobs(), &FleetConfig::default(), |_| {}).unwrap();
+    assert_eq!(warm_outcome.stats.failed, 0);
+    assert_eq!(daemon_stat(&warm_addr[0], "cache_builds"), 0, "warm start must not preprocess");
+    assert_eq!(daemon_stat(&warm_addr[0], "disk_hits"), ALL_KINDS_KEYS);
+    warm.shutdown();
+
+    assert_bit_identical(&warm_outcome.lines, &cold_outcome.lines);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The multirate acceptance shape: decimated-DWT scenario families flow
+/// through the wire protocol, the persistent store, and a 2-daemon fleet
+/// with zero protocol changes — fleet output bit-identical to the
+/// single-process engine, and a warm restart on the same store performs
+/// zero preprocessing (kernel) builds.
+#[test]
+fn decimated_dwt_batch_runs_and_persists_bit_identically_through_the_fleet() {
+    // Analytic estimates, a refinement, and a seeded Monte-Carlo run over
+    // both decimated families (npsd divisible by 2^levels throughout).
+    let spec_text = "scenario dwt-decimated levels=1..2\n\
+                     scenario dwt-packet depth=1\n\
+                     batch npsd=64 bits=8..10 methods=psd,agnostic\n\
+                     min-uniform npsd=64 budget=1e-5 min=2 max=24\n\
+                     simulate npsd=64 bits=8 samples=2048 nfft=32 seed=5 trials=1\n";
+    let spec = BatchSpec::parse(spec_text).unwrap();
+    let keys = 3; // dwt-decimated[1], dwt-decimated[2], dwt-packet[1]
+    let expected = expected_lines(&spec);
+
+    let dir = tmp_dir("decimated");
+    let a = spawn_store_daemon(&dir, 2);
+    let b = spawn_store_daemon(&dir, 2);
+    let daemons = vec![a.addr().to_string(), b.addr().to_string()];
+    let outcome = run_fleet(&daemons, &spec.jobs(), &FleetConfig::default(), |_| {}).unwrap();
+    assert_eq!(outcome.stats.failed, 0);
+    assert_bit_identical(&outcome.lines, &expected);
+    a.shutdown();
+    b.shutdown();
+
+    // Warm restart over the shared store: multirate kernels load from
+    // disk, zero preprocessing builds, bit-identical results again.
+    let warm = spawn_store_daemon(&dir, 2);
+    let warm_addr = vec![warm.addr().to_string()];
+    let warm_outcome =
+        run_fleet(&warm_addr, &spec.jobs(), &FleetConfig::default(), |_| {}).unwrap();
+    assert_eq!(warm_outcome.stats.failed, 0);
+    assert_eq!(daemon_stat(&warm_addr[0], "cache_builds"), 0, "warm start must not preprocess");
+    assert_eq!(daemon_stat(&warm_addr[0], "disk_hits"), keys);
+    // The stats reply surfaces the per-scenario counters.
+    let stats = client::request_control(&warm_addr[0], "stats").unwrap();
+    let v = json::parse(&stats).unwrap();
+    let per = v.get("scenario_cache").unwrap().as_array().unwrap();
+    assert_eq!(per.len() as u64, keys, "{stats}");
+    assert!(per
+        .iter()
+        .any(|e| e.get("scenario").and_then(Json::as_str) == Some("dwt-decimated[levels=2]")));
+    warm.shutdown();
+    assert_bit_identical(&warm_outcome.lines, &expected);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The tentpole acceptance shape: a deliberately skewed 2-daemon fleet
@@ -441,11 +599,20 @@ fn defined_graph_scenario_runs_bit_identically_across_the_fleet() {
     // Dynamic-scenario rows really flowed through the fleet, keyed by hash.
     let dynamic_rows = outcome.lines.iter().filter(|l| l.contains(&defined.key())).count();
     assert_eq!(dynamic_rows, 9, "8 bits points + 1 simulate on the defined graph");
-    // Both daemons registered the definition during the handshake.
+    // Both daemons registered the definition during the handshake, and
+    // it is observable through `stats` / `scenarios` / `describe`.
     for addr in &daemons {
-        let stats = client::request_control(addr, "stats").unwrap();
-        let v = json::parse(&stats).unwrap();
-        assert_eq!(v.get("dynamic_scenarios").unwrap().as_u64(), Some(1), "{stats}");
+        assert_eq!(daemon_stat(addr, "dynamic_scenarios"), 1);
+        assert_eq!(daemon_stat(addr, "protocol"), psdacc_serve::PROTOCOL_REVISION as u64);
+        let scenarios = client::request_control(addr, "scenarios").unwrap();
+        let v = json::parse(&scenarios).unwrap();
+        assert_eq!(v.get("dynamic").unwrap().as_u64(), Some(1), "{scenarios}");
+        assert!(scenarios.contains("fleet-codec"), "{scenarios}");
+        let describe = client::request_control(addr, "describe").unwrap();
+        let v = json::parse(&describe).unwrap();
+        assert_eq!(v.get("kind").unwrap().as_str(), Some("describe"));
+        // 9 builtin + 3 estim + 1 dynamic.
+        assert_eq!(v.get("count").unwrap().as_u64(), Some(13), "{describe}");
     }
 
     // Without the forwarded definition the fleet fails fast, naming the
@@ -459,6 +626,46 @@ fn defined_graph_scenario_runs_bit_identically_across_the_fleet() {
     fast.shutdown();
 }
 
+/// Dynamic scenarios persist like builtins: a daemon restart over the same
+/// store serves a re-forwarded identical graph with zero preprocessing
+/// builds (the content hash is the disk address).
+#[test]
+fn defined_graph_scenario_warm_restarts_through_the_fleet() {
+    const GRAPH: &str = r#"{"nodes":[{"name":"x","block":"input"},
+        {"name":"f","block":"iir","b":[0.2],"a":[1.0,-0.6],"inputs":["x"]}],
+        "outputs":["f"]}"#;
+    let dir = tmp_dir("dynwarm");
+    let registry = psdacc_engine::ScenarioRegistry::new();
+    let defined = registry.define_graph_json("warm-codec", GRAPH).unwrap();
+    let spec = BatchSpec::parse_with(
+        "scenario warm-codec\nbatch npsd=64 bits=8..12 methods=psd\n",
+        &registry,
+    )
+    .unwrap();
+    let config = FleetConfig {
+        definitions: vec![("warm-codec".to_string(), defined.canonical_json().to_string())],
+        ..FleetConfig::default()
+    };
+
+    let cold = spawn_store_daemon(&dir, 2);
+    let cold_addr = vec![cold.addr().to_string()];
+    let cold_outcome = run_fleet(&cold_addr, &spec.jobs(), &config, |_| {}).unwrap();
+    assert_eq!(cold_outcome.stats.failed, 0);
+    assert_eq!(daemon_stat(&cold_addr[0], "cache_builds"), 1);
+    assert_eq!(daemon_stat(&cold_addr[0], "disk_writes"), 1);
+    cold.shutdown();
+
+    let warm = spawn_store_daemon(&dir, 2);
+    let warm_addr = vec![warm.addr().to_string()];
+    let warm_outcome = run_fleet(&warm_addr, &spec.jobs(), &config, |_| {}).unwrap();
+    assert_eq!(warm_outcome.stats.failed, 0);
+    assert_eq!(daemon_stat(&warm_addr[0], "cache_builds"), 0, "re-defined identical graph");
+    assert_eq!(daemon_stat(&warm_addr[0], "disk_hits"), 1);
+    warm.shutdown();
+    assert_bit_identical(&warm_outcome.lines, &cold_outcome.lines);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A fresh 1-daemon fleet with no definitions (for the negative path of
 /// the test above). Kept alive via a leaked handle — the daemon dies with
 /// the test process.
@@ -469,24 +676,40 @@ fn daemons2_without_defs() -> Vec<String> {
     vec![addr]
 }
 
-/// The measured-signal fleet shape (PR 10): estim-family scenarios carry
-/// no state beyond their spec line — each daemon re-records the seeded
-/// trace and re-estimates its spectrum locally — so a skewed
+/// The measured-signal fleet shape: estim-family scenarios carry no
+/// state beyond their spec line — each daemon re-records the seeded trace
+/// and re-estimates its spectrum locally — and a `GraphSpec` carrying
+/// inline recorded samples is forwarded to every daemon, so a skewed
 /// work-stealing fleet must still merge bit-identically to the local
 /// engine. This is the strongest determinism claim in the estimation
 /// pipeline: one non-reproducible FFT butterfly or RNG draw anywhere
 /// breaks the byte-for-byte comparison.
 #[test]
 fn measured_source_fleet_is_bit_identical_under_work_stealing() {
-    let spec_text = "scenario measured-welch samples=1024 nfft=128 seed=21\n\
+    // A short recorded trace inlined in the graph (the canonical wire
+    // form — `trace` references are resolved client-side before this).
+    let mut gen = psdacc_dsp::SignalGenerator::new(4242);
+    let samples: Vec<String> = gen.ar1(512, 0.8, 0.02).iter().map(|s| format!("{s:e}")).collect();
+    let graph = format!(
+        r#"{{"nodes":[{{"name":"x","block":"input"}},
+            {{"name":"m","block":"measured","samples":[{}],"nfft":64}},
+            {{"name":"s","block":"add","inputs":["x","m"]}},
+            {{"name":"lp","block":"fir","taps":[0.3,0.4,0.3],"inputs":["s"]}}],
+            "outputs":["lp"]}}"#,
+        samples.join(",")
+    );
+    let spec_text = "scenario recorded-rig\n\
+                     scenario measured-welch samples=1024 nfft=128 seed=21\n\
                      scenario measured-welch samples=2048 nfft=64 seed=21 window=kaiser beta=8.6\n\
                      scenario cross-spectrum samples=2048 nfft=64 snr=10\n\
                      scenario sigma-delta order=1..2 osr=8 samples=4096 nfft=256\n\
                      batch npsd=64 bits=8..11 methods=psd rounding=nearest\n\
                      budget npsd=64 bits=9 rounding=nearest\n";
-    let spec = BatchSpec::parse(spec_text).unwrap();
+    let registry = psdacc_engine::ScenarioRegistry::new();
+    let defined = registry.define_graph_json("recorded-rig", &graph).unwrap();
+    let spec = BatchSpec::parse_with(spec_text, &registry).unwrap();
     let expected = expected_lines(&spec);
-    assert_eq!(expected.len(), 25, "5 scenarios x (4 bits + 1 budget)");
+    assert_eq!(expected.len(), 30, "6 scenarios x (4 bits + 1 budget)");
 
     let slow = spawn_daemon(
         1,
@@ -494,13 +717,14 @@ fn measured_source_fleet_is_bit_identical_under_work_stealing() {
     );
     let fast = spawn_daemon(2, ServerConfig::default());
     let daemons = vec![slow.addr().to_string(), fast.addr().to_string()];
-    let outcome = run_fleet(&daemons, &spec.jobs(), &FleetConfig::default(), |_| {}).unwrap();
+    let config = FleetConfig {
+        definitions: vec![("recorded-rig".to_string(), defined.canonical_json().to_string())],
+        ..FleetConfig::default()
+    };
+    let outcome = run_fleet(&daemons, &spec.jobs(), &config, |_| {}).unwrap();
 
-    assert_eq!(outcome.lines.len(), expected.len());
     assert_eq!(outcome.stats.failed, 0);
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
+    assert_bit_identical(&outcome.lines, &expected);
     // Both daemons actually evaluated measured scenarios (the estimation
     // ran on both sides, not just one).
     assert!(
@@ -511,8 +735,18 @@ fn measured_source_fleet_is_bit_identical_under_work_stealing() {
     // The measured budget rows survive the wire and the merge.
     let budget_lines: Vec<&String> =
         outcome.lines.iter().filter(|l| l.contains("\"kind\":\"budget\"")).collect();
-    assert_eq!(budget_lines.len(), 5);
-    assert!(budget_lines.iter().all(|l| l.contains("\"role\":\"measured\"")));
+    assert_eq!(budget_lines.len(), 6);
+    assert!(
+        budget_lines.iter().all(|l| l.contains("\"role\":\"measured\"")),
+        "every scenario in this spec has a measured source"
+    );
+    // Both daemons advertise the estim families to clients.
+    for addr in &daemons {
+        let describe = client::request_control(addr, "describe").unwrap();
+        for family in ["measured-welch", "cross-spectrum", "sigma-delta"] {
+            assert!(describe.contains(family), "{addr} missing {family}: {describe}");
+        }
+    }
     slow.shutdown();
     fast.shutdown();
 }

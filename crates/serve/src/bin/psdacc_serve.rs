@@ -2,30 +2,21 @@
 //!
 //! ```text
 //! psdacc-serve daemon --addr 127.0.0.1:7341 --store DIR [--threads N]
-//! psdacc-serve submit --workers HOST:PORT[,HOST:PORT...] [--graph NAME=FILE]...
-//!                     [--trace-dir DIR] SPECFILE
 //! psdacc-serve stats  --workers HOST:PORT[,HOST:PORT...]
 //! psdacc-serve scenarios --workers HOST:PORT
 //! psdacc-serve describe --workers HOST:PORT
 //! ```
 //!
 //! `daemon` serves forever; results stream to each client as JSON lines.
-//! `submit` shards a batch spec across daemons and prints merged result
-//! lines to stdout (summaries to stderr), exiting nonzero if any job
-//! failed; `--graph NAME=FILE` (repeatable) registers a declarative
-//! `GraphSpec` on **every** worker via `define_scenario` before the batch
-//! is submitted, so spec lines may reference it as `scenario NAME`;
-//! `--trace-dir DIR` resolves `"trace":"<hash>"` references in measured
-//! nodes to inline samples from a content-addressed trace store before
-//! definitions ship (daemons never hold trace state).
-//! `stats` / `scenarios` / `describe` print each daemon's one-line answer.
+//! `stats` / `metrics` / `scenarios` / `describe` print each daemon's
+//! answer. Batches are submitted through `psdacc-sched submit`.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use psdacc_engine::{BatchSpec, Engine, ScenarioRegistry};
+use psdacc_engine::Engine;
 use psdacc_serve::{client, Server};
 use psdacc_store::PersistentCache;
 
@@ -33,8 +24,6 @@ const USAGE: &str = "usage:
   psdacc-serve daemon --addr HOST:PORT [--store DIR] [--store-max-entries N] [--threads N]
                       [--max-connections N] [--trace-limit N]
                       [--chaos-unit-delay-ms MS] [--chaos-die-after-units N]
-  psdacc-serve submit --workers HOST:PORT[,HOST:PORT...] [--graph NAME=FILE]...
-                      [--trace-dir DIR] SPECFILE
   psdacc-serve stats --workers HOST:PORT[,HOST:PORT...]
   psdacc-serve metrics --workers HOST:PORT[,HOST:PORT...] [--format text|json]
   psdacc-serve scenarios --workers HOST:PORT[,HOST:PORT...]
@@ -53,17 +42,15 @@ how many batches' daemon-side traces stay fetchable before FIFO
 eviction (default 8; `stats` reports retained/dropped counts). The
 --chaos-* flags
 inject faults (per-unit delay; abrupt mid-stream death after N units)
-for scheduler testing and CI. `submit` expands a batch spec locally,
-round-robins the jobs across the workers, and merges the streamed
-results back into submission order; for dynamic work-stealing dispatch
-across a heterogeneous fleet use `psdacc-sched submit` instead.
+for scheduler testing and CI. Every connection is a unit stream: job
+lines execute as they arrive. To run a batch spec across one or more
+daemons use `psdacc-sched submit`.
 ";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("daemon") => cmd_daemon(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
         Some("stats") => cmd_control(&args[1..], "stats"),
         Some("metrics") => cmd_metrics(&args[1..]),
         Some("scenarios") => cmd_control(&args[1..], "scenarios"),
@@ -79,49 +66,23 @@ fn main() -> ExitCode {
     }
 }
 
-/// Single-valued flags, repeated `--graph` values, and the positional
-/// argument of one parsed command line.
-type ParsedArgs = (BTreeMap<String, String>, Vec<String>, Option<String>);
-
-/// Parses `--flag value` pairs plus at most one positional argument.
-/// `--graph` is repeatable; its values are collected separately.
-fn parse_flags(
-    args: &[String],
-    allowed: &[&str],
-    positional_name: Option<&str>,
-) -> Result<ParsedArgs, String> {
+/// Parses `--flag value` pairs; positional arguments are rejected.
+fn parse_flags(args: &[String], allowed: &[&str]) -> Result<BTreeMap<String, String>, String> {
     let mut flags = BTreeMap::new();
-    let mut graphs = Vec::new();
-    let mut positional = None;
     let mut i = 0;
     while i < args.len() {
         let token = args[i].as_str();
-        if token.starts_with("--") {
-            if !allowed.contains(&token) {
-                return Err(format!(
-                    "unknown argument `{token}` (allowed: {})",
-                    allowed.join(", ")
-                ));
-            }
-            let value = args.get(i + 1).ok_or_else(|| format!("missing value for {token}"))?;
-            if token == "--graph" {
-                graphs.push(value.clone());
-            } else {
-                flags.insert(token.to_string(), value.clone());
-            }
-            i += 2;
-        } else {
-            match positional_name {
-                Some(_) if positional.is_none() => {
-                    positional = Some(token.to_string());
-                    i += 1;
-                }
-                Some(name) => return Err(format!("more than one {name} given")),
-                None => return Err(format!("unexpected argument `{token}`")),
-            }
+        if !token.starts_with("--") {
+            return Err(format!("unexpected argument `{token}`"));
         }
+        if !allowed.contains(&token) {
+            return Err(format!("unknown argument `{token}` (allowed: {})", allowed.join(", ")));
+        }
+        let value = args.get(i + 1).ok_or_else(|| format!("missing value for {token}"))?;
+        flags.insert(token.to_string(), value.clone());
+        i += 2;
     }
-    Ok((flags, graphs, positional))
+    Ok(flags)
 }
 
 fn parse_workers(flags: &BTreeMap<String, String>) -> Result<Vec<String>, String> {
@@ -151,7 +112,7 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
         "--chaos-unit-delay-ms",
         "--chaos-die-after-units",
     ];
-    let (flags, _, _) = match parse_flags(args, &allowed, None) {
+    let flags = match parse_flags(args, &allowed) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
@@ -246,110 +207,10 @@ fn cmd_daemon(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_submit(args: &[String]) -> ExitCode {
-    let (flags, graphs, positional) = match parse_flags(
-        args,
-        &["--workers", "--timeout-seconds", "--graph", "--trace-dir"],
-        Some("SPECFILE"),
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let workers = match parse_workers(&flags) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(spec_path) = positional else {
-        eprintln!("submit needs a SPECFILE\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(&spec_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {spec_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let registry = ScenarioRegistry::new();
-    // Trace references resolve client-side: daemons only ever see inline
-    // samples, so a graph's content identity is supply-independent.
-    let traces = match flags.get("--trace-dir").map(psdacc_engine::TraceStore::open).transpose() {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("--trace-dir: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let definitions = match registry.define_graph_files_resolved(&graphs, traces.as_ref()) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec = match BatchSpec::parse_with(&text, &registry) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{spec_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Wait for every daemon (concurrently) so `daemon & submit` scripting
-    // just works — and so a dead fleet fails fast with *every* unreachable
-    // address named, not a serial hang per corpse.
-    let timeout = flags.get("--timeout-seconds").and_then(|v| v.parse::<u64>().ok()).unwrap_or(30);
-    if let Err(e) = client::wait_all_ready(&workers, Duration::from_secs(timeout)) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    // Registered graphs must exist on every worker before any shard may
-    // reference them by name.
-    if let Err(e) = client::define_scenarios(&workers, &definitions) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let stdout = std::io::stdout();
-    let outcome = {
-        let mut out = stdout.lock();
-        client::submit_streaming(&workers, &spec.jobs(), |line| {
-            use std::io::Write as _;
-            let _ = writeln!(out, "{line}");
-        })
-    };
-    match outcome {
-        Ok(outcome) => {
-            for (worker, summary) in workers.iter().zip(&outcome.summaries) {
-                eprintln!("{worker}: {summary}");
-            }
-            eprintln!(
-                "{} jobs across {} workers | {} failed",
-                outcome.lines.len(),
-                workers.len(),
-                outcome.failed
-            );
-            if outcome.failed == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `metrics`: fetch each daemon's metrics exposition. Text (Prometheus)
 /// by default; `--format json` prints the canonical registry object.
 fn cmd_metrics(args: &[String]) -> ExitCode {
-    let (flags, _, _) = match parse_flags(args, &["--workers", "--format"], None) {
+    let flags = match parse_flags(args, &["--workers", "--format"]) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
@@ -410,7 +271,7 @@ fn cmd_metrics(args: &[String]) -> ExitCode {
 }
 
 fn cmd_control(args: &[String], kind: &str) -> ExitCode {
-    let (flags, _, _) = match parse_flags(args, &["--workers"], None) {
+    let flags = match parse_flags(args, &["--workers"]) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");

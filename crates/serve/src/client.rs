@@ -1,27 +1,12 @@
-//! The sharding client: round-robins a batch's jobs across daemons and
-//! merges the streamed results back into submission order.
-//!
-//! Job `i` of the expanded batch goes to worker `i % workers`, tagged with
-//! `"id": i`. Each worker connection writes its share, half-closes, and
-//! reads results; a reorder buffer on the submitting side emits lines the
-//! moment the next-in-order id arrives — so output is **identical** to a
-//! single-process `psdacc-engine run` of the same spec (modulo timing
-//! fields), while the preprocessing and evaluation ran on N machines.
+//! Client-side connection helpers: bounded connects that name the daemon
+//! on failure, one-shot control requests, and readiness probes.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use psdacc_engine::json::{self, Json};
-use psdacc_engine::JobSpec;
-
 use crate::error::ServeError;
-use crate::protocol::{define_request_line, job_request_line, parse_define_ack, read_capped_line};
-
-/// One named graph definition to forward to daemons: `(name, canonical
-/// GraphSpec JSON)`.
-pub type ScenarioDefinition = (String, String);
+use crate::protocol::read_capped_line;
 
 /// Default bound on one connection attempt. An unreachable daemon must be
 /// a prompt, named error — not a connect() hanging for the kernel's
@@ -61,228 +46,6 @@ pub fn connect_with_timeout(addr: &str, timeout: Duration) -> Result<TcpStream, 
         Some(e) => format!("daemon at {addr} is unreachable: {e}"),
         None => format!("daemon address {addr} resolves to nothing"),
     }))
-}
-
-/// What a sharded submission produced.
-#[derive(Debug)]
-pub struct ShardOutcome {
-    /// Result JSON lines, in submission (job-id) order.
-    pub lines: Vec<String>,
-    /// How many results carried an `error` field.
-    pub failed: usize,
-    /// One raw `{"kind":"summary",...}` line per worker, in worker order.
-    pub summaries: Vec<String>,
-}
-
-/// Submits `jobs` across `workers`, returning everything merged in order.
-///
-/// # Errors
-///
-/// See [`submit_streaming`].
-pub fn submit(workers: &[String], jobs: &[JobSpec]) -> Result<ShardOutcome, ServeError> {
-    submit_streaming(workers, jobs, |_line| {})
-}
-
-/// [`submit`] that additionally invokes `on_line` for each result line in
-/// submission order, as soon as its turn is ready — the streaming path the
-/// CLI uses for stdout.
-///
-/// # Errors
-///
-/// [`ServeError::Io`] for connection failures, [`ServeError::Protocol`]
-/// when a daemon reports a protocol error or a result stream is
-/// incomplete.
-pub fn submit_streaming(
-    workers: &[String],
-    jobs: &[JobSpec],
-    mut on_line: impl FnMut(&str),
-) -> Result<ShardOutcome, ServeError> {
-    if workers.is_empty() {
-        return Err(ServeError::Protocol("no workers given".to_string()));
-    }
-    let (tx, rx) = mpsc::channel::<Result<WorkerMsg, ServeError>>();
-    let mut lines: Vec<Option<String>> = vec![None; jobs.len()];
-    let mut summaries: Vec<Option<String>> = vec![None; workers.len()];
-    let mut failed = 0usize;
-    let mut first_error: Option<ServeError> = None;
-    std::thread::scope(|scope| {
-        for (worker_index, worker) in workers.iter().enumerate() {
-            let tx = tx.clone();
-            let share: Vec<(usize, &JobSpec)> = jobs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % workers.len() == worker_index)
-                .collect();
-            scope.spawn(move || {
-                if let Err(e) = drive_worker(worker, worker_index, &share, &tx) {
-                    let _ = tx.send(Err(e));
-                }
-            });
-        }
-        drop(tx);
-        // Merge: emit the contiguous prefix as it becomes available.
-        let mut next_to_emit = 0usize;
-        for msg in rx {
-            match msg {
-                Ok(WorkerMsg::Line { id, line, failed: f }) => {
-                    if f {
-                        failed += 1;
-                    }
-                    if id < lines.len() && lines[id].is_none() {
-                        lines[id] = Some(line);
-                        while next_to_emit < lines.len() {
-                            match &lines[next_to_emit] {
-                                Some(line) => {
-                                    on_line(line);
-                                    next_to_emit += 1;
-                                }
-                                None => break,
-                            }
-                        }
-                    } else if first_error.is_none() {
-                        first_error = Some(ServeError::Protocol(format!(
-                            "duplicate or out-of-range result id {id}"
-                        )));
-                    }
-                }
-                Ok(WorkerMsg::Summary { worker, line }) => summaries[worker] = Some(line),
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-    });
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    let complete: Vec<String> = lines.into_iter().flatten().collect();
-    if complete.len() != jobs.len() {
-        return Err(ServeError::Protocol(format!(
-            "received {} of {} results (a worker dropped jobs)",
-            complete.len(),
-            jobs.len()
-        )));
-    }
-    Ok(ShardOutcome {
-        lines: complete,
-        failed,
-        summaries: summaries.into_iter().flatten().collect(),
-    })
-}
-
-/// One worker connection: write the share, half-close, stream back.
-fn drive_worker(
-    addr: &str,
-    worker_index: usize,
-    share: &[(usize, &JobSpec)],
-    tx: &mpsc::Sender<Result<WorkerMsg, ServeError>>,
-) -> Result<(), ServeError> {
-    let stream = connect(addr)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    {
-        let mut writer = BufWriter::new(&stream);
-        for (id, spec) in share {
-            writeln!(writer, "{}", job_request_line(*id, spec)?)?;
-        }
-        writer.flush()?;
-    }
-    stream.shutdown(Shutdown::Write)?;
-    let mut reader = reader;
-    while let Some(line) = read_capped_line(&mut reader)? {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line = line.trim_end().to_string();
-        let value = json::parse(&line)
-            .map_err(|e| ServeError::Protocol(format!("{addr}: bad response line: {e}")))?;
-        match value.get("kind").and_then(Json::as_str) {
-            Some("summary") => {
-                let _ = tx.send(Ok(WorkerMsg::Summary { worker: worker_index, line }));
-            }
-            // Definition acknowledgements are not results; skip them so a
-            // submission may interleave defines with job lines.
-            Some("scenario_defined") => {}
-            Some("error") => {
-                let detail =
-                    value.get("error").and_then(Json::as_str).unwrap_or("unspecified").to_string();
-                return Err(ServeError::Protocol(format!("{addr}: daemon rejected: {detail}")));
-            }
-            _ => {
-                let id = value.get("job").and_then(Json::as_u64).ok_or_else(|| {
-                    ServeError::Protocol(format!("{addr}: result line without job id"))
-                })? as usize;
-                let failed = value.get("error").is_some();
-                let _ = tx.send(Ok(WorkerMsg::Line { id, line, failed }));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Message shape worker connections emit toward the merging thread.
-enum WorkerMsg {
-    /// One result line.
-    Line {
-        /// Submission-order id.
-        id: usize,
-        /// Raw JSON line.
-        line: String,
-        /// Whether the result carries an `error` field.
-        failed: bool,
-    },
-    /// A worker's batch summary.
-    Summary {
-        /// Worker index in the submission's worker list.
-        worker: usize,
-        /// Raw JSON line.
-        line: String,
-    },
-}
-
-/// Registers the given graph definitions on **every** worker (one
-/// connection per worker, acknowledgements verified), so subsequent
-/// submissions may reference them by name no matter which daemon a job
-/// lands on. Definitions are content-addressed, so re-registering on a
-/// warm daemon is a no-op for its caches.
-///
-/// # Errors
-///
-/// [`ServeError::Io`] for unreachable workers, [`ServeError::Protocol`]
-/// when any daemon rejects a definition (the error names both the worker
-/// and the definition).
-pub fn define_scenarios(
-    workers: &[String],
-    definitions: &[ScenarioDefinition],
-) -> Result<(), ServeError> {
-    if definitions.is_empty() {
-        return Ok(());
-    }
-    for worker in workers {
-        let stream = connect(worker)?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        {
-            let mut writer = BufWriter::new(&stream);
-            for (name, json) in definitions {
-                writeln!(writer, "{}", define_request_line(name, json))?;
-            }
-            writer.flush()?;
-        }
-        stream.shutdown(Shutdown::Write)?;
-        for (name, _) in definitions {
-            let line = read_capped_line(&mut reader)?
-                .map(|l| l.trim_end().to_string())
-                .ok_or_else(|| {
-                    ServeError::Protocol(format!(
-                        "{worker}: connection closed before acknowledging `{name}`"
-                    ))
-                })?;
-            parse_define_ack(&line)
-                .map_err(|e| ServeError::Protocol(format!("{worker}: define `{name}`: {e}")))?;
-        }
-    }
-    Ok(())
 }
 
 /// Sends one control request (`"stats"` or `"scenarios"`) and returns the

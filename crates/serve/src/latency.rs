@@ -121,11 +121,10 @@ mod tests {
         // 40 µs = 40000 ns -> bucket 15 ([32768, 65536)).
         assert_eq!(buckets[15].as_u64(), Some(1));
         assert_eq!(by_verb("evaluate").get("total_ns").unwrap().as_u64(), Some(40_000));
-        // One observation: every derived percentile interpolates to the
-        // midpoint of its bucket (sub-bucket resolution, not the 2x
-        // bucket-upper-bound snap).
+        // One observation: every derived percentile is that observation
+        // (interpolation is clamped to the exact extremes).
         for p in ["p50_ns", "p95_ns", "p99_ns"] {
-            assert_eq!(by_verb("evaluate").get(p).unwrap().as_f64(), Some(49_152.0), "{p}");
+            assert_eq!(by_verb("evaluate").get(p).unwrap().as_f64(), Some(40_000.0), "{p}");
         }
         // Empty verbs render zero percentiles, not nulls.
         assert_eq!(by_verb("greedy").get("p99_ns").unwrap().as_f64(), Some(0.0));

@@ -2,8 +2,8 @@
 //!
 //! The workspace's first cross-process scaling path: a std-only TCP
 //! daemon exposing the batch-evaluation engine over a newline-delimited
-//! JSON protocol, plus the sharding client that fans a batch spec across
-//! several daemons and merges the streamed results back in order.
+//! JSON protocol, plus the small client helpers (connect, readiness,
+//! control requests) that scripts and the `psdacc-sched` coordinator use.
 //!
 //! The paper's `tau_pp`/`tau_eval` economics want a **service**, not a
 //! one-shot CLI: precision decisions get re-queried continuously (dynamic
@@ -15,19 +15,18 @@
 //! ```text
 //! psdacc-serve daemon --addr 127.0.0.1:7341 --store /var/cache/psdacc &
 //! psdacc-serve daemon --addr 127.0.0.1:7342 --store /var/cache/psdacc &
-//! psdacc-serve submit --workers 127.0.0.1:7341,127.0.0.1:7342 batch.spec
+//! psdacc-sched submit --daemons 127.0.0.1:7341,127.0.0.1:7342 batch.spec
 //! ```
 //!
-//! `submit` expands the spec locally, round-robins jobs across the
-//! workers tagged with their submission index, and re-merges the streams,
-//! producing result lines identical to a local `psdacc-engine run` of the
-//! same spec (timing fields aside). For *dynamic* dispatch — per-daemon
-//! in-flight windows, work stealing, failure re-dispatch — the
-//! `psdacc-sched` coordinator drives the daemon's `evaluate_units` mode
-//! instead. See [`protocol`] for the wire format, [`server`] for
-//! connection semantics (including `ServerConfig` limits and chaos
-//! fault-injection), [`client`] for the sharding merge, [`latency`] for
-//! the per-verb histograms in `stats`.
+//! Every connection is a unit stream: job lines execute as they arrive
+//! and results stream back tagged with their request id. The
+//! `psdacc-sched` coordinator drives that stream across a fleet —
+//! per-daemon in-flight windows, work stealing, failure re-dispatch — and
+//! merges results into lines identical to a local `psdacc-engine run` of
+//! the same spec (timing fields aside). See [`protocol`] for the wire
+//! format, [`server`] for connection semantics (including `ServerConfig`
+//! limits and chaos fault-injection), [`client`] for the connection
+//! helpers, [`latency`] for the per-verb histograms in `stats`.
 
 pub mod client;
 pub mod error;
@@ -36,8 +35,7 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{
-    connect, connect_with_timeout, define_scenarios, request_control, submit, submit_streaming,
-    wait_all_ready, wait_ready, ScenarioDefinition, ShardOutcome, CONNECT_TIMEOUT,
+    connect, connect_with_timeout, request_control, wait_all_ready, wait_ready, CONNECT_TIMEOUT,
 };
 pub use error::ServeError;
 pub use protocol::{

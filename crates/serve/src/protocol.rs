@@ -1,8 +1,8 @@
 //! The newline-delimited JSON wire protocol.
 //!
 //! Every request and response is one JSON object per line. A client
-//! connection writes requests, half-closes its write side, and reads
-//! responses until EOF. Request kinds:
+//! connection writes requests, half-closes its write side when done, and
+//! reads responses until EOF. Request kinds:
 //!
 //! ```text
 //! {"kind":"evaluate","scenario":"fir-bank index=3","npsd":256,
@@ -25,7 +25,7 @@
 //! `scenario` is the engine's spec-line syntax (`name key=value ...` for a
 //! registered family — builtin or `define_scenario`-registered — or
 //! `graph={...}` with an inline `GraphSpec`). `id` tags the response
-//! (`"job"` field) so a sharding client can merge streams back into
+//! (`"job"` field) so a coordinator can merge streams back into
 //! submission order; when omitted, the daemon numbers requests per
 //! connection. `seed` may be a JSON number or a string (a string preserves
 //! full `u64` range; JSON numbers are doubles).
@@ -39,17 +39,18 @@
 //! on every cache key and store address without coordination.
 //!
 //! Control kinds (`scenarios`, `describe`, `stats`, `hello`,
-//! `define_scenario`) are answered immediately. Job kinds are queued and
-//! executed as **one engine batch** when the client half-closes, so a
-//! connection's jobs share the work-stealing pool and stream back in
-//! completion order, followed by one `{"kind":"summary"}` line.
-//!
-//! `evaluate_units` (sent before any job request) switches the connection
-//! into **unit-streaming mode** instead: each job request executes as soon
-//! as it arrives, up to the daemon's worker count concurrently, with its
-//! result written back the moment it completes. The `psdacc-sched`
-//! coordinator drives this mode to keep a bounded in-flight window per
+//! `define_scenario`) are answered immediately. Every connection is a
+//! **unit stream** (protocol revision 6): each job request executes as
+//! soon as it arrives, up to the daemon's worker count concurrently, with
+//! its result written back the moment it completes, in completion order.
+//! After the client half-closes, the stream ends with one
+//! `{"kind":"summary","mode":"units",...}` line. The `psdacc-sched`
+//! coordinator drives this stream to keep a bounded in-flight window per
 //! daemon and refill it on every completion.
+//!
+//! `evaluate_units` is an optional opener: sent before any job request, it
+//! opens the unit stream early and may carry a trace context. After a job
+//! request it is answered with an error line.
 //!
 //! The optional `trace` object on `evaluate_units` (protocol revision 4)
 //! carries the coordinator's trace context: `batch` names the fleet batch
@@ -387,7 +388,7 @@ fn opt_seed(value: &Json) -> Result<u64, String> {
 }
 
 /// Renders a [`JobSpec`] as the request line the daemon will parse back
-/// into an identical spec — the client side of the shard protocol.
+/// into an identical spec — the client side of the unit stream.
 ///
 /// # Errors
 ///

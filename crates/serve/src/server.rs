@@ -1,8 +1,7 @@
-//! The TCP daemon: accept loop, per-connection protocol driver (batch and
-//! unit-streaming modes), and the graceful-shutdown handle used by tests
-//! and the CLI.
+//! The TCP daemon: accept loop, the per-connection unit-stream driver, and
+//! the graceful-shutdown handle used by tests and the CLI.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -11,7 +10,7 @@ use std::time::{Duration, Instant};
 use psdacc_engine::job::{run_job_traced, UnitTrace};
 use psdacc_engine::json::JsonWriter;
 use psdacc_engine::{Engine, JobSpec, ScenarioRegistry};
-use psdacc_obs::{Counter, Gauge, MetricsRegistry, OpenSpan, TraceStore, Tracer};
+use psdacc_obs::{Counter, Gauge, MetricsRegistry, OpenSpan, SpanId, TraceStore, Tracer};
 use psdacc_sfg::GraphSpec;
 
 use crate::error::ServeError;
@@ -23,8 +22,12 @@ use crate::protocol::{parse_request, read_capped_line, result_line, Request, Tra
 /// `define_scenario` / `describe` and registry-resolved scenario fields,
 /// revision 4 added `metrics` / `trace` and the `evaluate_units` trace
 /// context, revision 5 added the `budget` job kind with its per-node
-/// attribution rows on the result line).
-pub const PROTOCOL_REVISION: usize = 5;
+/// attribution rows on the result line, revision 6 made every connection a
+/// unit stream: job lines execute as they arrive and half-close yields the
+/// `mode:"units"` summary, with or without an `evaluate_units` opener —
+/// the batch mode that ran a connection's jobs only after half-close is
+/// gone).
+pub const PROTOCOL_REVISION: usize = 6;
 
 /// Default retention bound for per-batch daemon-side traces (older
 /// batches evict FIFO); override with [`ServerConfig::trace_limit`].
@@ -38,9 +41,9 @@ pub struct ServerConfig {
     /// immediately — explicit backpressure instead of an unbounded thread
     /// pile-up. `None` = unlimited.
     pub max_connections: Option<usize>,
-    /// Fault injection: artificial delay before every unit executed in
-    /// unit-streaming mode. Models a slow/overloaded machine so schedulers
-    /// and CI can prove work actually re-routes around stragglers.
+    /// Fault injection: artificial delay before every unit executes.
+    /// Models a slow/overloaded machine so schedulers and CI can prove
+    /// work actually re-routes around stragglers.
     pub chaos_unit_delay: Duration,
     /// Fault injection: after this many units served (daemon lifetime
     /// total), abruptly shut both socket directions of the serving
@@ -103,9 +106,8 @@ impl ServerState {
         &self.registry
     }
 
-    /// The daemon-wide metrics registry (service counters, per-verb
-    /// latency, and — when built with the `obs` feature — hot-path stage
-    /// timers).
+    /// The daemon-wide metrics registry (service counters and per-verb
+    /// latency).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -164,7 +166,7 @@ impl ServerState {
     }
 
     /// Registers a graph definition and renders the acknowledgement (or
-    /// rejection) line — shared by both connection modes.
+    /// rejection) line.
     fn define_scenario_line(&self, lineno: usize, name: &str, spec: GraphSpec) -> String {
         match self.registry.define_graph(name, spec) {
             Ok(defined) => {
@@ -301,9 +303,8 @@ impl Server {
 
     /// Serves until the shutdown flag is raised (never, unless a
     /// [`ServerHandle`] exists). Connection handlers run on their own
-    /// threads; each connection's jobs run as one engine batch (or stream
-    /// unit-by-unit in `evaluate_units` mode). Connections beyond
-    /// `max_connections` are refused with one error line.
+    /// threads; each connection streams its jobs unit by unit. Connections
+    /// beyond `max_connections` are refused with one error line.
     pub fn run(&self) {
         for stream in self.listener.incoming() {
             if self.state.shutdown.load(Ordering::SeqCst) {
@@ -381,118 +382,13 @@ fn refuse_connection(mut stream: TcpStream, max: usize) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Drives one connection: control requests answered immediately, job
-/// requests collected until the client half-closes, then executed as one
-/// batch with results streamed back in completion order. A leading
-/// `evaluate_units` request switches to unit-streaming mode instead.
-fn handle_connection(state: &ServerState, stream: &TcpStream) -> Result<(), ServeError> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut jobs: Vec<JobSpec> = Vec::new();
-    let mut ids: Vec<usize> = Vec::new();
-    let mut lineno = 0usize;
-    while let Some(line) = read_capped_line(&mut reader)? {
-        lineno += 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_request(line.trim_end(), jobs.len(), &state.registry) {
-            Ok(Request::Job { id, spec }) => {
-                ids.push(id);
-                jobs.push(spec);
-            }
-            Ok(Request::Scenarios) => {
-                writeln!(writer, "{}", state.registry.scenarios_json_line())?;
-                writer.flush()?;
-            }
-            Ok(Request::Describe { family }) => {
-                writeln!(writer, "{}", state.describe_line(lineno, family.as_deref()))?;
-                writer.flush()?;
-            }
-            Ok(Request::DefineScenario { name, spec }) => {
-                writeln!(writer, "{}", state.define_scenario_line(lineno, &name, spec))?;
-                writer.flush()?;
-            }
-            Ok(Request::Stats) => {
-                writeln!(writer, "{}", state.stats_line())?;
-                writer.flush()?;
-            }
-            Ok(Request::Metrics) => {
-                writeln!(writer, "{}", state.metrics_line())?;
-                writer.flush()?;
-            }
-            Ok(Request::Trace { batch }) => {
-                writeln!(writer, "{}", state.trace_line(lineno, &batch))?;
-                writer.flush()?;
-            }
-            Ok(Request::Hello) => {
-                writeln!(writer, "{}", state.hello_line())?;
-                writer.flush()?;
-            }
-            Ok(Request::EvaluateUnits { trace }) => {
-                if jobs.is_empty() {
-                    writer.flush()?;
-                    drop(writer);
-                    return handle_unit_mode(state, &mut reader, stream, trace);
-                }
-                write_error_line(&mut writer, lineno, "evaluate_units must precede job requests")?;
-            }
-            Err(e) => write_error_line(&mut writer, lineno, &e)?,
-        }
-    }
-    if jobs.is_empty() {
-        return writer.flush().map_err(ServeError::from);
-    }
-    let njobs = jobs.len();
-    let mut write_error: Option<std::io::Error> = None;
-    let kinds: Vec<psdacc_engine::JobKind> = jobs.iter().map(|j| j.kind.clone()).collect();
-    let report = state.engine.run_streaming(jobs, |result| {
-        // Service time of this job: the evaluation stage plus the
-        // preprocessing pass when this job actually paid for it.
-        let mut seconds = result.tau_eval_seconds;
-        if !result.cache_hit {
-            seconds += result.tau_pp_seconds.unwrap_or(0.0);
-        }
-        state.latency.record(&kinds[result.job], Duration::from_secs_f64(seconds.max(0.0)));
-        if write_error.is_some() {
-            return;
-        }
-        // `result.job` is the batch index; the wire carries the request id.
-        let line = result_line(ids[result.job], result);
-        if let Err(e) = writeln!(writer, "{line}").and_then(|()| writer.flush()) {
-            write_error = Some(e);
-        }
-    });
-    state.jobs_served.add(njobs as u64);
-    if let Some(e) = write_error {
-        return Err(ServeError::Io(format!("client went away mid-batch: {e}")));
-    }
-    let mut w = JsonWriter::new();
-    w.field_str("kind", "summary");
-    w.field_usize("jobs", report.pool.jobs);
-    w.field_usize("failed", report.failures().count());
-    w.field_usize("steals", report.pool.steals);
-    w.field_usize("cache_builds", report.cache.builds);
-    w.field_usize("disk_hits", report.cache.disk_hits);
-    w.field_f64("wall_seconds", report.wall_seconds);
-    writeln!(writer, "{}", w.finish())?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// Renders the one `{"kind":"error",...}` line shape both connection
-/// modes speak.
+/// Renders the one `{"kind":"error",...}` line shape the daemon speaks.
 fn error_line(lineno: usize, error: &str) -> String {
     let mut w = JsonWriter::new();
     w.field_str("kind", "error");
     w.field_usize("line", lineno);
     w.field_str("error", error);
     w.finish()
-}
-
-fn write_error_line<W: Write>(writer: &mut W, lineno: usize, error: &str) -> std::io::Result<()> {
-    writeln!(writer, "{}", error_line(lineno, error))?;
-    writer.flush()
 }
 
 /// One queued unit: request id, the work, and the daemon-side `serve.unit`
@@ -506,21 +402,24 @@ struct UnitMode<'a> {
     state: &'a ServerState,
     writer: &'a Mutex<BufWriter<TcpStream>>,
     stream: &'a TcpStream,
-    tracer: &'a Tracer,
     died: &'a AtomicBool,
     executed: &'a AtomicUsize,
     failed: &'a AtomicUsize,
 }
 
-/// Unit-streaming mode: jobs execute the moment they arrive, up to the
-/// engine's worker count concurrently, and each result is written back as
-/// soon as it completes (any order — results carry their request id).
+/// Drives one connection. Control requests are answered immediately; every
+/// job line executes as a unit the moment it arrives, up to the engine's
+/// worker count concurrently, and each result is written back as soon as
+/// it completes (any order — results carry their request id).
 ///
-/// Backpressure is structural: the executor feed channel is bounded, so a
-/// peer that outruns the daemon blocks in the kernel's TCP window instead
-/// of growing an unbounded queue. On client half-close the executors
-/// drain, then one `{"kind":"summary","mode":"units",...}` line ends the
-/// stream.
+/// The unit stream opens with the first job line, or earlier with an
+/// optional `evaluate_units` opener that may carry a trace context; an
+/// opener after the stream has opened is an error line. Backpressure is
+/// structural: the executor feed channel is bounded, so a peer that
+/// outruns the daemon blocks in the kernel's TCP window instead of growing
+/// an unbounded queue. On client half-close the executors drain, then one
+/// `{"kind":"summary","mode":"units",...}` line ends an opened stream (a
+/// connection that only sent control requests gets no summary).
 ///
 /// With a trace context, every unit records a `serve.unit` span parented
 /// under the coordinator's root span, with `unit.parse` /
@@ -528,19 +427,10 @@ struct UnitMode<'a> {
 /// `unit.serialize` children — the per-unit timing breakdown the merged
 /// fleet trace is built from. Tracing never alters results: the tracer
 /// only ever *observes* timings around the identical execution path.
-fn handle_unit_mode<R: BufRead>(
-    state: &ServerState,
-    reader: &mut R,
-    stream: &TcpStream,
-    trace_ctx: Option<TraceContext>,
-) -> Result<(), ServeError> {
+fn handle_connection(state: &ServerState, stream: &TcpStream) -> Result<(), ServeError> {
     let threads = state.engine.threads().max(1);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let writer = Mutex::new(BufWriter::new(stream.try_clone()?));
-    let tracer = match &trace_ctx {
-        Some(ctx) => state.traces.create(&ctx.batch),
-        None => Arc::new(Tracer::disabled()),
-    };
-    let root_span = trace_ctx.as_ref().and_then(|ctx| ctx.span);
     let (tx, rx) = mpsc::sync_channel::<UnitFeed>(threads * 2);
     let rx = Mutex::new(rx);
     let died = AtomicBool::new(false);
@@ -550,26 +440,37 @@ fn handle_unit_mode<R: BufRead>(
         state,
         writer: &writer,
         stream,
-        tracer: &tracer,
         died: &died,
         executed: &executed,
         failed: &failed,
     };
+    // The opened unit stream: its tracer (disabled without a trace
+    // context) and the coordinator span its units parent under.
+    let mut opened: Option<(Arc<Tracer>, Option<SpanId>)> = None;
     let mut auto_id = 0usize;
     let mut lineno = 0usize;
     let mut read_error: Option<std::io::Error> = None;
     std::thread::scope(|scope| -> Result<(), ServeError> {
-        for _ in 0..threads {
-            scope.spawn(|| unit_executor(&ctx, &rx));
-        }
         let tx = tx; // moved into the scope so executors see EOF at drop
+        let (ctx, rx) = (&ctx, &rx);
+        let open = |trace_ctx: Option<TraceContext>| {
+            let tracer = match &trace_ctx {
+                Some(trace) => state.traces.create(&trace.batch),
+                None => Arc::new(Tracer::disabled()),
+            };
+            for _ in 0..threads {
+                let tracer = Arc::clone(&tracer);
+                scope.spawn(move || unit_executor(ctx, rx, &tracer));
+            }
+            (tracer, trace_ctx.and_then(|trace| trace.span))
+        };
         loop {
-            let line = match read_capped_line(reader) {
+            let line = match read_capped_line(&mut reader) {
                 Ok(Some(line)) => line,
                 Ok(None) => break,
                 // Read failures (I/O, or the MAX_LINE_BYTES protocol cap)
-                // must surface like batch mode's, not masquerade as a
-                // clean half-close; stop feeding and report below.
+                // must not masquerade as a clean half-close; stop feeding
+                // and report below.
                 Err(e) => {
                     read_error = Some(e);
                     break;
@@ -579,11 +480,12 @@ fn handle_unit_mode<R: BufRead>(
             if line.trim().is_empty() {
                 continue;
             }
-            let parse_start = tracer.now_ns();
+            let parse_start = opened.as_ref().map_or(0, |(tracer, _)| tracer.now_ns());
             match parse_request(line.trim_end(), auto_id, &state.registry) {
                 Ok(Request::Job { id, spec }) => {
                     auto_id += 1;
-                    let unit_span = tracer.start("serve.unit", root_span, Some(id as u64));
+                    let (tracer, root_span) = opened.get_or_insert_with(|| open(None));
+                    let unit_span = tracer.start("serve.unit", *root_span, Some(id as u64));
                     if let Some(span) = &unit_span {
                         // The parse happened before the span could exist;
                         // record it as a measured child ending now.
@@ -598,6 +500,16 @@ fn handle_unit_mode<R: BufRead>(
                     }
                     if tx.send((id, spec, unit_span)).is_err() {
                         break;
+                    }
+                }
+                Ok(Request::EvaluateUnits { trace }) => {
+                    if opened.is_some() {
+                        write_locked(
+                            &writer,
+                            &error_line(lineno, "evaluate_units must precede job requests"),
+                        )?;
+                    } else {
+                        opened = Some(open(trace));
                     }
                 }
                 Ok(Request::Stats) => write_locked(&writer, &state.stats_line())?,
@@ -615,8 +527,6 @@ fn handle_unit_mode<R: BufRead>(
                 Ok(Request::DefineScenario { name, spec }) => {
                     write_locked(&writer, &state.define_scenario_line(lineno, &name, spec))?
                 }
-                // Idempotent: the connection is already in unit mode.
-                Ok(Request::EvaluateUnits { .. }) => {}
                 Err(e) => write_locked(&writer, &error_line(lineno, &e))?,
             }
         }
@@ -630,7 +540,10 @@ fn handle_unit_mode<R: BufRead>(
         // Tell the peer (best effort) and the daemon log why the stream
         // ended without a summary.
         let _ = write_locked(&writer, &error_line(lineno + 1, &e.to_string()));
-        return Err(ServeError::Io(format!("unit stream read failed: {e}")));
+        return Err(ServeError::Io(format!("connection read failed: {e}")));
+    }
+    if opened.is_none() {
+        return Ok(());
     }
     let mut w = JsonWriter::new();
     w.field_str("kind", "summary");
@@ -648,9 +561,9 @@ fn write_locked(writer: &Mutex<BufWriter<TcpStream>>, line: &str) -> Result<(), 
     Ok(())
 }
 
-/// One unit-mode executor: pull a unit, (chaos-)execute, write the result,
+/// One unit executor: pull a unit, (chaos-)execute, write the result,
 /// repeat until the feed channel closes.
-fn unit_executor(ctx: &UnitMode<'_>, rx: &Mutex<mpsc::Receiver<UnitFeed>>) {
+fn unit_executor(ctx: &UnitMode<'_>, rx: &Mutex<mpsc::Receiver<UnitFeed>>, tracer: &Tracer) {
     let state = ctx.state;
     loop {
         // Holding the lock across the blocking recv is deliberate: exactly
@@ -666,18 +579,18 @@ fn unit_executor(ctx: &UnitMode<'_>, rx: &Mutex<mpsc::Receiver<UnitFeed>>) {
             std::thread::sleep(state.config.chaos_unit_delay);
         }
         let parent = unit_span.as_ref().map(|s| s.id);
-        let unit_trace = UnitTrace { tracer: ctx.tracer, parent, unit: Some(id as u64) };
+        let unit_trace = UnitTrace { tracer, parent, unit: Some(id as u64) };
         let t0 = Instant::now();
         let result = run_job_traced(state.engine.cache().as_ref(), 0, &spec, Some(&unit_trace));
         state.latency.record(&spec.kind, t0.elapsed());
         if result.error.is_some() {
             ctx.failed.fetch_add(1, Ordering::Relaxed);
         }
-        let serialize = ctx.tracer.start("unit.serialize", parent, Some(id as u64));
+        let serialize = tracer.start("unit.serialize", parent, Some(id as u64));
         let line = result_line(id, &result);
         let wrote = write_locked(ctx.writer, &line);
-        ctx.tracer.end(serialize);
-        ctx.tracer.end(unit_span);
+        tracer.end(serialize);
+        tracer.end(unit_span);
         if wrote.is_err() {
             // Client went away; keep draining so the reader can unwind.
             ctx.died.store(true, Ordering::SeqCst);

@@ -1,17 +1,18 @@
-//! Loopback integration: daemons on 127.0.0.1 must produce results
-//! **bit-identical** to the in-process engine, a warm restart over the
-//! same store must perform zero preprocessing builds, and the 2-daemon
-//! sharded submit must merge back into exactly the single-process output.
+//! Loopback integration over raw sockets: every connection is a unit
+//! stream whose results are **bit-identical** to the in-process engine,
+//! control requests interleave with units, and the daemon's service
+//! policy (readiness, connection limits, latency histograms, traces)
+//! holds on the wire. Jobs split by hand over two daemons' unit streams
+//! merge bit-identically for defined and measured scenarios here;
+//! coordinator-level properties — work-stealing merges and warm restarts
+//! through `run_fleet` — live in `psdacc-sched`'s `fleet_loopback` tests.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 
 use psdacc_engine::json::{self, Json};
 use psdacc_engine::{BatchSpec, Engine};
 use psdacc_serve::{client, Server, ServerHandle};
-use psdacc_store::PersistentCache;
 
 /// Three scenario families x estimates, refinement, min-uniform, and a
 /// small seeded simulation — every protocol job kind.
@@ -24,22 +25,53 @@ const SPEC: &str = "scenario fir-cascade stages=2 taps=15 cutoff=0.2\n\
                     budget npsd=128 bits=9\n\
                     simulate npsd=128 bits=10 samples=4096 nfft=64 seed=11 trials=1\n";
 
-/// Distinct `(scenario, npsd)` keys in [`SPEC`].
-const SPEC_KEYS: usize = 3;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("psdacc-serve-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn spawn_memory_daemon(threads: usize) -> ServerHandle {
     Server::bind("127.0.0.1:0", Engine::new(threads)).unwrap().spawn().unwrap()
 }
 
-fn spawn_store_daemon(dir: &PathBuf, threads: usize) -> ServerHandle {
-    let cache = Arc::new(PersistentCache::open(dir).unwrap());
-    Server::bind("127.0.0.1:0", Engine::with_shared_cache(threads, cache)).unwrap().spawn().unwrap()
+/// Streams `spec`'s jobs over one connection (no opener), half-closes,
+/// and returns every reply line.
+fn stream_jobs(addr: SocketAddr, spec: &BatchSpec) -> Vec<String> {
+    let stream = TcpStream::connect(addr).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    for (id, job) in spec.jobs().iter().enumerate() {
+        writeln!(&stream, "{}", psdacc_serve::job_request_line(id, job).unwrap()).unwrap();
+    }
+    stream.shutdown(Shutdown::Write).unwrap();
+    reader.lines().map(|l| l.unwrap()).collect()
+}
+
+/// Registers `graph` under `name` on the daemon at `addr` and returns the
+/// content-hash key it acknowledges.
+fn define_scenario(addr: SocketAddr, name: &str, graph: &str) -> String {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    writeln!(&stream, "{}", psdacc_serve::define_request_line(name, graph)).unwrap();
+    let mut ack = String::new();
+    reader.read_line(&mut ack).unwrap();
+    psdacc_serve::parse_define_ack(ack.trim_end()).unwrap()
+}
+
+/// Shards `spec`'s jobs round-robin over one unit stream per daemon and
+/// merges the result lines back into job order. Panics unless every
+/// daemon's summary reports zero failures.
+fn shard_jobs(daemons: &[SocketAddr], spec: &BatchSpec) -> Vec<String> {
+    let jobs = spec.jobs();
+    let mut merged: Vec<(u64, String)> = Vec::with_capacity(jobs.len());
+    for (shard, &addr) in daemons.iter().enumerate() {
+        let stream = TcpStream::connect(addr).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        for (id, job) in jobs.iter().enumerate().skip(shard).step_by(daemons.len()) {
+            writeln!(&stream, "{}", psdacc_serve::job_request_line(id, job).unwrap()).unwrap();
+        }
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+        let summary = lines.pop().expect("summary line");
+        assert_eq!(stat(&summary, "failed"), 0, "{addr}: {summary}\n{lines:?}");
+        merged.extend(lines.into_iter().map(|l| (stat(&l, "job"), l)));
+    }
+    merged.sort_by_key(|(id, _)| *id);
+    merged.into_iter().map(|(_, l)| l).collect()
 }
 
 /// A result line minus its run-dependent fields (timings, cache hit flag):
@@ -60,151 +92,33 @@ fn stat(line: &str, field: &str) -> u64 {
     json::parse(line).unwrap().get(field).and_then(Json::as_u64).unwrap()
 }
 
-/// The acceptance shape: a 2-daemon sharded `submit` produces output
-/// bit-identical to a single-process engine run of the same spec.
-#[test]
-fn two_daemon_shard_matches_single_process_engine_bit_for_bit() {
-    let spec = BatchSpec::parse(SPEC).unwrap();
-    let expected: Vec<String> =
-        Engine::new(4).run(spec.jobs()).results.iter().map(|r| r.to_json_line()).collect();
-
-    let a = spawn_memory_daemon(2);
-    let b = spawn_memory_daemon(2);
-    let workers = vec![a.addr().to_string(), b.addr().to_string()];
-    let mut streamed: Vec<String> = Vec::new();
-    let outcome = client::submit_streaming(&workers, &spec.jobs(), |line| {
-        streamed.push(line.to_string());
-    })
-    .unwrap();
-
-    assert_eq!(outcome.lines.len(), expected.len());
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.summaries.len(), 2, "one summary per worker");
-    assert_eq!(streamed, outcome.lines, "streaming callback saw the merged order");
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
-    // Shard really happened: both daemons served jobs.
-    for worker in &workers {
-        let stats = client::request_control(worker, "stats").unwrap();
-        assert!(stat(&stats, "jobs_served") > 0, "{stats}");
-    }
-    a.shutdown();
-    b.shutdown();
-}
-
-/// The acceptance criterion for persistence: cold daemon builds and
-/// persists; a fresh daemon on the same store serves the same batch with
-/// **zero** preprocessing builds, bit-identically.
-#[test]
-fn warm_daemon_restart_serves_with_zero_builds() {
-    let dir = tmp_dir("warm");
-    let spec = BatchSpec::parse(SPEC).unwrap();
-
-    let cold = spawn_store_daemon(&dir, 3);
-    let cold_addr = cold.addr().to_string();
-    let cold_outcome = client::submit(std::slice::from_ref(&cold_addr), &spec.jobs()).unwrap();
-    assert_eq!(cold_outcome.failed, 0);
-    let stats = client::request_control(&cold_addr, "stats").unwrap();
-    assert_eq!(stat(&stats, "cache_builds") as usize, SPEC_KEYS, "{stats}");
-    assert_eq!(stat(&stats, "disk_writes") as usize, SPEC_KEYS, "{stats}");
-    assert_eq!(stat(&stats, "disk_hits"), 0, "{stats}");
-    cold.shutdown();
-
-    // "Restart": a brand-new daemon process state over the same directory.
-    let warm = spawn_store_daemon(&dir, 3);
-    let warm_addr = warm.addr().to_string();
-    let warm_outcome = client::submit(std::slice::from_ref(&warm_addr), &spec.jobs()).unwrap();
-    assert_eq!(warm_outcome.failed, 0);
-    let stats = client::request_control(&warm_addr, "stats").unwrap();
-    assert_eq!(stat(&stats, "cache_builds"), 0, "warm start must not preprocess: {stats}");
-    assert_eq!(stat(&stats, "disk_hits") as usize, SPEC_KEYS, "{stats}");
-    warm.shutdown();
-
-    assert_eq!(cold_outcome.lines.len(), warm_outcome.lines.len());
-    for (c, w) in cold_outcome.lines.iter().zip(&warm_outcome.lines) {
-        assert_eq!(stable_fields(c), stable_fields(w), "\ncold: {c}\nwarm: {w}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The multirate acceptance shape: decimated-DWT scenario families flow
-/// through the wire protocol, the persistent store, and 2-daemon sharding
-/// with zero protocol changes — sharded output bit-identical to the
-/// single-process engine, and a warm restart on the same store performs
-/// zero preprocessing (kernel) builds.
-#[test]
-fn decimated_dwt_batch_shards_and_persists_bit_identically() {
-    // Analytic estimates, a refinement, and a seeded Monte-Carlo run over
-    // both decimated families (npsd divisible by 2^levels throughout).
-    let spec_text = "scenario dwt-decimated levels=1..2\n\
-                     scenario dwt-packet depth=1\n\
-                     batch npsd=64 bits=8..10 methods=psd,agnostic\n\
-                     min-uniform npsd=64 budget=1e-5 min=2 max=24\n\
-                     simulate npsd=64 bits=8 samples=2048 nfft=32 seed=5 trials=1\n";
-    let spec = BatchSpec::parse(spec_text).unwrap();
-    let keys = 3; // dwt-decimated[1], dwt-decimated[2], dwt-packet[1]
-    let expected: Vec<String> =
-        Engine::new(4).run(spec.jobs()).results.iter().map(|r| r.to_json_line()).collect();
-
-    let dir = tmp_dir("decimated");
-    let a = spawn_store_daemon(&dir, 2);
-    let b = spawn_store_daemon(&dir, 2);
-    let workers = vec![a.addr().to_string(), b.addr().to_string()];
-    let outcome = client::submit(&workers, &spec.jobs()).unwrap();
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.lines.len(), expected.len());
-    for (got, want) in outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
-    a.shutdown();
-    b.shutdown();
-
-    // Warm restart over the shared store: multirate kernels load from
-    // disk, zero preprocessing builds, bit-identical results again.
-    let warm = spawn_store_daemon(&dir, 2);
-    let warm_addr = warm.addr().to_string();
-    let warm_outcome = client::submit(std::slice::from_ref(&warm_addr), &spec.jobs()).unwrap();
-    assert_eq!(warm_outcome.failed, 0);
-    let stats = client::request_control(&warm_addr, "stats").unwrap();
-    assert_eq!(stat(&stats, "cache_builds"), 0, "warm start must not preprocess: {stats}");
-    assert_eq!(stat(&stats, "disk_hits") as usize, keys, "{stats}");
-    // The richer stats surface the per-scenario counters.
-    let v = json::parse(&stats).unwrap();
-    let per = v.get("scenario_cache").unwrap().as_array().unwrap();
-    assert_eq!(per.len(), keys, "{stats}");
-    assert!(per
-        .iter()
-        .any(|e| e.get("scenario").and_then(Json::as_str) == Some("dwt-decimated[levels=2]")));
-    warm.shutdown();
-    for (got, want) in warm_outcome.lines.iter().zip(&expected) {
-        assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Control requests answer immediately, malformed lines get error
-/// responses without killing the connection, and job errors come back as
-/// result records.
+/// responses without killing the connection, and a job line sent without
+/// an `evaluate_units` opener executes as a unit the moment it arrives —
+/// its result comes back before half-close, a late opener is an error,
+/// and half-close yields the `mode:"units"` summary.
 #[test]
 fn protocol_robustness_over_a_raw_socket() {
     let daemon = spawn_memory_daemon(2);
     let stream = TcpStream::connect(daemon.addr()).unwrap();
+    // A daemon that held jobs until half-close would stall the read below.
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut line = String::new();
+    let mut next_line = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        json::parse(line.trim_end()).unwrap_or_else(|e| panic!("{line}: {e}"))
+    };
 
     // Garbage line -> error response, connection stays up.
     writeln!(&stream, "this is not json").unwrap();
-    reader.read_line(&mut line).unwrap();
-    let v = json::parse(line.trim_end()).unwrap();
+    let v = next_line();
     assert_eq!(v.get("kind").unwrap().as_str(), Some("error"));
     assert_eq!(v.get("line").unwrap().as_u64(), Some(1));
 
     // scenarios still answered on the same connection.
-    line.clear();
     writeln!(&stream, "{{\"kind\":\"scenarios\"}}").unwrap();
-    reader.read_line(&mut line).unwrap();
-    let v = json::parse(line.trim_end()).unwrap();
+    let v = next_line();
     assert_eq!(
         v.get("count").unwrap().as_u64(),
         Some(psdacc_engine::ScenarioRegistry::new().families().len() as u64)
@@ -212,28 +126,34 @@ fn protocol_robustness_over_a_raw_socket() {
 
     // A job against an invalid scenario parameter fails at parse time with
     // a described error...
-    line.clear();
     writeln!(&stream, "{{\"kind\":\"evaluate\",\"scenario\":\"fir-bank index=9999\",\"bits\":12}}")
         .unwrap();
-    reader.read_line(&mut line).unwrap();
-    let v = json::parse(line.trim_end()).unwrap();
+    let v = next_line();
     assert_eq!(v.get("kind").unwrap().as_str(), Some("error"));
 
-    // ...while a valid job queued before EOF comes back as a result plus a
-    // summary after half-close.
+    // ...while a valid job executes at once: its result arrives while the
+    // write side is still open, tagged with its request id.
     writeln!(
         &stream,
         "{{\"kind\":\"evaluate\",\"scenario\":\"freq-filter\",\"bits\":12,\"id\":5}}"
     )
     .unwrap();
-    stream.shutdown(std::net::Shutdown::Write).unwrap();
-    let rest: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
-    assert_eq!(rest.len(), 2, "{rest:?}");
-    let result = json::parse(&rest[0]).unwrap();
+    let result = next_line();
     assert_eq!(result.get("job").unwrap().as_u64(), Some(5));
     assert!(result.get("power").unwrap().as_f64().unwrap() > 0.0);
-    let summary = json::parse(&rest[1]).unwrap();
+
+    // The job opened the unit stream; an opener after it is an error.
+    writeln!(&stream, "{{\"kind\":\"evaluate_units\"}}").unwrap();
+    let v = next_line();
+    assert_eq!(v.get("kind").unwrap().as_str(), Some("error"));
+    assert!(v.get("error").unwrap().as_str().unwrap().contains("evaluate_units"), "{v:?}");
+
+    stream.shutdown(Shutdown::Write).unwrap();
+    let rest: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+    assert_eq!(rest.len(), 1, "{rest:?}");
+    let summary = json::parse(&rest[0]).unwrap();
     assert_eq!(summary.get("kind").unwrap().as_str(), Some("summary"));
+    assert_eq!(summary.get("mode").unwrap().as_str(), Some("units"));
     assert_eq!(summary.get("jobs").unwrap().as_u64(), Some(1));
     assert_eq!(summary.get("failed").unwrap().as_u64(), Some(0));
     daemon.shutdown();
@@ -250,8 +170,8 @@ fn wait_ready_sees_a_live_daemon_and_times_out_on_a_dead_one() {
 }
 
 /// An unreachable worker is a prompt error naming the dead address — on
-/// the direct submit path and on the all-workers readiness probe (which
-/// must name *every* dead address, not serially time out on the first).
+/// a direct connect and on the all-workers readiness probe (which must
+/// name *every* dead address, not serially time out on the first).
 #[test]
 fn unreachable_workers_fail_fast_with_their_addresses_named() {
     let live = spawn_memory_daemon(1);
@@ -260,9 +180,8 @@ fn unreachable_workers_fail_fast_with_their_addresses_named() {
     let dead_a = "127.0.0.1:1".to_string();
     let dead_b = "127.0.0.1:2".to_string();
 
-    let spec = BatchSpec::parse("scenario freq-filter\nbatch npsd=64 bits=10\n").unwrap();
     let t0 = std::time::Instant::now();
-    let err = client::submit(std::slice::from_ref(&dead_a), &spec.jobs()).unwrap_err();
+    let err = client::connect(&dead_a).unwrap_err();
     assert!(err.to_string().contains(&dead_a), "{err}");
     assert!(t0.elapsed() < std::time::Duration::from_secs(30), "no connect hang");
 
@@ -274,14 +193,24 @@ fn unreachable_workers_fail_fast_with_their_addresses_named() {
     live.shutdown();
 }
 
-/// After a served batch the `stats` reply carries per-verb log-bucketed
-/// latency histograms with non-zero counts for every verb the batch used.
+/// After a served unit stream the `stats` reply carries per-verb
+/// log-bucketed latency histograms with non-zero counts for every verb the
+/// stream used, and every result is bit-identical to the local engine.
 #[test]
 fn stats_reply_carries_latency_histograms() {
     let daemon = spawn_memory_daemon(2);
     let addr = daemon.addr().to_string();
     let spec = BatchSpec::parse(SPEC).unwrap();
-    client::submit(std::slice::from_ref(&addr), &spec.jobs()).unwrap();
+    let lines = stream_jobs(daemon.addr(), &spec);
+    let expected = Engine::new(4).run(spec.jobs()).results;
+    let (summary, results) = lines.split_last().unwrap();
+    assert_eq!(stat(summary, "jobs") as usize, expected.len(), "{summary}");
+    assert_eq!(stat(summary, "failed"), 0, "{summary}");
+    assert_eq!(results.len(), expected.len());
+    for line in results {
+        let want = expected[stat(line, "job") as usize].to_json_line();
+        assert_eq!(stable_fields(line), stable_fields(&want), "\n got: {line}\nwant: {want}");
+    }
     let stats = client::request_control(&addr, "stats").unwrap();
     let v = json::parse(&stats).unwrap();
     let latency = v.get("latency").unwrap().as_array().unwrap();
@@ -513,9 +442,10 @@ fn evaluate_units_trace_context_yields_parented_daemon_spans() {
 }
 
 /// The open-scenario-API acceptance shape at the serve layer: a graph
-/// defined over the wire on **both** daemons of a shard evaluates through
-/// `submit` bit-identically to a local single-process engine run, and the
-/// definition is observable via `stats` / `scenarios` / `describe`.
+/// defined over the wire on **both** daemons evaluates through unit
+/// streams sharded across them bit-identically to a local single-process
+/// engine run, and the definition is observable via `stats` /
+/// `scenarios` / `describe`.
 #[test]
 fn defined_graph_scenario_shards_bit_identically_to_local_run() {
     const GRAPH: &str = r#"{"nodes":[{"name":"x","block":"input"},
@@ -537,31 +467,32 @@ fn defined_graph_scenario_shards_bit_identically_to_local_run() {
     let expected: Vec<String> =
         Engine::new(4).run(spec.jobs()).results.iter().map(|r| r.to_json_line()).collect();
 
-    // Fleet: define over the wire on both daemons, then shard.
+    // Define over the wire on both daemons, then shard.
     let a = spawn_memory_daemon(2);
     let b = spawn_memory_daemon(2);
-    let workers = vec![a.addr().to_string(), b.addr().to_string()];
-    let definitions = vec![("my-codec".to_string(), defined.canonical_json().to_string())];
-    client::define_scenarios(&workers, &definitions).unwrap();
-    let outcome = client::submit(&workers, &spec.jobs()).unwrap();
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.lines.len(), expected.len());
-    for (got, want) in outcome.lines.iter().zip(&expected) {
+    let daemons = [a.addr(), b.addr()];
+    for &addr in &daemons {
+        let key = define_scenario(addr, "my-codec", defined.canonical_json());
+        assert_eq!(key, defined.key());
+    }
+    let lines = shard_jobs(&daemons, &spec);
+    assert_eq!(lines.len(), expected.len());
+    for (got, want) in lines.iter().zip(&expected) {
         assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
     }
     // The dynamic scenario's rows carry its content-hash key.
-    let dynamic_rows = outcome.lines.iter().filter(|l| l.contains(&defined.key())).count();
+    let dynamic_rows = lines.iter().filter(|l| l.contains(&defined.key())).count();
     assert_eq!(dynamic_rows, 7, "3 bits x 2 methods + 1 simulate on the defined graph");
 
     // Both daemons know about the definition.
-    for worker in &workers {
-        let stats = client::request_control(worker, "stats").unwrap();
+    for addr in daemons.iter().map(SocketAddr::to_string) {
+        let stats = client::request_control(&addr, "stats").unwrap();
         assert_eq!(stat(&stats, "dynamic_scenarios"), 1, "{stats}");
         assert_eq!(stat(&stats, "protocol"), psdacc_serve::PROTOCOL_REVISION as u64, "{stats}");
-        let scenarios = client::request_control(worker, "scenarios").unwrap();
+        let scenarios = client::request_control(&addr, "scenarios").unwrap();
         assert_eq!(stat(&scenarios, "dynamic"), 1, "{scenarios}");
         assert!(scenarios.contains("my-codec"), "{scenarios}");
-        let describe = client::request_control(worker, "describe").unwrap();
+        let describe = client::request_control(&addr, "describe").unwrap();
         let v = json::parse(&describe).unwrap();
         assert_eq!(v.get("kind").unwrap().as_str(), Some("describe"));
         // 9 builtin + 3 estim + 1 dynamic.
@@ -569,63 +500,23 @@ fn defined_graph_scenario_shards_bit_identically_to_local_run() {
     }
     // An undefined daemon rejects the named scenario with a clear error.
     let lonely = spawn_memory_daemon(1);
-    let err = client::submit(&[lonely.addr().to_string()], &spec.jobs()).unwrap_err();
-    assert!(err.to_string().contains("my-codec"), "{err}");
+    let replies = stream_jobs(lonely.addr(), &spec);
+    let rejected: Vec<&String> = replies
+        .iter()
+        .filter(|l| l.contains("\"kind\":\"error\"") && l.contains("my-codec"))
+        .collect();
+    assert!(!rejected.is_empty(), "{replies:?}");
     lonely.shutdown();
     a.shutdown();
     b.shutdown();
 }
 
-/// Dynamic scenarios persist like builtins: a daemon restart over the same
-/// store serves a re-defined identical graph with zero preprocessing
-/// builds (the content hash is the disk address).
-#[test]
-fn defined_graph_scenario_warm_restarts_from_the_store() {
-    const GRAPH: &str = r#"{"nodes":[{"name":"x","block":"input"},
-        {"name":"f","block":"iir","b":[0.2],"a":[1.0,-0.6],"inputs":["x"]}],
-        "outputs":["f"]}"#;
-    let dir = tmp_dir("dynwarm");
-    let registry = psdacc_engine::ScenarioRegistry::new();
-    let defined = registry.define_graph_json("warm-codec", GRAPH).unwrap();
-    let spec = BatchSpec::parse_with(
-        "scenario warm-codec\nbatch npsd=64 bits=8..12 methods=psd\n",
-        &registry,
-    )
-    .unwrap();
-    let definitions = vec![("warm-codec".to_string(), defined.canonical_json().to_string())];
-
-    let cold = spawn_store_daemon(&dir, 2);
-    let cold_addr = vec![cold.addr().to_string()];
-    client::define_scenarios(&cold_addr, &definitions).unwrap();
-    let cold_outcome = client::submit(&cold_addr, &spec.jobs()).unwrap();
-    assert_eq!(cold_outcome.failed, 0);
-    let stats = client::request_control(&cold_addr[0], "stats").unwrap();
-    assert_eq!(stat(&stats, "cache_builds"), 1, "{stats}");
-    assert_eq!(stat(&stats, "disk_writes"), 1, "{stats}");
-    cold.shutdown();
-
-    let warm = spawn_store_daemon(&dir, 2);
-    let warm_addr = vec![warm.addr().to_string()];
-    client::define_scenarios(&warm_addr, &definitions).unwrap();
-    let warm_outcome = client::submit(&warm_addr, &spec.jobs()).unwrap();
-    assert_eq!(warm_outcome.failed, 0);
-    let stats = client::request_control(&warm_addr[0], "stats").unwrap();
-    assert_eq!(stat(&stats, "cache_builds"), 0, "re-defined identical graph: {stats}");
-    assert_eq!(stat(&stats, "disk_hits"), 1, "{stats}");
-    for (a, b) in cold_outcome.lines.iter().zip(&warm_outcome.lines) {
-        assert_eq!(stable_fields(a), stable_fields(b));
-    }
-    warm.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The measured-signal acceptance shape (PR 10): estimated-PSD scenarios —
-/// both the estim families (rebuilt from seeds on each daemon) and a
+/// The measured-signal acceptance shape: estimated-PSD scenarios — both
+/// the estim families (rebuilt from seeds on each daemon) and a
 /// `GraphSpec` carrying inline recorded samples, defined over the wire on
 /// **both** daemons — shard bit-identically to a local single-process run.
 /// Daemons hold no trace state; determinism of the estimation pipeline is
-/// the only thing keeping the fleet honest, which is exactly what this
-/// test pins.
+/// the only thing keeping the shards honest, which is what this test pins.
 #[test]
 fn measured_source_scenarios_shard_bit_identically_to_local_run() {
     // A short recorded trace inlined in the spec (the canonical wire
@@ -654,31 +545,31 @@ fn measured_source_scenarios_shard_bit_identically_to_local_run() {
         Engine::new(4).run(spec.jobs()).results.iter().map(|r| r.to_json_line()).collect();
     assert!(expected.len() >= 15, "4 bits x 3 scenarios + 3 budgets");
 
-    // Fleet: define the recorded graph on both daemons, then shard.
+    // Define the recorded graph on both daemons, then shard.
     let a = spawn_memory_daemon(2);
     let b = spawn_memory_daemon(2);
-    let workers = vec![a.addr().to_string(), b.addr().to_string()];
-    let definitions = vec![("recorded-rig".to_string(), defined.canonical_json().to_string())];
-    client::define_scenarios(&workers, &definitions).unwrap();
-    let outcome = client::submit(&workers, &spec.jobs()).unwrap();
-    assert_eq!(outcome.failed, 0);
-    assert_eq!(outcome.lines.len(), expected.len());
-    for (got, want) in outcome.lines.iter().zip(&expected) {
+    let daemons = [a.addr(), b.addr()];
+    for &addr in &daemons {
+        define_scenario(addr, "recorded-rig", defined.canonical_json());
+    }
+    let lines = shard_jobs(&daemons, &spec);
+    assert_eq!(lines.len(), expected.len());
+    for (got, want) in lines.iter().zip(&expected) {
         assert_eq!(stable_fields(got), stable_fields(want), "\n got: {got}\nwant: {want}");
     }
     // The budget rows carry the measured role over the wire.
     let budget_lines: Vec<&String> =
-        outcome.lines.iter().filter(|l| l.contains("\"kind\":\"budget\"")).collect();
+        lines.iter().filter(|l| l.contains("\"kind\":\"budget\"")).collect();
     assert_eq!(budget_lines.len(), 3);
     assert!(
         budget_lines.iter().all(|l| l.contains("\"role\":\"measured\"")),
         "every scenario in this spec has a measured source"
     );
     // Both daemons advertise the estim families to clients.
-    for worker in &workers {
-        let describe = client::request_control(worker, "describe").unwrap();
+    for addr in daemons.iter().map(SocketAddr::to_string) {
+        let describe = client::request_control(&addr, "describe").unwrap();
         for family in ["measured-welch", "cross-spectrum", "sigma-delta"] {
-            assert!(describe.contains(family), "{worker} missing {family}: {describe}");
+            assert!(describe.contains(family), "{addr} missing {family}: {describe}");
         }
     }
     a.shutdown();

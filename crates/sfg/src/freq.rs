@@ -169,17 +169,12 @@ impl Preprocessed {
 /// [`crate::multirate::multirate_responses`]).
 pub fn preprocess(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<Preprocessed, SfgError> {
     #[cfg(feature = "obs")]
-    let timer = psdacc_obs::stage::timer();
-    #[cfg(feature = "obs")]
     let _frame = psdacc_obs::profile::frame("preprocess");
-    let result = if crate::multirate::is_multirate(sfg) {
+    if crate::multirate::is_multirate(sfg) {
         crate::multirate::multirate_responses(sfg, output, npsd).map(Preprocessed::Multirate)
     } else {
         node_responses(sfg, output, npsd).map(Preprocessed::SingleRate)
-    };
-    #[cfg(feature = "obs")]
-    psdacc_obs::stage::record("sfg_preprocess_ns", timer);
-    result
+    }
 }
 
 /// How many `bins[a..b]` profile frames the per-bin solve loop splits
@@ -217,8 +212,6 @@ pub fn node_responses(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<NodeResp
     let _sr_frame = psdacc_obs::profile::frame("single_rate");
     let n = sfg.len();
     // Precompute block responses on the grid (the paper's tau_pp stage).
-    #[cfg(feature = "obs")]
-    let block_timer = psdacc_obs::stage::timer();
     let block_resp: Vec<Vec<Complex>> = {
         #[cfg(feature = "obs")]
         let _frame = psdacc_obs::profile::frame("block_response");
@@ -232,10 +225,6 @@ pub fn node_responses(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<NodeResp
             })
             .collect()
     };
-    #[cfg(feature = "obs")]
-    psdacc_obs::stage::record("sfg_freq_block_response_ns", block_timer);
-    #[cfg(feature = "obs")]
-    let solve_timer = psdacc_obs::stage::timer();
     #[cfg(feature = "obs")]
     let _solve_frame = psdacc_obs::profile::frame("solve");
     let mut responses = vec![vec![Complex::ZERO; npsd]; n];
@@ -277,8 +266,6 @@ pub fn node_responses(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<NodeResp
             }
         }
     }
-    #[cfg(feature = "obs")]
-    psdacc_obs::stage::record("sfg_freq_solve_ns", solve_timer);
     Ok(NodeResponses { responses, npsd })
 }
 
