@@ -6,11 +6,13 @@
 //! the estimate, GraphSpec compile+hash, the store codec round-trip,
 //! warm-vs-cold evaluator-cache lookups, Welch estimation of a recorded
 //! trace plus a bit-true sigma-delta modulation pass (the measured-signal
-//! subsystem's hot paths), and a work-stealing fleet batch at 1/2/4
-//! in-process loopback daemons — and writes one versioned JSON line:
+//! subsystem's hot paths), a 1024-point radix-2 FFT, the Monte-Carlo
+//! simulation an analytical estimate replaces (the numerator of the
+//! paper's speed-up), and a work-stealing fleet batch at 1/2/4 in-process
+//! loopback daemons — and writes one versioned JSON line:
 //!
 //! ```json
-//! {"kind":"bench","version":3,
+//! {"kind":"bench","version":4,
 //!  "meta":{"iters":20,"npsd":256,"host_threads":8,"unix_ts":1754600000,
 //!          "probes":["preprocess","tau_eval",...]},
 //!  "results":[{"name":"preprocess","iters":20,"p50_ns":1003520,
@@ -19,31 +21,35 @@
 //!              "throughput_units_per_s":812.5}, ...]}
 //! ```
 //!
-//! Per-iteration times land in a `psdacc_obs` log-bucketed histogram;
-//! `p50_ns`/`p95_ns` use linear sub-bucket interpolation
-//! ([`psdacc_obs::HistogramSnapshot::quantile_interp_ns`]) so baseline
-//! comparisons are not quantized into power-of-two jumps. `mean_ns`
-//! (total/count) and `throughput_units_per_s` (units / total wall time)
-//! are exact — the compare gate keys off throughput for that reason.
-//! CI runs this at low iteration counts as a soft regression gate
-//! (generous threshold); baselines worth committing come from dedicated
-//! runs at higher `iters`.
+//! Every statistic is exact. [`measure`] keeps each iteration's
+//! nanoseconds, sorts them, and reports `p50_ns`/`p95_ns` as nearest-rank
+//! order statistics (the ⌈q·n⌉-th smallest sample) and `min_ns`/`max_ns`
+//! as the first and last sample, so `min ≤ p50 ≤ p95 ≤ max` holds by
+//! construction. `mean_ns` is total/count and `throughput_units_per_s`
+//! is units per second of wall time; the compare gate keys off
+//! throughput. CI runs this at low iteration counts as a soft regression
+//! gate (generous threshold); baselines worth committing come from
+//! dedicated runs at higher `iters`.
 
 use std::time::Instant;
 
 use psdacc_core::{AccuracyEvaluator, WordLengthPlan};
 use psdacc_engine::json::JsonWriter;
 use psdacc_engine::{BatchSpec, Engine, EvaluatorCache, GraphScenario, Scenario};
+use psdacc_fft::{Complex, Direction, Radix2Fft};
 use psdacc_fixed::RoundingMode;
-use psdacc_obs::Histogram;
 use psdacc_sched::{run_fleet, FleetConfig};
 use psdacc_serve::Server;
+use psdacc_sim::{measure_quantization_error, SimulationPlan};
 use psdacc_store::Record;
+use psdacc_systems::filter_bank::{fir_entry, fir_system};
 
 /// Schema version of the `BENCH_psd.json` line (bumped when fields or
 /// probe semantics change; `--compare` refuses to diff across versions).
-/// v3 added exact `min_ns`/`max_ns` per probe and `meta.unix_ts`.
-pub const SCHEMA_VERSION: u64 = 3;
+/// v3 added exact `min_ns`/`max_ns` per probe and `meta.unix_ts`; v4
+/// made `p50_ns`/`p95_ns` nearest-rank order statistics of the raw
+/// samples (they were interpolated inside log2 histogram buckets).
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// One timed probe of the suite.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,15 +58,15 @@ pub struct BenchResult {
     pub name: String,
     /// Timed iterations.
     pub iters: usize,
-    /// Median per-iteration time, ns (sub-bucket interpolated).
+    /// Median per-iteration time, ns (nearest rank).
     pub p50_ns: u64,
-    /// 95th-percentile per-iteration time, ns (sub-bucket interpolated).
+    /// 95th-percentile per-iteration time, ns (nearest rank).
     pub p95_ns: u64,
     /// Exact mean per-iteration time, ns (total / count).
     pub mean_ns: u64,
-    /// Exact fastest iteration, ns (not a bucket bound).
+    /// Fastest iteration, ns.
     pub min_ns: u64,
-    /// Exact slowest iteration, ns (not a bucket bound).
+    /// Slowest iteration, ns.
     pub max_ns: u64,
     /// Work units completed per second of wall time (exact).
     pub throughput_units_per_s: f64,
@@ -128,32 +134,43 @@ impl BenchReport {
     }
 }
 
+/// Nearest-rank `q`-quantile of ascending `sorted`: the ⌈q·n⌉-th smallest
+/// sample (the definition `perfbench` uses), so the answer is always a
+/// recorded time. Zero for no samples.
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let n = sorted.len();
+    if n == 0 {
+        return 0;
+    }
+    sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
+}
+
 /// Times `iters` runs of `work` (which completes `units_per_iter` units
-/// each run) and derives the percentile/throughput record.
+/// each run) and derives the order-statistic/throughput record from the
+/// raw per-iteration samples.
 pub fn measure(
     name: &str,
     iters: usize,
     units_per_iter: usize,
     mut work: impl FnMut(),
 ) -> BenchResult {
-    let hist = Histogram::default();
+    let mut samples = Vec::with_capacity(iters);
     let t0 = Instant::now();
     for _ in 0..iters {
         let it = Instant::now();
         work();
-        hist.record(it.elapsed());
+        samples.push(it.elapsed().as_nanos() as u64);
     }
     let total = t0.elapsed().as_secs_f64();
-    let snap = hist.snapshot();
-    let mean_ns = snap.total_ns.checked_div(snap.count).unwrap_or(0);
+    samples.sort_unstable();
     BenchResult {
         name: name.to_string(),
         iters,
-        p50_ns: snap.quantile_interp_ns(0.50).unwrap_or(0.0).round() as u64,
-        p95_ns: snap.quantile_interp_ns(0.95).unwrap_or(0.0).round() as u64,
-        mean_ns,
-        min_ns: snap.min_ns,
-        max_ns: snap.max_ns,
+        p50_ns: nearest_rank(&samples, 0.50),
+        p95_ns: nearest_rank(&samples, 0.95),
+        mean_ns: samples.iter().sum::<u64>().checked_div(iters as u64).unwrap_or(0),
+        min_ns: samples.first().copied().unwrap_or(0),
+        max_ns: samples.last().copied().unwrap_or(0),
         throughput_units_per_s: if total > 0.0 {
             (iters * units_per_iter) as f64 / total
         } else {
@@ -213,10 +230,14 @@ pub fn run_baseline(npsd: usize, iters: usize) -> BenchReport {
 /// Drains the global profiler after one probe and writes its hotspot
 /// table (`<probe>.profile.txt`), canonical JSON line
 /// (`<probe>.profile.json`), and flamegraph folded stacks
-/// (`<probe>.folded`) into `dir`.
+/// (`<probe>.folded`) into `dir`. Writes nothing for a probe that
+/// recorded no frames (`fft` and `simulate` run uninstrumented crates).
 fn dump_probe_profile(dir: &std::path::Path, probe: &str) {
     let Some(profiler) = psdacc_obs::profile::profiler() else { return };
     let snapshot = profiler.take();
+    if snapshot.is_empty() {
+        return;
+    }
     let write = |ext: &str, content: String| {
         let path = dir.join(format!("{probe}.{ext}"));
         std::fs::write(&path, content)
@@ -230,10 +251,11 @@ fn dump_probe_profile(dir: &std::path::Path, probe: &str) {
 /// [`run_baseline`] with optional per-probe profiling: when `profile_dir`
 /// is set, the hierarchical profiler is installed (first-install-wins —
 /// an already installed profiler is reused), drained before the suite,
-/// and re-drained after every probe into three files per probe (hotspot
-/// table, profile JSON line, folded stacks). The timed work is identical
-/// either way; the frames ride inside the measured regions, which is the
-/// point — the dump shows where each probe's time went.
+/// and re-drained after every probe into three files per probe that
+/// recorded frames (hotspot table, profile JSON line, folded stacks).
+/// The timed work is identical either way; the frames ride inside the
+/// measured regions, which is the point — the dump shows where each
+/// probe's time went.
 ///
 /// # Panics
 ///
@@ -367,6 +389,38 @@ pub fn run_baseline_profiled(
     });
     dump("sigma_delta");
 
+    // tau_eval through the multirate fold/image kernels of the DWT graph
+    // the preprocess_multirate probe builds.
+    let dwt_evaluator = AccuracyEvaluator::new(&dwt, npsd).expect("multirate preprocess");
+    clear();
+    let tau_eval_multirate = measure("tau_eval_multirate", iters, 1, || {
+        std::hint::black_box(dwt_evaluator.estimate_psd(&plan).power);
+    });
+    dump("tau_eval_multirate");
+
+    // The FFT substrate under every spectral estimate: one forward
+    // 1024-point radix-2 transform.
+    let fft_plan = Radix2Fft::new(1024, Direction::Forward);
+    let fft_input: Vec<Complex> =
+        (0..1024).map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos())).collect();
+    let fft = measure("fft", iters, 1, || {
+        std::hint::black_box(fft_plan.transform(&fft_input));
+    });
+    dump("fft");
+
+    // The Monte-Carlo reference each analytical estimate replaces: a
+    // bit-true 12-bit truncated simulation of one FIR over 10 000
+    // samples — the numerator of the paper's speed-up.
+    let fir = fir_system(fir_entry(3).expect("valid population").1);
+    let quantizers = plan.quantizers(&fir);
+    let sim_plan = SimulationPlan { samples: 10_000, nfft: 128, ..Default::default() };
+    clear();
+    let simulate = measure("simulate", iters, 1, || {
+        let m = measure_quantization_error(&fir, &quantizers, &sim_plan).expect("simulates");
+        std::hint::black_box(m);
+    });
+    dump("simulate");
+
     // Fleet batches end to end at 1/2/4 daemons — the scaling curve the
     // work-stealing coordinator is supposed to deliver.
     let fleets: Vec<BenchResult> = [1usize, 2, 4]
@@ -390,6 +444,9 @@ pub fn run_baseline_profiled(
         cache_warm,
         welch_estimate,
         sigma_delta,
+        tau_eval_multirate,
+        fft,
+        simulate,
     ];
     results.extend(fleets);
     BenchReport {
@@ -439,6 +496,9 @@ mod tests {
                 "cache_warm",
                 "welch_estimate",
                 "sigma_delta",
+                "tau_eval_multirate",
+                "fft",
+                "simulate",
                 "fleet_batch_1",
                 "fleet_batch_2",
                 "fleet_batch_4",
@@ -456,31 +516,56 @@ mod tests {
         assert_eq!(probes, names);
         for r in results {
             assert!(r.get("iters").unwrap().as_u64().unwrap() >= 1, "{line}");
-            let p50 = r.get("p50_ns").unwrap().as_u64().unwrap();
-            let p95 = r.get("p95_ns").unwrap().as_u64().unwrap();
-            assert!(p50 > 0 && p50 <= p95, "{line}");
+            assert_ordered(r, &line);
             assert!(r.get("mean_ns").unwrap().as_u64().unwrap() > 0, "{line}");
-            // Exact extremes bracket the interpolated percentiles.
-            let min = r.get("min_ns").unwrap().as_u64().unwrap();
-            let max = r.get("max_ns").unwrap().as_u64().unwrap();
-            assert!(min > 0 && min <= p50 && p95 <= max, "{line}");
             assert!(r.get("throughput_units_per_s").unwrap().as_f64().unwrap() > 0.0, "{line}");
         }
     }
 
+    /// `0 < min_ns <= p50_ns <= p95_ns <= max_ns` for one result entry.
+    fn assert_ordered(r: &Json, context: &str) {
+        let stat = |k: &str| r.get(k).and_then(Json::as_u64).unwrap_or_else(|| panic!("{k}"));
+        let (min, p50, p95, max) = (stat("min_ns"), stat("p50_ns"), stat("p95_ns"), stat("max_ns"));
+        assert!(0 < min && min <= p50 && p50 <= p95 && p95 <= max, "{context}");
+    }
+
     #[test]
-    fn measure_derives_percentiles_from_the_histogram() {
+    fn nearest_rank_reads_recorded_samples() {
+        let mut samples = vec![5, 1, 3, 2, 4];
+        samples.sort_unstable();
+        assert_eq!(samples.first(), Some(&1));
+        assert_eq!(nearest_rank(&samples, 0.50), 3);
+        assert_eq!(nearest_rank(&samples, 0.95), 5);
+        assert_eq!(samples.last(), Some(&5));
+        // One sample is every order statistic.
+        for q in [0.0, 0.5, 0.95, 1.0] {
+            assert_eq!(nearest_rank(&[7], q), 7);
+        }
+        assert_eq!(nearest_rank(&[], 0.5), 0);
+    }
+
+    #[test]
+    fn committed_baseline_statistics_are_ordered() {
+        let text = include_str!("../../../BENCH_psd.json");
+        let v = json::parse(text.trim()).unwrap();
+        assert_eq!(v.get("version").unwrap().as_u64(), Some(SCHEMA_VERSION));
+        let results = v.get("results").unwrap().as_array().unwrap();
+        assert!(!results.is_empty());
+        for r in results {
+            assert_ordered(r, &format!("{r:?}"));
+        }
+    }
+
+    #[test]
+    fn measure_reports_order_statistics_of_raw_samples() {
         let r = measure("spin", 8, 3, || std::thread::sleep(std::time::Duration::from_micros(50)));
         assert_eq!(r.iters, 8);
-        // 50 µs sleeps land well above zero and below a second.
-        assert!(r.p50_ns >= 50_000, "{r:?}");
-        assert!(r.p95_ns < 1_000_000_000, "{r:?}");
-        assert!(r.mean_ns >= 50_000, "{r:?}");
-        // Exact extremes: every sleep took at least the requested 50 µs,
-        // and min never exceeds max.
-        assert!(r.min_ns >= 50_000 && r.min_ns <= r.max_ns, "{r:?}");
-        // Interpolated percentiles are not forced to powers of two.
-        assert!(r.p50_ns <= r.p95_ns, "{r:?}");
+        // Every sleep took at least the requested 50 µs and well under a
+        // second, and the order statistics never contradict each other.
+        assert!(r.min_ns >= 50_000, "{r:?}");
+        assert!(r.min_ns <= r.p50_ns && r.p50_ns <= r.p95_ns && r.p95_ns <= r.max_ns, "{r:?}");
+        assert!(r.max_ns < 1_000_000_000, "{r:?}");
+        assert!(r.mean_ns >= r.min_ns && r.mean_ns <= r.max_ns, "{r:?}");
         // 8 iterations x 3 units in ~8 x 50 µs.
         assert!(r.throughput_units_per_s > 100.0, "{r:?}");
     }

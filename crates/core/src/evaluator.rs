@@ -141,7 +141,6 @@ impl AccuracyEvaluator {
         let measured = self.sfg.measured_sources();
         let t0 = Instant::now();
         let est = {
-            #[cfg(feature = "obs")]
             let _frame = psdacc_obs::profile::frame("tau_eval");
             match &self.preprocessed {
                 Preprocessed::SingleRate(responses) => {
@@ -181,7 +180,6 @@ impl AccuracyEvaluator {
     /// bit-exactly to the evaluate-path power (see [`crate::budget`]).
     pub fn evaluate_budget(&self, plan: &WordLengthPlan) -> crate::budget::NoiseBudget {
         let sources = plan.noise_sources(&self.sfg);
-        #[cfg(feature = "obs")]
         let _frame = psdacc_obs::profile::frame("budget_eval");
         let (contributions, measured): (Vec<crate::NoisePsd>, Vec<(NodeId, crate::NoisePsd)>) =
             match &self.preprocessed {

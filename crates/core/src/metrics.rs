@@ -1,5 +1,5 @@
 //! Accuracy metrics: the paper's Ed deviation (Eq. 15) and the sub-one-bit
-//! criterion.
+//! accuracy bound.
 //!
 //! Sign convention note: the paper prints Eq. 15 as
 //! `(E[err_sim^2] - E[err_est^2]) / E[err_sim^2]` but then states that

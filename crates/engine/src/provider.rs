@@ -735,12 +735,6 @@ impl ScenarioRegistry {
         }
     }
 
-    /// Appends a custom provider (consulted after the defaults).
-    pub fn with_provider(mut self, provider: Arc<dyn ScenarioProvider>) -> Self {
-        self.providers.push(provider);
-        self
-    }
-
     /// Validates and registers a named graph scenario. Rejects names that
     /// shadow a builtin family (a registered graph must never change what
     /// `fir-bank` means).

@@ -40,7 +40,7 @@
 //!
 //! Control kinds (`scenarios`, `describe`, `stats`, `hello`,
 //! `define_scenario`) are answered immediately. Every connection is a
-//! **unit stream** (protocol revision 6): each job request executes as
+//! **unit stream** (since protocol revision 6): each job request executes as
 //! soon as it arrives, up to the daemon's worker count concurrently, with
 //! its result written back the moment it completes, in completion order.
 //! After the client half-closes, the stream ends with one

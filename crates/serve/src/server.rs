@@ -26,8 +26,10 @@ use crate::protocol::{parse_request, read_capped_line, result_line, Request, Tra
 /// unit stream: job lines execute as they arrive and half-close yields the
 /// `mode:"units"` summary, with or without an `evaluate_units` opener —
 /// the batch mode that ran a connection's jobs only after half-close is
-/// gone).
-pub const PROTOCOL_REVISION: usize = 6;
+/// gone), revision 7 dropped the `jobs_served` field from the `stats`
+/// reply (and the `serve_jobs_total` metric): with every connection a
+/// unit stream it always equalled `units_served`.
+pub const PROTOCOL_REVISION: usize = 7;
 
 /// Default retention bound for per-batch daemon-side traces (older
 /// batches evict FIFO); override with [`ServerConfig::trace_limit`].
@@ -64,7 +66,6 @@ pub struct ServerState {
     registry: ScenarioRegistry,
     config: ServerConfig,
     metrics: Arc<MetricsRegistry>,
-    jobs_served: Arc<Counter>,
     units_served: Arc<Counter>,
     connections: Arc<Counter>,
     active_connections: Arc<Gauge>,
@@ -83,7 +84,6 @@ impl ServerState {
             engine,
             registry: ScenarioRegistry::new(),
             config,
-            jobs_served: metrics.counter("serve_jobs_total"),
             units_served: metrics.counter("serve_units_total"),
             connections: metrics.counter("serve_connections_total"),
             active_connections: metrics.gauge("serve_active_connections"),
@@ -214,7 +214,6 @@ impl ServerState {
         w.field_usize("protocol", PROTOCOL_REVISION);
         w.field_usize("threads", self.engine.threads());
         w.field_usize("dynamic_scenarios", self.registry.dynamic_count());
-        w.field_u64("jobs_served", self.jobs_served.get());
         w.field_u64("units_served", self.units_served.get());
         w.field_u64("connections", self.connections.get());
         w.field_i64("active_connections", self.active_connections.get());
@@ -596,7 +595,6 @@ fn unit_executor(ctx: &UnitMode<'_>, rx: &Mutex<mpsc::Receiver<UnitFeed>>, trace
             ctx.died.store(true, Ordering::SeqCst);
             continue;
         }
-        state.jobs_served.inc();
         state.units_served.inc();
         let served = state.units_served.get() as usize;
         ctx.executed.fetch_add(1, Ordering::Relaxed);
@@ -638,14 +636,14 @@ mod tests {
     #[test]
     fn stats_line_reflects_engine_shape() {
         let state = ServerState::new(Engine::new(3), ServerConfig::default());
-        state.jobs_served.add(17);
+        state.units_served.add(17);
         state.connections.add(2);
         let v = json::parse(&state.stats_line()).unwrap();
         assert_eq!(v.get("protocol").unwrap().as_u64(), Some(PROTOCOL_REVISION as u64));
         assert_eq!(v.get("threads").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("dynamic_scenarios").unwrap().as_u64(), Some(0));
-        assert_eq!(v.get("jobs_served").unwrap().as_u64(), Some(17));
-        assert_eq!(v.get("units_served").unwrap().as_u64(), Some(0));
+        assert_eq!(v.get("units_served").unwrap().as_u64(), Some(17));
+        assert!(v.get("jobs_served").is_none(), "revision 7 dropped jobs_served");
         // Trace retention accounting: default cap, nothing retained or
         // dropped yet.
         assert_eq!(v.get("trace_limit").unwrap().as_u64(), Some(TRACE_BATCH_CAP as u64));
@@ -685,7 +683,7 @@ mod tests {
     #[test]
     fn metrics_line_carries_json_registry_and_prometheus_text() {
         let state = ServerState::new(Engine::new(2), ServerConfig::default());
-        state.jobs_served.add(4);
+        state.units_served.add(4);
         state.latency.record(
             &psdacc_engine::JobKind::Estimate {
                 method: psdacc_core::Method::PsdMethod,
@@ -696,7 +694,8 @@ mod tests {
         let v = json::parse(&state.metrics_line()).unwrap();
         assert_eq!(v.get("kind").unwrap().as_str(), Some("metrics"));
         let m = v.get("metrics").unwrap();
-        assert_eq!(m.get("serve_jobs_total").unwrap().as_u64(), Some(4));
+        assert_eq!(m.get("serve_units_total").unwrap().as_u64(), Some(4));
+        assert!(m.get("serve_jobs_total").is_none());
         // Engine/store counters are mirrored into the same exposition.
         assert_eq!(m.get("engine_cache_builds").unwrap().as_i64(), Some(0));
         assert_eq!(m.get("store_evictions").unwrap().as_i64(), Some(0));
@@ -705,7 +704,7 @@ mod tests {
         // The Prometheus text rides along escaped; unescaped it is
         // line-oriented and label-bearing.
         let text = v.get("text").unwrap().as_str().unwrap();
-        assert!(text.contains("serve_jobs_total 4\n"), "{text}");
+        assert!(text.contains("serve_units_total 4\n"), "{text}");
         assert!(text.contains("serve_latency_ns_count{verb=\"evaluate\"} 1\n"), "{text}");
     }
 

@@ -168,7 +168,6 @@ impl Preprocessed {
 /// Whatever the selected path reports (see [`node_responses`] and
 /// [`crate::multirate::multirate_responses`]).
 pub fn preprocess(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<Preprocessed, SfgError> {
-    #[cfg(feature = "obs")]
     let _frame = psdacc_obs::profile::frame("preprocess");
     if crate::multirate::is_multirate(sfg) {
         crate::multirate::multirate_responses(sfg, output, npsd).map(Preprocessed::Multirate)
@@ -208,24 +207,20 @@ pub fn node_responses(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<NodeResp
         });
     }
     crate::topo::check_realizable(sfg)?;
-    #[cfg(feature = "obs")]
     let _sr_frame = psdacc_obs::profile::frame("single_rate");
     let n = sfg.len();
     // Precompute block responses on the grid (the paper's tau_pp stage).
     let block_resp: Vec<Vec<Complex>> = {
-        #[cfg(feature = "obs")]
         let _frame = psdacc_obs::profile::frame("block_response");
         sfg.nodes()
             .iter()
             .enumerate()
-            .map(|(_i, node)| {
-                #[cfg(feature = "obs")]
-                let _frame = psdacc_obs::profile::frame_with(|| format!("node[{_i}]"));
+            .map(|(i, node)| {
+                let _frame = psdacc_obs::profile::frame_with(|| format!("node[{i}]"));
                 node.block.frequency_response(npsd)
             })
             .collect()
     };
-    #[cfg(feature = "obs")]
     let _solve_frame = psdacc_obs::profile::frame("solve");
     let mut responses = vec![vec![Complex::ZERO; npsd]; n];
     // Reusable buffers.
@@ -237,7 +232,6 @@ pub fn node_responses(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<NodeResp
     let chunk = npsd.div_ceil(SOLVE_PROFILE_CHUNKS).max(1);
     for k0 in (0..npsd).step_by(chunk) {
         let k1 = (k0 + chunk).min(npsd);
-        #[cfg(feature = "obs")]
         let _chunk_frame = psdacc_obs::profile::frame_with(|| format!("bins[{k0}..{k1}]"));
         for k in k0..k1 {
             // Build M^T = (I - D A)^T: M[i][j] = delta_ij - T_i * A[i][j];
