@@ -1,8 +1,8 @@
 //! The perf suite: times the workspace hot paths (preprocess and
 //! tau_eval, single- and multirate; budget; GraphSpec compile; store
 //! codec; cache warm/cold; Welch and sigma-delta estimation; a radix-2
-//! FFT; the Monte-Carlo simulation reference; fleet batches at 1/2/4
-//! daemons) and writes the versioned `BENCH_psd.json` line with exact
+//! FFT; the Monte-Carlo simulation reference; JSON decode of fleet result
+//! lines; fleet batches at 1/2/4 daemons) and writes the versioned `BENCH_psd.json` line with exact
 //! nearest-rank order statistics (see `psdacc_bench::perf`). With
 //! `--compare` it also diffs the fresh run against a committed baseline
 //! and exits nonzero past the regression threshold (see

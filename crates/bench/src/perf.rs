@@ -8,8 +8,9 @@
 //! trace plus a bit-true sigma-delta modulation pass (the measured-signal
 //! subsystem's hot paths), a 1024-point radix-2 FFT, the Monte-Carlo
 //! simulation an analytical estimate replaces (the numerator of the
-//! paper's speed-up), and a work-stealing fleet batch at 1/2/4 in-process
-//! loopback daemons — and writes one versioned JSON line:
+//! paper's speed-up), the JSON decode every fleet result line pays, and a
+//! work-stealing fleet batch at 1/2/4 in-process loopback daemons — and
+//! writes one versioned JSON line:
 //!
 //! ```json
 //! {"kind":"bench","version":4,
@@ -34,12 +35,12 @@
 use std::time::Instant;
 
 use psdacc_core::{AccuracyEvaluator, WordLengthPlan};
-use psdacc_engine::json::JsonWriter;
+use psdacc_engine::json::{self, JsonWriter};
 use psdacc_engine::{BatchSpec, Engine, EvaluatorCache, GraphScenario, Scenario};
 use psdacc_fft::{Complex, Direction, Radix2Fft};
 use psdacc_fixed::RoundingMode;
 use psdacc_sched::{run_fleet, FleetConfig};
-use psdacc_serve::Server;
+use psdacc_serve::{result_line, Server};
 use psdacc_sim::{measure_quantization_error, SimulationPlan};
 use psdacc_store::Record;
 use psdacc_systems::filter_bank::{fir_entry, fir_system};
@@ -92,7 +93,7 @@ impl BenchResult {
 /// visible in the file, not tribal knowledge).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchMeta {
-    /// Iterations requested (fleet probes clamp to at most 5).
+    /// Iterations every probe ran.
     pub iters: usize,
     /// PSD resolution the numeric probes ran at.
     pub npsd: usize,
@@ -205,7 +206,7 @@ fn fleet_probe(name: &str, n: usize, iters: usize) -> BenchResult {
         .map(|_| Server::bind("127.0.0.1:0", Engine::new(2)).unwrap().spawn().unwrap())
         .collect();
     let daemons: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
-    let result = measure(name, iters.clamp(1, 5), jobs.len(), || {
+    let result = measure(name, iters, jobs.len(), || {
         let outcome =
             run_fleet(&daemons, &jobs, &FleetConfig::default(), |_| {}).expect("fleet batch");
         assert_eq!(outcome.stats.failed, 0, "{:?}", outcome.stats);
@@ -421,6 +422,25 @@ pub fn run_baseline_profiled(
     });
     dump("simulate");
 
+    // The JSON decode every result line pays in the coordinator's reader
+    // (and every job line in the daemon's): the fleet batch's 20 result
+    // lines, computed locally and rendered as a daemon sends them.
+    let fleet_jobs = BatchSpec::parse(FLEET_SPEC).expect("fleet spec parses").jobs();
+    let result_lines: Vec<String> = Engine::new(1)
+        .run(fleet_jobs)
+        .results
+        .iter()
+        .enumerate()
+        .map(|(id, r)| result_line(id, r))
+        .collect();
+    clear();
+    let json_parse = measure("json_parse", iters, result_lines.len(), || {
+        for line in &result_lines {
+            std::hint::black_box(json::parse(line).expect("result line parses"));
+        }
+    });
+    dump("json_parse");
+
     // Fleet batches end to end at 1/2/4 daemons — the scaling curve the
     // work-stealing coordinator is supposed to deliver.
     let fleets: Vec<BenchResult> = [1usize, 2, 4]
@@ -447,6 +467,7 @@ pub fn run_baseline_profiled(
         tau_eval_multirate,
         fft,
         simulate,
+        json_parse,
     ];
     results.extend(fleets);
     BenchReport {
@@ -499,6 +520,7 @@ mod tests {
                 "tau_eval_multirate",
                 "fft",
                 "simulate",
+                "json_parse",
                 "fleet_batch_1",
                 "fleet_batch_2",
                 "fleet_batch_4",

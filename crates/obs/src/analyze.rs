@@ -16,6 +16,12 @@
 //! * **Stage totals** — time aggregated per `unit.*` stage (parse,
 //!   cache_lookup, preprocess, tau_eval, serialize) across every unit,
 //!   with the worst single span attributed to its unit.
+//! * **Wire time** — per unit, the coordinator's `fleet.unit` roundtrip
+//!   minus the daemon-side `serve.unit` span of the same unit on the
+//!   daemon it was dispatched to: what the sockets, the kernel and both
+//!   ends' hand-offs cost. Aggregated like a stage, and the batch
+//!   wall-clock is reconciled against the critical roundtrip, with the
+//!   residue reported as unattributed.
 //! * **Daemon utilization** — per-daemon busy time from `serve.unit`
 //!   spans against batch wall-clock, joined with dispatch/steal/
 //!   queue-wait attribution from the coordinator's `fleet.dispatch`
@@ -63,6 +69,22 @@ pub struct StageTotal {
     pub max_ns: u64,
     /// Unit id of that longest span, if unit-scoped.
     pub max_unit: Option<u64>,
+}
+
+/// The batch wall-clock split along the critical unit, all on the
+/// coordinator's clock: `wall = dispatch_offset + roundtrip +
+/// unattributed`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reconciliation {
+    /// Batch wall-clock (`fleet.batch` duration), ns.
+    pub wall_ns: u64,
+    /// From the batch start to the critical unit's dispatch, ns.
+    pub dispatch_offset_ns: u64,
+    /// The critical unit's `fleet.unit` roundtrip, ns.
+    pub roundtrip_ns: u64,
+    /// What neither explains (merge tail, stream shutdown), saturated at
+    /// zero, ns.
+    pub unattributed_ns: u64,
 }
 
 /// Per-daemon work attribution for the batch.
@@ -126,6 +148,12 @@ pub struct TraceAnalysis {
     pub critical_path: Vec<CriticalHop>,
     /// Per-stage totals, heaviest first.
     pub stages: Vec<StageTotal>,
+    /// Per-unit wire time (`fleet.unit` roundtrip − matching
+    /// `serve.unit`, saturated at zero) aggregated like a stage, named
+    /// `wire`. Units without a daemon-side span are not counted.
+    pub wire: StageTotal,
+    /// Wall-clock reconciliation along the critical unit.
+    pub reconciliation: Reconciliation,
     /// Per-daemon attribution, sorted by address.
     pub daemons: Vec<DaemonUtilization>,
     /// Refinement trajectories, sorted by unit id.
@@ -229,21 +257,24 @@ pub fn analyze(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
                 d.busy_ns += dur;
             }
             name if name.starts_with("unit.") => {
-                let s = stages.entry(&ev.name).or_insert_with(|| StageTotal {
-                    name: ev.name.clone(),
-                    count: 0,
-                    total_ns: 0,
-                    max_ns: 0,
-                    max_unit: None,
-                });
-                s.count += 1;
-                s.total_ns += dur;
-                if dur > s.max_ns {
-                    s.max_ns = dur;
-                    s.max_unit = ev.unit;
-                }
+                stages.entry(&ev.name).or_insert_with(|| blank_total(name)).add(dur, ev.unit);
             }
             _ => {}
+        }
+    }
+
+    // Wire: each roundtrip minus the daemon-side span of the same unit on
+    // the daemon it was dispatched to (a re-dispatched unit's loser ran
+    // elsewhere and must not match).
+    let mut serve_ns: HashMap<(Option<u64>, Option<&str>), u64> = HashMap::new();
+    for &(ev, dur) in &serve_units {
+        let slot = serve_ns.entry((ev.unit, ev.daemon.as_deref())).or_default();
+        *slot = (*slot).max(dur);
+    }
+    let mut wire = blank_total("wire");
+    for &(ev, dur) in &fleet_units {
+        if let Some(&served) = serve_ns.get(&(ev.unit, field(ev, "daemon"))) {
+            wire.add(dur.saturating_sub(served), ev.unit);
         }
     }
 
@@ -251,6 +282,15 @@ pub fn analyze(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
     // its daemon-side span, then longest-child descent.
     let mut critical_path = vec![hop(root_ev, wall_ns, None)];
     let last = fleet_units.iter().max_by_key(|(ev, dur)| (ev.ts_ns.saturating_add(*dur), *dur));
+    // The root and every `fleet.unit` carry the coordinator's clock.
+    let (dispatch_offset_ns, roundtrip_ns) =
+        last.map_or((0, 0), |&(funit, fdur)| (funit.ts_ns.saturating_sub(root_ev.ts_ns), fdur));
+    let reconciliation = Reconciliation {
+        wall_ns,
+        dispatch_offset_ns,
+        roundtrip_ns,
+        unattributed_ns: wall_ns.saturating_sub(dispatch_offset_ns.saturating_add(roundtrip_ns)),
+    };
     if let Some(&(funit, fdur)) = last {
         let target_daemon = field(funit, "daemon").map(str::to_string);
         critical_path.push(hop(funit, fdur, target_daemon.clone()));
@@ -294,6 +334,8 @@ pub fn analyze(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
         warnings,
         critical_path,
         stages,
+        wire,
+        reconciliation,
         daemons: daemons.into_values().collect(),
         refinements,
     })
@@ -309,6 +351,45 @@ fn refine_step(ev: &TraceEvent) -> Option<RefineStepView> {
         bits_after: field(ev, "bits_after")?.parse().ok()?,
         power: field(ev, "power")?.parse().ok()?,
     })
+}
+
+fn blank_total(name: &str) -> StageTotal {
+    StageTotal { name: name.to_string(), count: 0, total_ns: 0, max_ns: 0, max_unit: None }
+}
+
+impl StageTotal {
+    fn add(&mut self, dur_ns: u64, unit: Option<u64>) {
+        self.count += 1;
+        self.total_ns += dur_ns;
+        if dur_ns > self.max_ns {
+            self.max_ns = dur_ns;
+            self.max_unit = unit;
+        }
+    }
+
+    fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        w.field_str("name", &self.name);
+        w.field_u64("count", self.count);
+        w.field_u64("total_ns", self.total_ns);
+        w.field_u64("max_ns", self.max_ns);
+        if let Some(u) = self.max_unit {
+            w.field_u64("max_unit", u);
+        }
+        w.finish()
+    }
+
+    fn to_text_row(&self) -> String {
+        let max_unit = self.max_unit.map(|u| format!(" (unit {u})")).unwrap_or_default();
+        format!(
+            "  {:<20} count={:<4} total={:>10}  max={}{}\n",
+            self.name,
+            self.count,
+            fmt_ns(self.total_ns),
+            fmt_ns(self.max_ns),
+            max_unit,
+        )
+    }
 }
 
 fn blank_daemon(addr: String) -> DaemonUtilization {
@@ -363,21 +444,13 @@ impl TraceAnalysis {
                 w.finish()
             })
             .collect();
-        let stages: Vec<String> = self
-            .stages
-            .iter()
-            .map(|s| {
-                let mut w = JsonWriter::new();
-                w.field_str("name", &s.name);
-                w.field_u64("count", s.count);
-                w.field_u64("total_ns", s.total_ns);
-                w.field_u64("max_ns", s.max_ns);
-                if let Some(u) = s.max_unit {
-                    w.field_u64("max_unit", u);
-                }
-                w.finish()
-            })
-            .collect();
+        let stages: Vec<String> = self.stages.iter().map(StageTotal::to_json).collect();
+        let r = &self.reconciliation;
+        let mut reconciliation = JsonWriter::new();
+        reconciliation.field_u64("wall_ns", r.wall_ns);
+        reconciliation.field_u64("dispatch_offset_ns", r.dispatch_offset_ns);
+        reconciliation.field_u64("roundtrip_ns", r.roundtrip_ns);
+        reconciliation.field_u64("unattributed_ns", r.unattributed_ns);
         let daemons: Vec<String> = self
             .daemons
             .iter()
@@ -426,6 +499,8 @@ impl TraceAnalysis {
         w.field_u64("warnings", self.warnings);
         w.field_raw("critical_path", &format!("[{}]", hops.join(",")));
         w.field_raw("stages", &format!("[{}]", stages.join(",")));
+        w.field_raw("wire", &self.wire.to_json());
+        w.field_raw("reconciliation", &reconciliation.finish());
         w.field_raw("daemons", &format!("[{}]", daemons.join(",")));
         w.field_raw("refinements", &format!("[{}]", refinements.join(",")));
         w.finish()
@@ -476,18 +551,18 @@ impl TraceAnalysis {
                 }
             }
         }
-        out.push_str("stage totals (all units, heaviest first):\n");
-        for s in &self.stages {
-            let max_unit = s.max_unit.map(|u| format!(" (unit {u})")).unwrap_or_default();
-            out.push_str(&format!(
-                "  {:<20} count={:<4} total={:>10}  max={}{}\n",
-                s.name,
-                s.count,
-                fmt_ns(s.total_ns),
-                fmt_ns(s.max_ns),
-                max_unit,
-            ));
+        out.push_str("stage totals (all units, heaviest first; wire = roundtrip - serve.unit):\n");
+        for s in self.stages.iter().chain([&self.wire]) {
+            out.push_str(&s.to_text_row());
         }
+        let r = &self.reconciliation;
+        out.push_str(&format!(
+            "reconciliation: wall {} = dispatch offset {} + critical roundtrip {} + unattributed {}\n",
+            fmt_ns(r.wall_ns),
+            fmt_ns(r.dispatch_offset_ns),
+            fmt_ns(r.roundtrip_ns),
+            fmt_ns(r.unattributed_ns),
+        ));
         out.push_str("daemons:\n");
         for d in &self.daemons {
             out.push_str(&format!(
@@ -660,6 +735,39 @@ mod tests {
     }
 
     #[test]
+    fn wire_is_roundtrip_minus_the_matching_serve_span() {
+        // Unit 0: roundtrip 300 on `a`, serve 250 on `a` -> wire 50.
+        // Unit 1: roundtrip 500 on `b`, serve 450 on `b` -> wire 50.
+        let a = analyze(&fixture()).unwrap();
+        let w = &a.wire;
+        assert_eq!((w.name.as_str(), w.count, w.total_ns, w.max_ns), ("wire", 2, 100, 50));
+        assert_eq!(w.max_unit, Some(0), "first unit to reach the max keeps it");
+        // The critical unit 1 was dispatched at 200 of a 1000 ns batch
+        // and round-tripped in 500: 300 ns are nobody's.
+        assert_eq!(
+            a.reconciliation,
+            Reconciliation {
+                wall_ns: 1000,
+                dispatch_offset_ns: 200,
+                roundtrip_ns: 500,
+                unattributed_ns: 300
+            }
+        );
+
+        let mut events = fixture();
+        // A re-dispatched loser of unit 0 on `b` must not match the
+        // roundtrip dispatched to `a`.
+        events.push(span("serve.unit", 12, Some(1), 5, 100, Some(0), Some("b"), vec![]));
+        // A roundtrip without a daemon-side span is not wire time.
+        events.push(span("fleet.unit", 4, Some(1), 50, 80, Some(2), None, vec![("daemon", "a")]));
+        // A daemon span longer than its roundtrip saturates at zero.
+        events.push(span("fleet.unit", 5, Some(1), 60, 90, Some(3), None, vec![("daemon", "a")]));
+        events.push(span("serve.unit", 13, Some(1), 5, 95, Some(3), Some("a"), vec![]));
+        let w = analyze(&events).unwrap().wire;
+        assert_eq!((w.count, w.total_ns, w.max_ns, w.max_unit), (3, 100, 50, Some(0)));
+    }
+
+    #[test]
     fn reports_round_trip_through_jsonl_and_render_both_formats() {
         let jsonl: String =
             fixture().iter().map(|e| e.to_json_line() + "\n").collect::<String>() + "\n";
@@ -676,11 +784,28 @@ mod tests {
         assert_eq!(v.get("stages").and_then(Json::as_array).map(|a| a.len()), Some(5));
         assert_eq!(v.get("daemons").and_then(Json::as_array).map(|a| a.len()), Some(2));
         assert_eq!(v.get("refinements").and_then(Json::as_array).map(|a| a.len()), Some(1));
+        let wire = v.get("wire").unwrap();
+        assert_eq!(wire.get("name").and_then(Json::as_str), Some("wire"));
+        assert_eq!(wire.get("max_ns").and_then(Json::as_u64), Some(50));
+        let r = v.get("reconciliation").unwrap();
+        let ns = |k: &str| r.get(k).and_then(Json::as_u64).unwrap();
+        assert_eq!(
+            ns("dispatch_offset_ns") + ns("roundtrip_ns") + ns("unattributed_ns"),
+            ns("wall_ns")
+        );
 
         let text = a.to_text();
         assert!(text.contains("unit.preprocess"));
         assert!(text.contains("@b"));
         assert!(text.contains("util= 45.0%"));
+        assert!(text.contains("wire                 count=2"), "{text}");
+        assert!(
+            text.contains(
+                "reconciliation: wall 1.0 us = dispatch offset 200 ns + critical roundtrip \
+                 500 ns + unattributed 300 ns"
+            ),
+            "{text}"
+        );
         assert!(text.contains("refinement trajectories"), "{text}");
         assert!(text.contains("unit 1: 2 step(s), final power 2.5000e-7"), "{text}");
     }

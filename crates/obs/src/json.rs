@@ -225,13 +225,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next delimiter as one slice. Both
+        // delimiters are ASCII and the input is a &str, so the run starts
+        // and ends on char boundaries and is validated once — the scan is
+        // linear in the line, not in string chars × line length.
+        let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
+        let end = run.map_or(bytes.len(), |n| *pos + n);
+        out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+        *pos = end;
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            _ => {
+                // The run stopped at a `\`: decode one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -246,8 +255,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                        // Exactly four hex digits; no sign, unlike
+                        // `from_str_radix` (`\u+abc`).
+                        let code = hex
+                            .iter()
+                            .try_fold(0u32, |acc, &b| Some(acc << 4 | char::from(b).to_digit(16)?))
+                            .ok_or_else(|| {
+                                format!(
+                                    "bad \\u escape at byte {}: expected four hex digits",
+                                    *pos - 1
+                                )
+                            })?;
                         // Surrogates are not paired up; the protocol never
                         // emits them (the writer escapes only controls).
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -256,14 +274,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     other => return Err(format!("bad escape {other:?}")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so byte
-                // boundaries are trustworthy).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -430,6 +440,30 @@ pub fn escape_str(value: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Arbitrary strings biased toward what the escaper touches: quotes,
+    /// backslashes and controls, mixed with ASCII and any Unicode scalar.
+    fn any_string() -> impl Strategy<Value = String> {
+        prop::collection::vec((0u8..3, 0u32..0x11_0000), 0..48).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(class, code)| match class {
+                    0 => ['"', '\\', '/', '\n', '\t', '\r', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}']
+                        [code as usize % 10],
+                    1 => char::from(b' ' + (code % 95) as u8),
+                    _ => char::from_u32(code).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn escaped_strings_parse_back_exactly(s in any_string()) {
+            prop_assert_eq!(parse(&escape_str(&s)), Ok(Json::Str(s.clone())));
+        }
+    }
 
     #[test]
     fn writer_and_parser_round_trip() {
@@ -488,6 +522,34 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("1e999").is_err(), "non-finite numbers rejected");
+        // `\u` takes exactly four hex digits: no sign, no short form.
+        for bad in [r#""\u+abc""#, r#""\u-abc""#, r#""\u12g4""#, r#""\u12""#, r#""\u00é""#] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
+        assert_eq!(parse(r#""\u00e9\u00C9""#).unwrap(), Json::Str("éÉ".to_string()));
+    }
+
+    #[test]
+    fn one_mebibyte_string_parses_in_linear_time() {
+        // One string filling a wire line up to the 1 MiB cap. A scan that
+        // re-validates the rest of the line per char spends tens of
+        // seconds here.
+        let body = "a".repeat((1 << 20) - 64);
+        let line = format!("{{\"k\":\"{body}\"}}");
+        let t0 = std::time::Instant::now();
+        let v = parse(&line).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(v.get("k").and_then(Json::as_str).map(str::len), Some(body.len()));
+        assert!(elapsed < std::time::Duration::from_secs(1), "took {elapsed:?}");
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_round_trip() {
+        let v = parse(r#""é\"x\\nÿ""#).unwrap();
+        assert_eq!(v, Json::Str("é\"x\\nÿ".to_string()));
+        for s in ["é\"x\\nÿ", "\"é", "ÿ\\", "日本\n語\t", "\u{1f}€\u{1F600}\"", ""] {
+            assert_eq!(parse(&escape_str(s)).unwrap(), Json::Str(s.to_string()), "{s:?}");
+        }
     }
 
     #[test]

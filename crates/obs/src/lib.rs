@@ -37,7 +37,7 @@ pub mod profile;
 pub mod report;
 pub mod trace;
 
-pub use analyze::{CriticalHop, DaemonUtilization, StageTotal, TraceAnalysis};
+pub use analyze::{CriticalHop, DaemonUtilization, Reconciliation, StageTotal, TraceAnalysis};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, NUM_BUCKETS};
 pub use profile::{FrameGuard, ProfileFrame, ProfileSnapshot, Profiler};
 pub use report::{BudgetReport, BudgetReportRow};

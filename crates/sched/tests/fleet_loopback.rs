@@ -459,6 +459,27 @@ fn traced_fleet_run_merges_parented_spans_and_stays_bit_identical() {
         assert!(d.utilization > 0.0);
     }
     assert!(analysis.daemons.iter().map(|d| d.steals).sum::<u64>() >= 1);
+    // Every roundtrip met its daemon-side span, so every unit has a wire
+    // time, none longer than the longest roundtrip; the reconciliation
+    // adds up to the batch wall-clock.
+    let wire = &analysis.wire;
+    assert_eq!(wire.count, expected.len() as u64, "{wire:?}");
+    assert!(wire.max_ns <= wire.total_ns, "{wire:?}");
+    let longest_roundtrip = trace
+        .iter()
+        .filter(|e| e.name == "fleet.unit")
+        .filter_map(|e| match e.kind {
+            EventKind::Span { dur_ns } => Some(dur_ns),
+            EventKind::Event => None,
+        })
+        .max()
+        .unwrap();
+    assert!(wire.max_ns <= longest_roundtrip, "{wire:?} vs {longest_roundtrip}");
+    let r = &analysis.reconciliation;
+    assert_eq!(r.wall_ns, root_dur);
+    assert_eq!(r.roundtrip_ns, analysis.critical_path[1].dur_ns);
+    assert!(r.dispatch_offset_ns + r.roundtrip_ns <= r.wall_ns, "{r:?}");
+    assert_eq!(r.dispatch_offset_ns + r.roundtrip_ns + r.unattributed_ns, r.wall_ns, "{r:?}");
     assert_eq!(
         analysis.daemons.iter().map(|d| d.units).sum::<u64>(),
         expected.len() as u64,
@@ -547,6 +568,36 @@ fn single_daemon_fleet_is_complete_and_identical() {
     }
     assert_eq!(outcome.stats.steals, 0);
     assert_eq!(outcome.stats.daemons[0].served, expected.len());
+    daemon.shutdown();
+}
+
+/// The 20-unit batch of the `fleet_batch_*` bench probes: a bits sweep,
+/// a refinement and a seeded simulation over one scenario.
+const FLEET_SPEC: &str = "scenario fir-cascade stages=1 taps=9 cutoff=0.3\n\
+                          batch npsd=64 bits=4..21 methods=psd\n\
+                          min-uniform npsd=64 budget=1e-6 min=2 max=24\n\
+                          simulate npsd=64 bits=8 samples=1024 nfft=32 seed=7 trials=1\n";
+
+/// A warm 20-unit batch through one loopback daemon is CPU-bound: no
+/// line may wait on a Nagle + delayed-ACK timer (~40 ms each), on either
+/// end of the socket. Three consecutive batches run once each; the
+/// fastest must beat a single timer.
+#[test]
+fn warm_loopback_batch_never_waits_on_nagle_timers() {
+    let jobs = BatchSpec::parse(FLEET_SPEC).unwrap().jobs();
+    assert_eq!(jobs.len(), 20);
+    let daemon = spawn_daemon(2, ServerConfig::default());
+    let daemons = [daemon.addr().to_string()];
+    let fastest = (0..3)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let outcome = run_fleet(&daemons, &jobs, &FleetConfig::default(), |_| {}).unwrap();
+            assert_eq!((outcome.lines.len(), outcome.stats.failed), (20, 0), "{:?}", outcome.stats);
+            t0.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(fastest < Duration::from_millis(40), "fastest of 3 batches took {fastest:?}");
     daemon.shutdown();
 }
 

@@ -27,6 +27,12 @@ pub fn connect(addr: &str) -> Result<TcpStream, ServeError> {
 
 /// [`connect`] with an explicit per-candidate timeout.
 ///
+/// The returned stream has `TCP_NODELAY` set, as does every stream the
+/// daemon accepts. Both ends write a line and flush exactly where they
+/// want the bytes sent, so Nagle's algorithm could only hold a small
+/// line back until the peer's delayed ACK (~40 ms), never merge
+/// anything useful.
+///
 /// # Errors
 ///
 /// [`ServeError::Io`] naming `addr`.
@@ -37,7 +43,9 @@ pub fn connect_with_timeout(addr: &str, timeout: Duration) -> Result<TcpStream, 
         .collect();
     let mut last: Option<std::io::Error> = None;
     for candidate in &candidates {
-        match TcpStream::connect_timeout(candidate, timeout) {
+        let connected = TcpStream::connect_timeout(candidate, timeout)
+            .and_then(|stream| stream.set_nodelay(true).map(|()| stream));
+        match connected {
             Ok(stream) => return Ok(stream),
             Err(e) => last = Some(e),
         }
@@ -123,5 +131,18 @@ pub fn wait_ready(addr: &str, timeout: Duration) -> Result<(), ServeError> {
                 std::thread::sleep(Duration::from_millis(50));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connected_streams_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stream = connect(&addr).unwrap();
+        assert!(stream.nodelay().unwrap(), "client sockets must set TCP_NODELAY");
     }
 }

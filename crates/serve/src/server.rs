@@ -321,6 +321,9 @@ impl Server {
                             continue;
                         }
                     }
+                    // Best effort: a socket that refuses the option is
+                    // already dead, and its handler's first read says so.
+                    let _ = stream.set_nodelay(true);
                     state.active_connections.add(1);
                     std::thread::spawn(move || {
                         state.connections.inc();
