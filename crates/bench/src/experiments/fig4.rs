@@ -3,8 +3,8 @@
 //!
 //! Ported to run as **engine batches** (matching table1/table2): for each
 //! bit-width and each system, a seeded Monte-Carlo reference
-//! (`JobKind::Simulate`) and a PSD estimate are jobs on the work-stealing
-//! pool, sharing one preprocessing pass per system. The systems are the
+//! (`JobKind::Simulate`) and a PSD estimate are jobs on the engine's
+//! worker pool, sharing one preprocessing pass per system. The systems are the
 //! registry scenarios `freq-filter` (Fig. 2 band-pass chain) and
 //! `dwt-decimated levels=2` (the true multirate CDF 9/7 codec). With
 //! `--daemons` the whole batch dispatches through the `psdacc-sched`

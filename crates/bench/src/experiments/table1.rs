@@ -9,7 +9,7 @@
 //!
 //! The analytical side runs as a `psdacc-engine` batch: the population is
 //! declared through the scenario registry (`fir-bank` / `iir-bank`), the
-//! work-stealing pool spreads the per-filter preprocessing across cores,
+//! engine's worker pool spreads the per-filter preprocessing across cores,
 //! and the Monte-Carlo reference afterwards reuses the very same cached
 //! evaluators, so preprocessing is paid once per filter for both sides.
 

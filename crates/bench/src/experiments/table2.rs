@@ -4,7 +4,7 @@
 //! Ported to run as **one engine batch** (the ROADMAP multi-core parity
 //! item): for each system the Monte-Carlo reference (`Simulate`), the
 //! coarse- and fine-grid PSD estimates, and the PSD-agnostic estimate are
-//! all jobs on the work-stealing pool, sharing one preprocessing pass per
+//! all jobs on the engine's worker pool, sharing one preprocessing pass per
 //! `(scenario, npsd)` key. The systems are the registry scenarios
 //! `freq-filter` (the Fig. 2 band-pass chain) and `dwt-decimated`
 //! (the true multirate CDF 9/7 codec — the decimated filter bank the

@@ -4,7 +4,8 @@
 //! (`tau_pp` preprocessing and `tau_eval` analytical estimation, both
 //! single-rate and multirate/DWT), the budget-attribution variant of
 //! the estimate, GraphSpec compile+hash, the store codec round-trip,
-//! warm-vs-cold evaluator-cache lookups, Welch estimation of a recorded
+//! warm-vs-cold evaluator-cache lookups, one cached job through
+//! `Engine::run` (the fixed cost of a call), Welch estimation of a recorded
 //! trace plus a bit-true sigma-delta modulation pass (the measured-signal
 //! subsystem's hot paths), a 1024-point radix-2 FFT, the Monte-Carlo
 //! simulation an analytical estimate replaces (the numerator of the
@@ -34,9 +35,9 @@
 
 use std::time::Instant;
 
-use psdacc_core::{AccuracyEvaluator, WordLengthPlan};
+use psdacc_core::{AccuracyEvaluator, Method, WordLengthPlan};
 use psdacc_engine::json::{self, JsonWriter};
-use psdacc_engine::{BatchSpec, Engine, EvaluatorCache, GraphScenario, Scenario};
+use psdacc_engine::{BatchSpec, Engine, EvaluatorCache, GraphScenario, JobKind, JobSpec, Scenario};
 use psdacc_fft::{Complex, Direction, Radix2Fft};
 use psdacc_fixed::RoundingMode;
 use psdacc_sched::{run_fleet, FleetConfig};
@@ -360,6 +361,22 @@ pub fn run_baseline_profiled(
     });
     dump("cache_warm");
 
+    // The fixed cost of one call into the engine: a single cached psd job
+    // through `Engine::run` on a one-worker engine.
+    let engine = Engine::new(1);
+    let job = JobSpec {
+        scenario: scenario.clone(),
+        npsd,
+        rounding: RoundingMode::Truncate,
+        kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: 12 },
+    };
+    engine.run(vec![job.clone()]);
+    clear();
+    let engine_job = measure("engine_job", iters, 1, || {
+        std::hint::black_box(engine.run(vec![job.clone()]));
+    });
+    dump("engine_job");
+
     // Welch estimation of a recorded trace — the admission cost every
     // measured-signal source pays before it becomes a PSD-domain kernel.
     let mut gen = psdacc_dsp::SignalGenerator::new(0xBE9C);
@@ -462,6 +479,7 @@ pub fn run_baseline_profiled(
         store_roundtrip,
         cache_cold,
         cache_warm,
+        engine_job,
         welch_estimate,
         sigma_delta,
         tau_eval_multirate,
@@ -515,6 +533,7 @@ mod tests {
                 "store_roundtrip",
                 "cache_cold",
                 "cache_warm",
+                "engine_job",
                 "welch_estimate",
                 "sigma_delta",
                 "tau_eval_multirate",

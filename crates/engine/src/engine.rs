@@ -1,12 +1,12 @@
 //! The engine: jobs in, ordered results out, cache and pool accounted.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use crate::cache::{CacheStats, EvaluatorCache, PreprocessCache};
 use crate::error::EngineError;
 use crate::job::{run_job, JobResult, JobSpec};
-use crate::pool::{execute_observed, PoolStats};
+use crate::pool::Pool;
 
 /// Parallel batch-evaluation engine with a shared preprocessing cache.
 ///
@@ -16,10 +16,14 @@ use crate::pool::{execute_observed, PoolStats};
 /// [`PreprocessCache`] implementation can back the engine; the default is
 /// the in-memory [`EvaluatorCache`], and `psdacc-store` provides a
 /// disk-persistent one that survives process restarts.
+///
+/// Each engine owns one executor: `threads` workers started with the
+/// engine, which exit once it drops and their queue is empty. Batches
+/// ([`Engine::run`]) and single tasks ([`Engine::submit`]) share them.
 #[derive(Debug)]
 pub struct Engine {
     cache: Arc<dyn PreprocessCache>,
-    threads: usize,
+    pool: Pool,
 }
 
 /// Everything a batch run produced.
@@ -29,8 +33,8 @@ pub struct BatchReport {
     pub results: Vec<JobResult>,
     /// Cache counters after the batch.
     pub cache: CacheStats,
-    /// Pool counters for the batch.
-    pub pool: PoolStats,
+    /// Workers of the engine that ran the batch.
+    pub workers: usize,
     /// Wall-clock seconds for the whole batch.
     pub wall_seconds: f64,
 }
@@ -57,11 +61,10 @@ impl BatchReport {
     pub fn summary(&self) -> String {
         let failed = self.failures().count();
         format!(
-            "{} jobs on {} workers in {:.3}s ({} steals) | cache: {} keys, {} builds, {} hits | {} failed",
-            self.pool.jobs,
-            self.pool.workers,
+            "{} jobs on {} workers in {:.3}s | cache: {} keys, {} builds, {} hits | {} failed",
+            self.results.len(),
+            self.workers,
             self.wall_seconds,
-            self.pool.steals,
             self.cache.entries,
             self.cache.builds,
             self.cache.hits,
@@ -73,24 +76,24 @@ impl BatchReport {
 impl Engine {
     /// Engine with `threads` workers and a fresh cache.
     pub fn new(threads: usize) -> Self {
-        Engine { cache: Arc::new(EvaluatorCache::new()), threads: threads.max(1) }
+        Self::with_shared_cache(threads, Arc::new(EvaluatorCache::new()))
     }
 
     /// Engine sharing an existing in-memory cache (e.g. across batches or
     /// with sequential callers that want the same amortization).
     pub fn with_cache(threads: usize, cache: Arc<EvaluatorCache>) -> Self {
-        Engine { cache, threads: threads.max(1) }
+        Self::with_shared_cache(threads, cache)
     }
 
     /// Engine over any [`PreprocessCache`] implementation — the hook that
     /// lets `psdacc-serve` daemons run on a disk-persistent store.
     pub fn with_shared_cache(threads: usize, cache: Arc<dyn PreprocessCache>) -> Self {
-        Engine { cache, threads: threads.max(1) }
+        Engine { cache, pool: Pool::new(threads) }
     }
 
     /// Worker count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads()
     }
 
     /// The shared preprocessing cache.
@@ -98,7 +101,17 @@ impl Engine {
         &self.cache
     }
 
+    /// Queues `task` on the engine's workers, behind every task and batch
+    /// job submitted before it. A task that panics loses only itself.
+    pub fn submit(&self, task: impl FnOnce() + Send + 'static) {
+        self.pool.submit(task);
+    }
+
     /// Runs a batch to completion and reports results in job order.
+    ///
+    /// # Panics
+    ///
+    /// When a job panics — after every other job of the batch has run.
     pub fn run(&self, jobs: Vec<JobSpec>) -> BatchReport {
         self.run_streaming(jobs, |_result| {})
     }
@@ -107,24 +120,36 @@ impl Engine {
     /// each job completes (completion order — [`JobResult::job`] carries the
     /// batch index), so callers can stream output while the batch is still
     /// executing.
+    ///
+    /// # Panics
+    ///
+    /// When a job panics — after every other job of the batch has run.
     pub fn run_streaming(
         &self,
         jobs: Vec<JobSpec>,
         mut on_result: impl FnMut(&JobResult),
     ) -> BatchReport {
         let t0 = Instant::now();
-        let cache: &dyn PreprocessCache = self.cache.as_ref();
-        let indexed: Vec<(usize, JobSpec)> = jobs.into_iter().enumerate().collect();
-        let (results, pool) = execute_observed(
-            indexed,
-            self.threads,
-            |(idx, spec)| run_job(cache, idx, &spec),
-            |_idx, result| on_result(result),
-        );
+        let njobs = jobs.len();
+        let (tx, rx) = mpsc::channel();
+        for (idx, spec) in jobs.into_iter().enumerate() {
+            let (cache, tx) = (Arc::clone(&self.cache), tx.clone());
+            self.submit(move || {
+                // The caller stops listening only when it is unwinding.
+                let _ = tx.send(run_job(cache.as_ref(), idx, &spec));
+            });
+        }
+        drop(tx);
+        // Each task drops its sender when it returns or panics, so this
+        // ends once the whole batch has run.
+        let mut results: Vec<JobResult> = rx.iter().inspect(|r| on_result(r)).collect();
+        let panicked = njobs - results.len();
+        assert_eq!(panicked, 0, "{panicked} of {njobs} jobs panicked");
+        results.sort_unstable_by_key(|r| r.job);
         BatchReport {
             results,
-            cache: cache.stats(),
-            pool,
+            cache: self.cache.stats(),
+            workers: self.threads(),
             wall_seconds: t0.elapsed().as_secs_f64(),
         }
     }
@@ -234,6 +259,65 @@ mod tests {
         }]);
         assert_eq!(bad.failures().count(), 1);
         assert!(bad.powers().is_err());
+    }
+
+    /// Panics on one `npsd`, delegates every other lookup.
+    #[derive(Debug)]
+    struct PanicsOnNpsd13(EvaluatorCache);
+
+    impl PreprocessCache for PanicsOnNpsd13 {
+        fn get_or_build_traced(
+            &self,
+            scenario: &Scenario,
+            npsd: usize,
+        ) -> Result<(Arc<psdacc_core::AccuracyEvaluator>, bool), EngineError> {
+            assert_ne!(npsd, 13, "deliberate job panic");
+            self.0.get_or_build_traced(scenario, npsd)
+        }
+
+        fn stats(&self) -> CacheStats {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_caller_and_spares_the_engine() {
+        let engine = Engine::with_shared_cache(1, Arc::new(PanicsOnNpsd13(EvaluatorCache::new())));
+        let job = |npsd| JobSpec {
+            scenario: Scenario::FirCascade { stages: 1, taps: 9, cutoff: 0.3 },
+            npsd,
+            rounding: RoundingMode::Truncate,
+            kind: JobKind::Estimate { method: Method::Flat, frac_bits: 10 },
+        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run(vec![job(32), job(13), job(32)])
+        }));
+        let payload = caught.expect_err("the job's panic reaches the caller");
+        let message = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(message.contains("1 of 3 jobs panicked"), "{message}");
+        // The engine's only worker survived and serves the next batch.
+        let report = engine.run(vec![job(32), job(64)]);
+        assert_eq!(report.results.len(), 2);
+        assert_eq!(report.failures().count(), 0);
+    }
+
+    #[test]
+    fn the_last_owner_may_drop_the_engine_inside_its_own_task() {
+        let engine = Arc::new(Engine::new(1));
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        let last = Arc::clone(&engine);
+        engine.submit(move || {
+            release_rx.recv().expect("the test releases the task");
+            // The final owner: the engine and its pool drop on their own
+            // (only) worker.
+            drop(last);
+            done_tx.send(()).expect("the test waits");
+        });
+        drop(engine);
+        release_tx.send(()).expect("the task waits");
+        let done = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+        assert_eq!(done, Ok(()), "dropping the engine inside its own task returned");
     }
 
     #[test]

@@ -156,6 +156,12 @@ pub struct JobResult {
 }
 
 impl JobResult {
+    /// The result of a job that failed with `error` before measuring
+    /// anything.
+    pub fn failed(job: usize, spec: &JobSpec, error: String) -> Self {
+        JobResult { error: Some(error), ..Self::empty(job, spec) }
+    }
+
     fn empty(job: usize, spec: &JobSpec) -> Self {
         JobResult {
             job,

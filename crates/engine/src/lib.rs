@@ -18,9 +18,12 @@
 //!   ([`ScenarioRegistry::define_graph`] — the serve `define_scenario`
 //!   verb), identified everywhere by the content hash of its canonical
 //!   JSON;
-//! * a **work-stealing job pool** ([`pool`]) on plain `std::thread` +
-//!   channels, because job costs are wildly non-uniform (a cache miss pays
-//!   a whole preprocessing pass, a hit pays microseconds);
+//! * a **persistent worker pool** owned by each [`Engine`]: threads
+//!   started once and fed from one shared FIFO, so no call pays a thread
+//!   spawn and an idle worker always takes the next job — job costs are
+//!   wildly non-uniform (a cache miss pays a whole preprocessing pass, a
+//!   hit pays microseconds). The `psdacc-serve` daemon submits its units
+//!   to the same pool ([`Engine::submit`]);
 //! * a **shared preprocessing cache** ([`cache`]) keyed by
 //!   `(scenario, npsd)` behind `Arc`, guaranteeing exactly one
 //!   `AccuracyEvaluator::new` per key no matter how many workers race.
@@ -48,9 +51,8 @@
 //!
 //! Specs expand through one shared path: [`BatchSpec::units`] lazily
 //! yields [`units::WorkUnit`]s (id-tagged [`JobSpec`]s) in submission
-//! order, so the local CLI, the `psdacc-serve` sharding client, and the
-//! `psdacc-sched` fleet coordinator all see the identical ordered job
-//! list.
+//! order, so the local CLI and the `psdacc-sched` fleet coordinator see
+//! the identical ordered job list.
 
 pub mod batch;
 pub mod cache;
@@ -58,7 +60,7 @@ pub mod engine;
 pub mod error;
 pub mod graphspec;
 pub mod job;
-pub mod pool;
+mod pool;
 pub mod provider;
 pub mod scenario;
 pub mod units;
@@ -79,7 +81,6 @@ pub use engine::{BatchReport, Engine};
 pub use error::EngineError;
 pub use graphspec::{canonical_json, graph_spec_from_str, resolve_trace_refs, GraphScenario};
 pub use job::{run_job, run_job_traced, JobKind, JobResult, JobSpec, UnitTrace};
-pub use pool::PoolStats;
 pub use provider::{
     BuiltinProvider, FamilyInfo, GraphProvider, ParamSpec, ScenarioProvider, ScenarioRegistry,
 };

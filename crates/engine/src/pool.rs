@@ -1,203 +1,203 @@
-//! A work-stealing batch executor on plain `std::thread` + channels.
+//! The engine's executor: a fixed set of worker threads, started once per
+//! [`Engine`](crate::Engine), pulling boxed tasks from one shared FIFO.
 //!
-//! Jobs are dealt round-robin onto per-worker deques up front. Each worker
-//! drains its own deque LIFO-free (front pops preserve locality of the
-//! dealt order) and, when empty, steals from the *back* of a victim's deque
-//! — the classic split that keeps owner and thief contending on opposite
-//! ends. Batch jobs here are coarse (one `tau_eval` at minimum, one full
-//! preprocessing at worst), so a `Mutex<VecDeque>` per worker is plenty;
-//! the stealing is what matters, because preprocessing misses make job
-//! costs wildly non-uniform and a static partition would leave workers
-//! idle behind one unlucky queue.
+//! One queue feeding every worker balances load by itself: an idle worker
+//! takes the next task whatever the cost of the ones still running, so a
+//! cache miss that pays a whole preprocessing pass never strands cheap
+//! jobs behind it. The workers outlive every call, so no call pays for a
+//! thread spawn.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread;
 
-/// Counters describing one batch execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Jobs executed.
-    pub jobs: usize,
-    /// Jobs a worker took from another worker's deque.
-    pub steals: usize,
+/// One unit of work for the pool.
+type Task = Box<dyn FnOnce() + Send + 'static>;
+
+/// A persistent pool of worker threads fed from one FIFO.
+///
+/// Dropping the pool closes the feed, and each worker exits once the
+/// queue is empty. The workers are detached, never joined: the last owner
+/// of a daemon's engine can be one of the engine's own tasks, and a
+/// thread cannot join itself.
+#[derive(Debug)]
+pub(crate) struct Pool {
+    feed: mpsc::Sender<Task>,
+    threads: usize,
 }
 
-/// Runs `f` over every job on `workers` threads, returning results in job
-/// order plus execution counters.
-///
-/// Results are collected over an mpsc channel and re-assembled by index, so
-/// `f` may finish in any order. Panics in `f` propagate (the scope joins
-/// panicked workers).
-pub fn execute<J, R, F>(jobs: Vec<J>, workers: usize, f: F) -> (Vec<R>, PoolStats)
-where
-    J: Send,
-    R: Send,
-    F: Fn(J) -> R + Sync,
-{
-    execute_observed(jobs, workers, f, |_idx, _result| {})
-}
-
-/// [`execute`] plus a completion observer: `observe(idx, &result)` runs on
-/// the calling thread the moment job `idx` finishes, while other jobs are
-/// still in flight — the hook that lets callers stream results instead of
-/// waiting for the whole batch.
-///
-/// Observation order is completion order, not job order; the returned
-/// `Vec` is still in job order.
-pub fn execute_observed<J, R, F, O>(
-    jobs: Vec<J>,
-    workers: usize,
-    f: F,
-    mut observe: O,
-) -> (Vec<R>, PoolStats)
-where
-    J: Send,
-    R: Send,
-    F: Fn(J) -> R + Sync,
-    O: FnMut(usize, &R),
-{
-    let njobs = jobs.len();
-    let workers = workers.max(1).min(njobs.max(1));
-    let queues: Vec<Mutex<VecDeque<(usize, J)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        queues[i % workers].lock().expect("queue lock").push_back((i, job));
+impl Pool {
+    /// Starts `threads` workers (at least one).
+    pub(crate) fn new(threads: usize) -> Self {
+        let threads = threads.max(1);
+        let (feed, rx) = mpsc::channel::<Task>();
+        let rx = Arc::new(Mutex::new(rx));
+        for _ in 0..threads {
+            let rx = Arc::clone(&rx);
+            thread::spawn(move || worker(&rx));
+        }
+        Pool { feed, threads }
     }
-    let steals = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut slots: Vec<Option<R>> = (0..njobs).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let steals = &steals;
-            let f = &f;
-            let tx = tx.clone();
-            scope.spawn(move || {
-                loop {
-                    // Own deque first (front), then sweep victims (back).
-                    let mut task = queues[me].lock().expect("queue lock").pop_front();
-                    let mut stolen = false;
-                    if task.is_none() {
-                        for victim in 1..workers {
-                            let v = (me + victim) % workers;
-                            task = queues[v].lock().expect("queue lock").pop_back();
-                            if task.is_some() {
-                                stolen = true;
-                                break;
-                            }
-                        }
-                    }
-                    match task {
-                        Some((idx, job)) => {
-                            if stolen {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let result = f(job);
-                            tx.send((idx, result)).expect("collector alive");
-                        }
-                        // All deques were empty at sweep time; since the
-                        // batch is fully dealt before workers start, empty
-                        // everywhere means done.
-                        None => break,
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // Drain concurrently with the workers so the observer fires live.
-        for (idx, result) in rx {
-            observe(idx, &result);
-            debug_assert!(slots[idx].is_none(), "job {idx} executed twice");
-            slots[idx] = Some(result);
-        }
-    });
-    let results: Vec<R> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.unwrap_or_else(|| panic!("job {i} produced no result")))
-        .collect();
-    let stats = PoolStats { workers, jobs: njobs, steals: steals.load(Ordering::Relaxed) };
-    (results, stats)
+
+    /// Worker count.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Queues `task` behind every task submitted before it; the next idle
+    /// worker runs it.
+    pub(crate) fn submit(&self, task: impl FnOnce() + Send + 'static) {
+        self.feed
+            .send(Box::new(task))
+            .expect("workers hold the receiver as long as the feed is open");
+    }
+}
+
+fn worker(rx: &Mutex<mpsc::Receiver<Task>>) {
+    loop {
+        // Holding the lock across the blocking recv is deliberate: exactly
+        // one idle worker waits in recv at a time, takes the task,
+        // releases, and executes while the next idle worker moves into
+        // recv — so execution still overlaps across all workers.
+        let task = rx.lock().expect("no worker panics holding the feed").recv();
+        let Ok(task) = task else { return };
+        // A panicking task costs only itself: the panic hook has already
+        // reported it, and whoever waits on the task sees its channel
+        // sender dropped unsent.
+        let _ = panic::catch_unwind(AssertUnwindSafe(task));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::engine::Engine;
+    use crate::job::{JobKind, JobSpec};
+    use crate::scenario::Scenario;
+    use psdacc_core::Method;
+    use psdacc_fixed::RoundingMode;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// `n` cheap jobs over one cached scenario, with distinct answers.
+    fn jobs(n: usize) -> Vec<JobSpec> {
+        (0..n)
+            .map(|i| JobSpec {
+                scenario: Scenario::FirCascade { stages: 1, taps: 9, cutoff: 0.3 },
+                npsd: 32,
+                rounding: RoundingMode::Truncate,
+                kind: JobKind::Estimate { method: Method::Flat, frac_bits: 4 + (i % 20) as i32 },
+            })
+            .collect()
+    }
 
     #[test]
     fn preserves_job_order() {
-        let jobs: Vec<u64> = (0..500).collect();
-        let (results, stats) = execute(jobs, 8, |j| j * 2);
-        assert_eq!(results, (0..500).map(|j| j * 2).collect::<Vec<u64>>());
-        assert_eq!(stats.jobs, 500);
-        assert_eq!(stats.workers, 8);
+        let report = Engine::new(8).run(jobs(500));
+        assert_eq!(report.results.len(), 500);
+        for (i, r) in report.results.iter().enumerate() {
+            assert_eq!(r.job, i);
+            assert_eq!(r.frac_bits, Some(4 + (i % 20) as i32));
+        }
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let count = AtomicUsize::new(0);
-        let (results, _) = execute((0..1000).collect::<Vec<usize>>(), 7, |j| {
-            count.fetch_add(1, Ordering::Relaxed);
-            j
-        });
+        let pool = Pool::new(7);
+        let count = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        for j in 0..1000usize {
+            let (count, tx) = (Arc::clone(&count), tx.clone());
+            pool.submit(move || {
+                count.fetch_add(1, Ordering::Relaxed);
+                tx.send(j).expect("test holds the receiver");
+            });
+        }
+        drop(tx);
+        let mut seen: Vec<usize> = rx.iter().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..1000).collect::<Vec<usize>>());
         assert_eq!(count.load(Ordering::Relaxed), 1000);
-        assert_eq!(results.len(), 1000);
-    }
-
-    #[test]
-    fn uneven_jobs_get_stolen() {
-        // Worker 0's deque holds all the slow jobs (round-robin dealing with
-        // one heavy job in front of many light ones): other workers must
-        // steal to finish the batch promptly; at minimum the counters stay
-        // coherent on every interleaving.
-        let jobs: Vec<u64> = (0..64).collect();
-        let (results, stats) = execute(jobs, 4, |j| {
-            if j % 4 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            j
-        });
-        assert_eq!(results.len(), 64);
-        assert_eq!(stats.workers, 4);
     }
 
     #[test]
     fn observer_sees_every_completion() {
-        let mut seen: Vec<(usize, u64)> = Vec::new();
-        let (results, _) = execute_observed(
-            (0..100u64).collect::<Vec<u64>>(),
-            4,
-            |j| j * 3,
-            |idx, r| seen.push((idx, *r)),
-        );
+        let engine = Engine::new(4);
+        let mut seen: Vec<(usize, Option<i32>)> = Vec::new();
+        let report = engine.run_streaming(jobs(100), |r| seen.push((r.job, r.frac_bits)));
         assert_eq!(seen.len(), 100, "one observation per job");
-        for &(idx, r) in &seen {
-            assert_eq!(r, idx as u64 * 3, "observer gets the matching result");
+        for &(job, bits) in &seen {
+            assert_eq!(bits, report.results[job].frac_bits, "observer gets the matching result");
         }
-        assert_eq!(results, (0..100u64).map(|j| j * 3).collect::<Vec<u64>>());
     }
 
     #[test]
     fn single_worker_degenerates_to_sequential() {
-        let (results, stats) = execute(vec![1, 2, 3], 1, |j| j + 1);
-        assert_eq!(results, vec![2, 3, 4]);
-        assert_eq!(stats.steals, 0);
+        let pool = Pool::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (tx, rx) = mpsc::channel::<()>();
+        for i in 0..50usize {
+            let (order, tx) = (Arc::clone(&order), tx.clone());
+            pool.submit(move || {
+                order.lock().expect("test lock").push(i);
+                drop(tx);
+            });
+        }
+        drop(tx);
+        assert!(rx.recv().is_err(), "every task ran and dropped its sender");
+        assert_eq!(*order.lock().expect("test lock"), (0..50).collect::<Vec<usize>>(), "FIFO");
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let (results, stats) = execute(Vec::<u8>::new(), 4, |j| j);
-        assert!(results.is_empty());
-        assert_eq!(stats.jobs, 0);
+        let report = Engine::new(4).run(Vec::new());
+        assert!(report.results.is_empty());
+        assert_eq!(report.workers, 4);
     }
 
     #[test]
-    fn workers_capped_by_jobs() {
-        let (_, stats) = execute(vec![1, 2], 16, |j| j);
-        assert_eq!(stats.workers, 2);
+    fn workers_persist_across_rounds() {
+        let pool = Pool::new(3);
+        let ids = Arc::new(Mutex::new(HashSet::new()));
+        for _round in 0..2 {
+            let (tx, rx) = mpsc::channel::<()>();
+            for _ in 0..40 {
+                let (ids, tx) = (Arc::clone(&ids), tx.clone());
+                pool.submit(move || {
+                    ids.lock().expect("test lock").insert(thread::current().id());
+                    drop(tx);
+                });
+            }
+            drop(tx);
+            assert!(rx.recv().is_err(), "the round finished");
+        }
+        let distinct = ids.lock().expect("test lock").len();
+        assert!((1..=3).contains(&distinct), "{distinct} threads ran tasks on a 3-worker pool");
+    }
+
+    #[test]
+    fn a_panicking_task_keeps_its_worker() {
+        let pool = Pool::new(1);
+        pool.submit(|| panic!("deliberate task panic"));
+        let (tx, rx) = mpsc::channel();
+        pool.submit(move || tx.send(7).expect("test holds the receiver"));
+        assert_eq!(rx.recv(), Ok(7), "the only worker survived the panic");
+    }
+
+    #[test]
+    fn dropping_the_pool_lets_queued_tasks_finish() {
+        let pool = Pool::new(2);
+        let count = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel::<()>();
+        for _ in 0..100 {
+            let (count, tx) = (Arc::clone(&count), tx.clone());
+            pool.submit(move || {
+                count.fetch_add(1, Ordering::Relaxed);
+                drop(tx);
+            });
+        }
+        drop((pool, tx));
+        assert!(rx.recv().is_err(), "every queued task ran and dropped its sender");
+        assert_eq!(count.load(Ordering::Relaxed), 100);
     }
 }

@@ -115,7 +115,7 @@ fn demo_batch_acceptance() {
 
     let engine = Engine::new(4);
     let report = engine.run(jobs.clone());
-    assert_eq!(report.pool.workers, 4);
+    assert_eq!(report.workers, 4);
     assert_eq!(report.failures().count(), 0);
     assert_eq!(
         report.cache.builds,

@@ -237,7 +237,6 @@ struct DaemonLink {
 /// never miscounted as lost.
 enum Msg {
     Result { daemon: usize, id: usize, line: String, failed: bool },
-    Summary,
     Dead { daemon: usize, reason: String },
 }
 
@@ -315,8 +314,9 @@ pub fn run_fleet(
         drop(tx);
         // The merger: emit the contiguous prefix as it becomes available.
         for msg in rx {
-            let Msg::Result { daemon, id, line, failed: f } = msg else {
-                if let Msg::Dead { daemon, reason } = msg {
+            let (daemon, id, line, f) = match msg {
+                Msg::Result { daemon, id, line, failed } => (daemon, id, line, failed),
+                Msg::Dead { daemon, reason } => {
                     let report = queue.mark_dead(daemon, &reason);
                     let addr = &links[daemon].addr;
                     events.push(FleetEvent {
@@ -355,8 +355,8 @@ pub fn run_fleet(
                             );
                         }
                     }
+                    continue;
                 }
-                continue;
             };
             if id >= lines.len() {
                 queue.set_fatal(format!("{}: result id {id} out of range", links[daemon].addr));
@@ -687,9 +687,9 @@ fn reader_loop(d: usize, link: &DaemonLink, queue: &FleetQueue, tx: &mpsc::Sende
                     }
                 };
                 match value.get("kind").and_then(Json::as_str) {
-                    Some("summary") => {
-                        let _ = tx.send(Msg::Summary);
-                    }
+                    // The merger counts results itself; the stream's own
+                    // tally adds nothing.
+                    Some("summary") => {}
                     Some("error") => {
                         let detail = value
                             .get("error")

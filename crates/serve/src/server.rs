@@ -1,15 +1,16 @@
 //! The TCP daemon: accept loop, the per-connection unit-stream driver, and
 //! the graceful-shutdown handle used by tests and the CLI.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use psdacc_engine::job::{run_job_traced, UnitTrace};
 use psdacc_engine::json::JsonWriter;
-use psdacc_engine::{Engine, JobSpec, ScenarioRegistry};
+use psdacc_engine::{Engine, JobResult, JobSpec, ScenarioRegistry};
 use psdacc_obs::{Counter, Gauge, MetricsRegistry, OpenSpan, SpanId, TraceStore, Tracer};
 use psdacc_sfg::GraphSpec;
 
@@ -302,8 +303,9 @@ impl Server {
 
     /// Serves until the shutdown flag is raised (never, unless a
     /// [`ServerHandle`] exists). Connection handlers run on their own
-    /// threads; each connection streams its jobs unit by unit. Connections
-    /// beyond `max_connections` are refused with one error line.
+    /// threads and stream their jobs unit by unit onto the engine's
+    /// workers. Connections beyond `max_connections` are refused with one
+    /// error line.
     pub fn run(&self) {
         for stream in self.listener.incoming() {
             if self.state.shutdown.load(Ordering::SeqCst) {
@@ -321,13 +323,13 @@ impl Server {
                             continue;
                         }
                     }
-                    // Best effort: a socket that refuses the option is
+                    // Best effort: a socket that refuses the options is
                     // already dead, and its handler's first read says so.
                     let _ = stream.set_nodelay(true);
                     state.active_connections.add(1);
                     std::thread::spawn(move || {
                         state.connections.inc();
-                        let result = handle_connection(&state, &stream);
+                        let result = handle_connection(&state, stream);
                         state.active_connections.add(-1);
                         if let Err(e) = result {
                             eprintln!("psdacc-serve: connection error: {e}");
@@ -393,35 +395,141 @@ fn error_line(lineno: usize, error: &str) -> String {
     w.finish()
 }
 
-/// One queued unit: request id, the work, and the daemon-side `serve.unit`
-/// span opened when the request line was parsed (so the span covers
-/// channel queue time as well as execution).
-type UnitFeed = (usize, JobSpec, Option<OpenSpan>);
+/// How long a result or reply line may wait to reach the peer's socket
+/// before the daemon gives up on the peer. It counts from the moment the
+/// line is ready and covers every `write` call the line takes, so a peer
+/// that reads a trickle cannot stretch it. Pool workers write result lines,
+/// and a peer that stops reading would otherwise hold a worker in `write`
+/// for as long as it likes. A live reader never meets it: a write blocks
+/// only once the kernel's socket buffers are full.
+pub const WRITE_DEADLINE: Duration = Duration::from_secs(2);
 
-/// Everything a unit executor shares with the reader loop — bundled so
-/// the executor signature stays readable.
-struct UnitMode<'a> {
-    state: &'a ServerState,
-    writer: &'a Mutex<BufWriter<TcpStream>>,
-    stream: &'a TcpStream,
-    died: &'a AtomicBool,
-    executed: &'a AtomicUsize,
-    failed: &'a AtomicUsize,
+/// One connection as its unit tasks see it: the queue of lines waiting for
+/// the peer, the lock held by whichever thread writes them, and the
+/// connection's fate.
+#[derive(Debug)]
+struct Conn {
+    stream: TcpStream,
+    writing: Mutex<()>,
+    queue: Mutex<Vec<Line>>,
+    died: AtomicBool,
+    executed: AtomicUsize,
+    failed: AtomicUsize,
+}
+
+/// A line waiting for the peer, with the unit it completes.
+#[derive(Debug)]
+struct Line {
+    text: String,
+    ready: Instant,
+    /// Held, not read: dropping it releases the unit.
+    _unit: Option<Arc<Finished>>,
+}
+
+impl Conn {
+    /// Queues `text` and writes the queue, unless another thread is already
+    /// writing: that thread writes this line too, so at most one thread per
+    /// connection ever waits on the peer. `unit` is released once the line
+    /// is written or dropped. Errors only if this call's own write failed.
+    fn send(&self, text: String, unit: Option<Arc<Finished>>) -> Result<(), ServeError> {
+        self.queue().push(Line { text, ready: Instant::now(), _unit: unit });
+        self.drain(self.writing.try_lock().ok())
+    }
+
+    /// Waits for any thread writing, then writes what is queued.
+    fn flush(&self) -> Result<(), ServeError> {
+        self.drain(Some(self.writing.lock().expect("no thread panics while writing")))
+    }
+
+    fn queue(&self) -> MutexGuard<'_, Vec<Line>> {
+        self.queue.lock().expect("no thread panics holding the queue")
+    }
+
+    fn drain<'a>(&'a self, mut writing: Option<MutexGuard<'a, ()>>) -> Result<(), ServeError> {
+        let mut result = Ok(());
+        while let Some(guard) = writing {
+            let lines = std::mem::take(&mut *self.queue());
+            if let (Some(first), false) = (lines.first(), self.died.load(Ordering::SeqCst)) {
+                let text: String = lines.iter().flat_map(|l| [l.text.as_str(), "\n"]).collect();
+                if let Err(e) =
+                    write_by(&self.stream, text.as_bytes(), first.ready + WRITE_DEADLINE)
+                {
+                    self.kill();
+                    result = Err(e.into());
+                }
+            }
+            drop(guard);
+            drop(lines);
+            // A line queued while this thread wrote found the lock taken.
+            writing = if self.queue().is_empty() { None } else { self.writing.try_lock().ok() };
+        }
+        result
+    }
+
+    /// Tears both socket directions down, once: the peer sees the
+    /// connection die, the handler's next read ends, and units still
+    /// queued return without executing.
+    fn kill(&self) {
+        if !self.died.swap(true, Ordering::SeqCst) {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Writes all of `bytes` by `deadline`, however many `write` calls that
+/// takes.
+fn write_by(mut stream: &TcpStream, mut bytes: &[u8], deadline: Instant) -> std::io::Result<()> {
+    use std::io::ErrorKind;
+    while !bytes.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(bytes) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Tells the connection handler that one of its units has ended, once
+/// the unit's task has returned (or panicked) and its line is written (or
+/// dropped), so the in-flight count never leaks and the summary follows
+/// every result.
+#[derive(Debug)]
+struct Finished(mpsc::Sender<()>);
+
+impl Drop for Finished {
+    fn drop(&mut self) {
+        let _ = self.0.send(());
+    }
 }
 
 /// Drives one connection. Control requests are answered immediately; every
-/// job line executes as a unit the moment it arrives, up to the engine's
-/// worker count concurrently, and each result is written back as soon as
-/// it completes (any order — results carry their request id).
+/// job line is handed to the engine's worker pool the moment it arrives,
+/// and each result is written back as soon as it completes (any order —
+/// results carry their request id). The pool is the daemon's: `workers`
+/// threads shared by every connection.
 ///
 /// The unit stream opens with the first job line, or earlier with an
 /// optional `evaluate_units` opener that may carry a trace context; an
 /// opener after the stream has opened is an error line. Backpressure is
-/// structural: the executor feed channel is bounded, so a peer that
-/// outruns the daemon blocks in the kernel's TCP window instead of growing
-/// an unbounded queue. On client half-close the executors drain, then one
+/// per connection: at most three units per worker are in flight, and a
+/// peer that outruns the daemon blocks in the kernel's TCP window instead
+/// of growing an unbounded queue. A unit stays in flight until its result
+/// line is written, and one thread at a time writes a connection's lines:
+/// a worker that finds another writing queues its line and moves on. A
+/// line not written within [`WRITE_DEADLINE`] of being ready kills the
+/// connection, so a peer that reads slowly or not at all holds at most one
+/// worker, and only until one of its lines is that late. On client
+/// half-close every unit finishes, then one
 /// `{"kind":"summary","mode":"units",...}` line ends an opened stream (a
-/// connection that only sent control requests gets no summary).
+/// connection that only sent control requests gets no summary). A unit
+/// whose job panics answers with an error result and counts as failed.
 ///
 /// With a trace context, every unit records a `serve.unit` span parented
 /// under the coordinator's root span, with `unit.parse` /
@@ -429,184 +537,179 @@ struct UnitMode<'a> {
 /// `unit.serialize` children — the per-unit timing breakdown the merged
 /// fleet trace is built from. Tracing never alters results: the tracer
 /// only ever *observes* timings around the identical execution path.
-fn handle_connection(state: &ServerState, stream: &TcpStream) -> Result<(), ServeError> {
-    let threads = state.engine.threads().max(1);
+fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), ServeError> {
+    let max_in_flight = 3 * state.engine.threads();
     let mut reader = BufReader::new(stream.try_clone()?);
-    let writer = Mutex::new(BufWriter::new(stream.try_clone()?));
-    let (tx, rx) = mpsc::sync_channel::<UnitFeed>(threads * 2);
-    let rx = Mutex::new(rx);
-    let died = AtomicBool::new(false);
-    let executed = AtomicUsize::new(0);
-    let failed = AtomicUsize::new(0);
-    let ctx = UnitMode {
-        state,
-        writer: &writer,
+    let conn = Arc::new(Conn {
         stream,
-        died: &died,
-        executed: &executed,
-        failed: &failed,
-    };
+        writing: Mutex::new(()),
+        queue: Mutex::new(Vec::new()),
+        died: AtomicBool::new(false),
+        executed: AtomicUsize::new(0),
+        failed: AtomicUsize::new(0),
+    });
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let mut in_flight = 0usize;
     // The opened unit stream: its tracer (disabled without a trace
     // context) and the coordinator span its units parent under.
     let mut opened: Option<(Arc<Tracer>, Option<SpanId>)> = None;
+    let open = |trace: Option<TraceContext>| match trace {
+        Some(trace) => (state.traces.create(&trace.batch), trace.span),
+        None => (Arc::new(Tracer::disabled()), None),
+    };
     let mut auto_id = 0usize;
     let mut lineno = 0usize;
     let mut read_error: Option<std::io::Error> = None;
-    std::thread::scope(|scope| -> Result<(), ServeError> {
-        let tx = tx; // moved into the scope so executors see EOF at drop
-        let (ctx, rx) = (&ctx, &rx);
-        let open = |trace_ctx: Option<TraceContext>| {
-            let tracer = match &trace_ctx {
-                Some(trace) => state.traces.create(&trace.batch),
-                None => Arc::new(Tracer::disabled()),
-            };
-            for _ in 0..threads {
-                let tracer = Arc::clone(&tracer);
-                scope.spawn(move || unit_executor(ctx, rx, &tracer));
+    while !conn.died.load(Ordering::SeqCst) {
+        let line = match read_capped_line(&mut reader) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            // Read failures (I/O, or the MAX_LINE_BYTES protocol cap)
+            // must not masquerade as a clean half-close; stop reading
+            // and report below.
+            Err(e) => {
+                read_error = Some(e);
+                break;
             }
-            (tracer, trace_ctx.and_then(|trace| trace.span))
         };
-        loop {
-            let line = match read_capped_line(&mut reader) {
-                Ok(Some(line)) => line,
-                Ok(None) => break,
-                // Read failures (I/O, or the MAX_LINE_BYTES protocol cap)
-                // must not masquerade as a clean half-close; stop feeding
-                // and report below.
-                Err(e) => {
-                    read_error = Some(e);
-                    break;
+        lineno += 1;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let parse_start = opened.as_ref().map_or(0, |(tracer, _)| tracer.now_ns());
+        let reply = match parse_request(line.trim_end(), auto_id, &state.registry) {
+            Ok(Request::Job { id, spec }) => {
+                auto_id += 1;
+                let (tracer, root_span) = opened.get_or_insert_with(|| open(None));
+                let unit_span = tracer.start("serve.unit", *root_span, Some(id as u64));
+                if let Some(span) = &unit_span {
+                    // The parse happened before the span could exist;
+                    // record it as a measured child ending now.
+                    tracer.span_at(
+                        "unit.parse",
+                        Some(span.id),
+                        Some(id as u64),
+                        parse_start,
+                        tracer.now_ns().saturating_sub(parse_start),
+                        Vec::new(),
+                    );
                 }
-            };
-            lineno += 1;
-            if line.trim().is_empty() {
+                // Block only at the bound, which the coordinator's window
+                // (two units per worker) never reaches.
+                in_flight -= done_rx.try_iter().count();
+                if in_flight == max_in_flight {
+                    done_rx.recv().expect("the handler holds a sender");
+                    in_flight -= 1;
+                }
+                in_flight += 1;
+                let task = (
+                    Arc::clone(state),
+                    Arc::clone(&conn),
+                    Arc::clone(tracer),
+                    Arc::new(Finished(done_tx.clone())),
+                );
+                state.engine.submit(move || {
+                    let (state, conn, tracer, finished) = task;
+                    run_unit(&state, &conn, &tracer, id, &spec, unit_span, &finished);
+                });
                 continue;
             }
-            let parse_start = opened.as_ref().map_or(0, |(tracer, _)| tracer.now_ns());
-            match parse_request(line.trim_end(), auto_id, &state.registry) {
-                Ok(Request::Job { id, spec }) => {
-                    auto_id += 1;
-                    let (tracer, root_span) = opened.get_or_insert_with(|| open(None));
-                    let unit_span = tracer.start("serve.unit", *root_span, Some(id as u64));
-                    if let Some(span) = &unit_span {
-                        // The parse happened before the span could exist;
-                        // record it as a measured child ending now.
-                        tracer.span_at(
-                            "unit.parse",
-                            Some(span.id),
-                            Some(id as u64),
-                            parse_start,
-                            tracer.now_ns().saturating_sub(parse_start),
-                            Vec::new(),
-                        );
-                    }
-                    if tx.send((id, spec, unit_span)).is_err() {
-                        break;
-                    }
+            Ok(Request::EvaluateUnits { trace }) => {
+                if opened.is_some() {
+                    error_line(lineno, "evaluate_units must precede job requests")
+                } else {
+                    opened = Some(open(trace));
+                    continue;
                 }
-                Ok(Request::EvaluateUnits { trace }) => {
-                    if opened.is_some() {
-                        write_locked(
-                            &writer,
-                            &error_line(lineno, "evaluate_units must precede job requests"),
-                        )?;
-                    } else {
-                        opened = Some(open(trace));
-                    }
-                }
-                Ok(Request::Stats) => write_locked(&writer, &state.stats_line())?,
-                Ok(Request::Metrics) => write_locked(&writer, &state.metrics_line())?,
-                Ok(Request::Trace { batch }) => {
-                    write_locked(&writer, &state.trace_line(lineno, &batch))?
-                }
-                Ok(Request::Hello) => write_locked(&writer, &state.hello_line())?,
-                Ok(Request::Scenarios) => {
-                    write_locked(&writer, &state.registry.scenarios_json_line())?
-                }
-                Ok(Request::Describe { family }) => {
-                    write_locked(&writer, &state.describe_line(lineno, family.as_deref()))?
-                }
-                Ok(Request::DefineScenario { name, spec }) => {
-                    write_locked(&writer, &state.define_scenario_line(lineno, &name, spec))?
-                }
-                Err(e) => write_locked(&writer, &error_line(lineno, &e))?,
             }
-        }
-        Ok(())
-    })?;
-    if died.load(Ordering::SeqCst) {
-        // Chaos kill: the socket is already torn down; no summary.
+            Ok(Request::Stats) => state.stats_line(),
+            Ok(Request::Metrics) => state.metrics_line(),
+            Ok(Request::Trace { batch }) => state.trace_line(lineno, &batch),
+            Ok(Request::Hello) => state.hello_line(),
+            Ok(Request::Scenarios) => state.registry.scenarios_json_line(),
+            Ok(Request::Describe { family }) => state.describe_line(lineno, family.as_deref()),
+            Ok(Request::DefineScenario { name, spec }) => {
+                state.define_scenario_line(lineno, &name, spec)
+            }
+            Err(e) => error_line(lineno, &e),
+        };
+        // A failed write has killed the connection; the units still in
+        // flight see that and return unexecuted.
+        conn.send(reply, None)?;
+    }
+    for _ in 0..in_flight {
+        done_rx.recv().expect("the handler holds a sender");
+    }
+    if conn.died.load(Ordering::SeqCst) {
+        // Chaos kill, write failure or missed write deadline: the socket
+        // is already torn down; no summary.
         return Ok(());
     }
     if let Some(e) = read_error {
         // Tell the peer (best effort) and the daemon log why the stream
         // ended without a summary.
-        let _ = write_locked(&writer, &error_line(lineno + 1, &e.to_string()));
+        let _ = conn.send(error_line(lineno + 1, &e.to_string()), None).and_then(|()| conn.flush());
         return Err(ServeError::Io(format!("connection read failed: {e}")));
     }
-    if opened.is_none() {
-        return Ok(());
+    if opened.is_some() {
+        let mut w = JsonWriter::new();
+        w.field_str("kind", "summary");
+        w.field_str("mode", "units");
+        w.field_usize("jobs", conn.executed.load(Ordering::Relaxed));
+        w.field_usize("failed", conn.failed.load(Ordering::Relaxed));
+        conn.send(w.finish(), None)?;
     }
-    let mut w = JsonWriter::new();
-    w.field_str("kind", "summary");
-    w.field_str("mode", "units");
-    w.field_usize("jobs", executed.load(Ordering::Relaxed));
-    w.field_usize("failed", failed.load(Ordering::Relaxed));
-    write_locked(&writer, &w.finish())?;
-    Ok(())
+    conn.flush()
 }
 
-fn write_locked(writer: &Mutex<BufWriter<TcpStream>>, line: &str) -> Result<(), ServeError> {
-    let mut w = writer.lock().expect("writer lock");
-    writeln!(w, "{line}")?;
-    w.flush()?;
-    Ok(())
-}
-
-/// One unit executor: pull a unit, (chaos-)execute, write the result,
-/// repeat until the feed channel closes.
-fn unit_executor(ctx: &UnitMode<'_>, rx: &Mutex<mpsc::Receiver<UnitFeed>>, tracer: &Tracer) {
-    let state = ctx.state;
-    loop {
-        // Holding the lock across the blocking recv is deliberate: exactly
-        // one idle executor waits in recv at a time, takes the unit,
-        // releases, and executes while the next idle executor moves into
-        // recv — so execution still overlaps across all executors.
-        let msg = rx.lock().expect("unit feed lock").recv();
-        let Ok((id, spec, unit_span)) = msg else { return };
-        if ctx.died.load(Ordering::SeqCst) {
-            continue; // drain the feed without executing after a chaos kill
-        }
-        if !state.config.chaos_unit_delay.is_zero() {
-            std::thread::sleep(state.config.chaos_unit_delay);
-        }
-        let parent = unit_span.as_ref().map(|s| s.id);
-        let unit_trace = UnitTrace { tracer, parent, unit: Some(id as u64) };
-        let t0 = Instant::now();
-        let result = run_job_traced(state.engine.cache().as_ref(), 0, &spec, Some(&unit_trace));
-        state.latency.record(&spec.kind, t0.elapsed());
-        if result.error.is_some() {
-            ctx.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        let serialize = tracer.start("unit.serialize", parent, Some(id as u64));
-        let line = result_line(id, &result);
-        let wrote = write_locked(ctx.writer, &line);
-        tracer.end(serialize);
-        tracer.end(unit_span);
-        if wrote.is_err() {
-            // Client went away; keep draining so the reader can unwind.
-            ctx.died.store(true, Ordering::SeqCst);
-            continue;
-        }
-        state.units_served.inc();
-        let served = state.units_served.get() as usize;
-        ctx.executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(limit) = state.config.chaos_die_after_units {
-            if served >= limit && !ctx.died.swap(true, Ordering::SeqCst) {
-                // Simulated crash: both directions down, mid-stream.
-                let _ = ctx.stream.shutdown(Shutdown::Both);
-            }
-        }
+/// One unit task on the engine's pool: (chaos-)execute, queue the result
+/// line, count it. A unit of a dead connection returns without executing;
+/// a job that panics answers with an error result.
+fn run_unit(
+    state: &ServerState,
+    conn: &Conn,
+    tracer: &Tracer,
+    id: usize,
+    spec: &JobSpec,
+    unit_span: Option<OpenSpan>,
+    finished: &Arc<Finished>,
+) {
+    if conn.died.load(Ordering::SeqCst) {
+        return;
+    }
+    if !state.config.chaos_unit_delay.is_zero() {
+        std::thread::sleep(state.config.chaos_unit_delay);
+    }
+    let parent = unit_span.as_ref().map(|s| s.id);
+    let unit_trace = UnitTrace { tracer, parent, unit: Some(id as u64) };
+    let t0 = Instant::now();
+    let cache = state.engine.cache().as_ref();
+    let run = || run_job_traced(cache, 0, spec, Some(&unit_trace));
+    let result = panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+        let what = panic.downcast_ref::<&str>().copied();
+        let what = what.or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+        JobResult::failed(0, spec, format!("job panicked: {}", what.unwrap_or("no message")))
+    });
+    state.latency.record(&spec.kind, t0.elapsed());
+    if result.error.is_some() {
+        conn.failed.fetch_add(1, Ordering::Relaxed);
+    }
+    let serialize = tracer.start("unit.serialize", parent, Some(id as u64));
+    let sent = conn.send(result_line(id, &result), Some(Arc::clone(finished)));
+    tracer.end(serialize);
+    tracer.end(unit_span);
+    if sent.is_err() {
+        // Peer gone or past the write deadline: the connection is dead.
+        return;
+    }
+    state.units_served.inc();
+    let served = state.units_served.get() as usize;
+    conn.executed.fetch_add(1, Ordering::Relaxed);
+    if state.config.chaos_die_after_units.is_some_and(|limit| served >= limit) {
+        // Simulated crash after the result is out: both directions down,
+        // mid-stream.
+        let _ = conn.flush();
+        conn.kill();
     }
 }
 
@@ -804,6 +907,37 @@ mod tests {
             .find(|e| e.get("verb").and_then(json::Json::as_str) == Some("evaluate"))
             .unwrap();
         assert_eq!(evaluate.get("count").unwrap().as_u64(), Some(1));
+    }
+
+    /// The deadline bounds a whole write, not each `write` call: a peer
+    /// that keeps reading, only slowly, still runs it out. Read at ~2.5 MB/s,
+    /// the 32 MiB below would take over ten seconds to deliver, with every
+    /// call making progress.
+    #[test]
+    fn write_deadline_covers_every_call_of_a_write() {
+        use std::io::Read;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let reader = std::thread::spawn(move || {
+            let (mut buf, mut total) = (vec![0u8; 64 * 1024], 0usize);
+            loop {
+                match (&peer).read(&mut buf) {
+                    Ok(0) | Err(_) => return total,
+                    Ok(n) => total += n,
+                }
+                std::thread::sleep(Duration::from_millis(25));
+            }
+        });
+        let started = Instant::now();
+        let deadline = started + Duration::from_millis(500);
+        assert!(write_by(&stream, &vec![b'x'; 32 << 20], deadline).is_err());
+        let took = started.elapsed();
+        stream.shutdown(Shutdown::Both).unwrap();
+        let delivered = reader.join().unwrap();
+        assert!(took >= Duration::from_millis(500), "gave up early, after {took:?}");
+        assert!(took < Duration::from_secs(5), "the deadline stretched to {took:?}");
+        assert!(delivered > 0, "the peer read nothing");
     }
 
     #[test]

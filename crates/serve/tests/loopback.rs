@@ -1,17 +1,20 @@
 //! Loopback integration over raw sockets: every connection is a unit
 //! stream whose results are **bit-identical** to the in-process engine,
 //! control requests interleave with units, and the daemon's service
-//! policy (readiness, connection limits, latency histograms, traces)
-//! holds on the wire. Jobs split by hand over two daemons' unit streams
+//! policy (readiness, connection limits, latency histograms, traces, one
+//! worker pool shared by every connection, the write deadline) holds on
+//! the wire. Jobs split by hand over two daemons' unit streams
 //! merge bit-identically for defined and measured scenarios here;
 //! coordinator-level properties — work-stealing merges and warm restarts
 //! through `run_fleet` — live in `psdacc-sched`'s `fleet_loopback` tests.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use psdacc_engine::json::{self, Json};
 use psdacc_engine::{BatchSpec, Engine};
+use psdacc_serve::server::WRITE_DEADLINE;
 use psdacc_serve::{client, Server, ServerHandle};
 
 /// Three scenario families x estimates, refinement, min-uniform, and a
@@ -574,4 +577,215 @@ fn measured_source_scenarios_shard_bit_identically_to_local_run() {
     }
     a.shutdown();
     b.shutdown();
+}
+
+/// A `freq-filter` estimate as a raw unit-stream job line.
+fn unit_line(id: usize) -> String {
+    format!("{{\"kind\":\"evaluate\",\"scenario\":\"freq-filter\",\"npsd\":64,\"bits\":12,\"id\":{id}}}")
+}
+
+/// The daemon's workers serve every connection: on a one-worker daemon,
+/// two connections' units sent together run one after the other.
+#[test]
+fn workers_are_shared_across_connections() {
+    use psdacc_serve::ServerConfig;
+    let delay = Duration::from_millis(200);
+    let config = ServerConfig { chaos_unit_delay: delay, ..ServerConfig::default() };
+    let daemon = Server::bind_with("127.0.0.1:0", Engine::new(1), config).unwrap().spawn().unwrap();
+    let conns: Vec<TcpStream> =
+        (0..2).map(|_| TcpStream::connect(daemon.addr()).unwrap()).collect();
+    let sent = Instant::now();
+    for (id, conn) in conns.iter().enumerate() {
+        writeln!(&*conn, "{}", unit_line(id)).unwrap();
+    }
+    for conn in &conns {
+        let mut line = String::new();
+        BufReader::new(conn).read_line(&mut line).unwrap();
+        assert!(line.contains("\"power\""), "{line}");
+    }
+    let both = sent.elapsed();
+    assert!(both >= 2 * delay, "two {delay:?} units on one worker finished in {both:?}");
+    daemon.shutdown();
+}
+
+/// A peer that floods units and never reads parks the daemon's only
+/// worker in `write`, but for at most the write deadline: another
+/// connection's unit is still answered.
+#[test]
+fn a_peer_that_stops_reading_cannot_starve_other_connections() {
+    let daemon = spawn_memory_daemon(1);
+    let addr = daemon.addr();
+    // 1.7 KB result lines fill the flood's socket buffers quickly.
+    let spec = BatchSpec::parse("scenario random-sfg nodes=16 seed=3\nbudget npsd=64 bits=9\n");
+    let job = spec.unwrap().jobs().remove(0);
+    let flood = TcpStream::connect(addr).unwrap();
+    let flooder = {
+        let mut w = std::io::BufWriter::new(flood.try_clone().unwrap());
+        std::thread::spawn(move || {
+            for id in 0..1_000_000 {
+                let line = psdacc_serve::job_request_line(id, &job).unwrap();
+                if writeln!(w, "{line}").is_err() {
+                    return;
+                }
+            }
+        })
+    };
+    // Wait until the daemon stops completing the flood's units: its worker
+    // is parked in a write that nobody reads.
+    let served =
+        || stat(&client::request_control(&addr.to_string(), "stats").unwrap(), "units_served");
+    let (mut last, waiting) = (served(), Instant::now());
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let now = served();
+        if now > 0 && now == last {
+            break;
+        }
+        assert!(waiting.elapsed() < Duration::from_secs(120), "the flood never stalled: {now}");
+        last = now;
+    }
+    let probe = TcpStream::connect(addr).unwrap();
+    probe.set_read_timeout(Some(WRITE_DEADLINE + Duration::from_secs(30))).unwrap();
+    let sent = Instant::now();
+    writeln!(&probe, "{}", unit_line(0)).unwrap();
+    let mut line = String::new();
+    BufReader::new(&probe).read_line(&mut line).unwrap();
+    let waited = sent.elapsed();
+    assert!(line.contains("\"power\""), "{line}");
+    let bound = WRITE_DEADLINE + Duration::from_secs(3);
+    assert!(waited < bound, "answered after {waited:?}, bound {bound:?}");
+    let _ = flood.shutdown(Shutdown::Both);
+    flooder.join().unwrap();
+    daemon.shutdown();
+}
+
+/// Shutting the daemon down while a unit runs lets the unit finish: its
+/// result and the stream's summary still arrive, then the connection
+/// closes — the daemon's last owner may be that unit's own task.
+#[test]
+fn shutdown_while_a_unit_runs_still_delivers_result_and_summary() {
+    use psdacc_serve::ServerConfig;
+    let config =
+        ServerConfig { chaos_unit_delay: Duration::from_millis(300), ..ServerConfig::default() };
+    let daemon = Server::bind_with("127.0.0.1:0", Engine::new(1), config).unwrap().spawn().unwrap();
+    let stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    writeln!(&stream, "{}", unit_line(0)).unwrap();
+    writeln!(&stream, "{{\"kind\":\"hello\"}}").unwrap();
+    // The hello reply proves the unit line was read and submitted first.
+    let mut hello = String::new();
+    reader.read_line(&mut hello).unwrap();
+    assert!(hello.contains("\"hello\""), "{hello}");
+    daemon.shutdown();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(lines[0].contains("\"power\""), "{lines:?}");
+    assert_eq!(stat(&lines[1], "jobs"), 1, "{lines:?}");
+    assert_eq!(stat(&lines[1], "failed"), 0, "{lines:?}");
+}
+
+/// A peer that floods units and reads its results only in slow sips holds
+/// at most one of a two-worker daemon's workers: one thread writes a
+/// connection's lines, and a worker that finds it busy queues its line
+/// and moves on. So another connection's unit is answered without waiting
+/// out the slow peer's write deadline, and the daemon then gives up on the
+/// slow peer. (With every worker waiting its turn to write, the probe
+/// waits for the slow peer to be dropped: over 1 s.)
+#[test]
+fn a_slow_reader_cannot_starve_other_connections() {
+    use std::io::Read;
+    let daemon = spawn_memory_daemon(2);
+    let addr = daemon.addr();
+    let spec = BatchSpec::parse("scenario random-sfg nodes=16 seed=3\nbudget npsd=64 bits=9\n");
+    let job = spec.unwrap().jobs().remove(0);
+    let slow = TcpStream::connect(addr).unwrap();
+    let flooder = {
+        let mut w = std::io::BufWriter::new(slow.try_clone().unwrap());
+        std::thread::spawn(move || {
+            for id in 0..1_000_000 {
+                let line = psdacc_serve::job_request_line(id, &job).unwrap();
+                if writeln!(w, "{line}").is_err() {
+                    return;
+                }
+            }
+        })
+    };
+    let sipper = {
+        let mut r = slow.try_clone().unwrap();
+        r.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        std::thread::spawn(move || {
+            // 16 KB every 100 ms: far below what the daemon produces.
+            let mut buf = vec![0u8; 16 * 1024];
+            loop {
+                match r.read(&mut buf) {
+                    Ok(0) | Err(_) => return,
+                    Ok(_) => std::thread::sleep(Duration::from_millis(100)),
+                }
+            }
+        })
+    };
+    // Let the slow peer's buffers fill, so the daemon's writes to it block.
+    std::thread::sleep(Duration::from_secs(1));
+    let probe = TcpStream::connect(addr).unwrap();
+    probe.set_read_timeout(Some(WRITE_DEADLINE + Duration::from_secs(30))).unwrap();
+    let sent = Instant::now();
+    writeln!(&probe, "{}", unit_line(0)).unwrap();
+    let mut line = String::new();
+    BufReader::new(&probe).read_line(&mut line).unwrap();
+    let waited = sent.elapsed();
+    assert!(line.contains("\"power\""), "{line}");
+    let bound = WRITE_DEADLINE / 2;
+    assert!(waited < bound, "answered after {waited:?}, bound {bound:?}");
+    // The daemon drops the slow peer: its sipper sees the stream end.
+    sipper.join().unwrap();
+    flooder.join().unwrap();
+    daemon.shutdown();
+}
+
+/// A cache that panics on one grid size, for the panicking-unit test.
+#[derive(Debug)]
+struct PanicsAtNpsd(psdacc_engine::EvaluatorCache, usize);
+
+impl psdacc_engine::PreprocessCache for PanicsAtNpsd {
+    fn get_or_build_traced(
+        &self,
+        scenario: &psdacc_engine::Scenario,
+        npsd: usize,
+    ) -> Result<(std::sync::Arc<psdacc_core::AccuracyEvaluator>, bool), psdacc_engine::EngineError>
+    {
+        assert_ne!(npsd, self.1, "injected failure");
+        self.0.get_or_build_traced(scenario, npsd)
+    }
+
+    fn stats(&self) -> psdacc_engine::CacheStats {
+        self.0.stats()
+    }
+}
+
+/// A unit whose job panics answers with an error result for its id and
+/// counts as failed in the summary; the connection carries on.
+#[test]
+fn a_panicking_unit_answers_with_an_error_result() {
+    let cache = PanicsAtNpsd(psdacc_engine::EvaluatorCache::new(), 64);
+    let engine = Engine::with_shared_cache(1, std::sync::Arc::new(cache));
+    let daemon = Server::bind("127.0.0.1:0", engine).unwrap().spawn().unwrap();
+    let stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    writeln!(&stream, "{}", unit_line(0)).unwrap();
+    writeln!(&stream, "{}", unit_line(1).replace("\"npsd\":64", "\"npsd\":128")).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    let panicked = lines[..2].iter().find(|l| stat(l, "job") == 0).expect("a line for unit 0");
+    let error = json::parse(panicked).unwrap();
+    let error = error.get("error").and_then(Json::as_str).unwrap_or_default().to_string();
+    assert!(error.contains("panicked") && error.contains("injected failure"), "{panicked}");
+    let fine = lines[..2].iter().find(|l| stat(l, "job") == 1).expect("a line for unit 1");
+    assert!(fine.contains("\"power\""), "{fine}");
+    assert_eq!(stat(&lines[2], "jobs"), 2, "{lines:?}");
+    assert_eq!(stat(&lines[2], "failed"), 1, "{lines:?}");
+    daemon.shutdown();
 }

@@ -9,7 +9,7 @@
 //! * [`core`] — the paper's contribution: PSD-based noise propagation plus
 //!   the flat and PSD-agnostic baselines.
 //! * [`engine`] — the parallel batch-evaluation engine: scenario registry,
-//!   work-stealing job pool, and the shared preprocessing cache that
+//!   persistent worker pool, and the shared preprocessing cache that
 //!   amortizes `tau_pp` across whole word-length campaigns.
 //! * [`estim`] — measured-signal PSD estimation: Welch / cross-spectrum
 //!   estimators, bit-true sigma-delta modulators with figures of merit.
