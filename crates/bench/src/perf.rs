@@ -439,9 +439,9 @@ pub fn run_baseline_profiled(
     });
     dump("simulate");
 
-    // The JSON decode every result line pays in the coordinator's reader
-    // (and every job line in the daemon's): the fleet batch's 20 result
-    // lines, computed locally and rendered as a daemon sends them.
+    // A full JSON decode of the fleet batch's 20 result lines, computed
+    // locally and rendered as a daemon sends them (every job line pays the
+    // same decode in the daemon).
     let fleet_jobs = BatchSpec::parse(FLEET_SPEC).expect("fleet spec parses").jobs();
     let result_lines: Vec<String> = Engine::new(1)
         .run(fleet_jobs)
@@ -457,6 +457,16 @@ pub fn run_baseline_profiled(
         }
     });
     dump("json_parse");
+
+    // What the coordinator pays per result line instead: the scan of the
+    // top-level `kind`, `job` and `error`, over the same lines.
+    clear();
+    let result_scan = measure("result_scan", iters, result_lines.len(), || {
+        for line in &result_lines {
+            std::hint::black_box(json::scan_result(line).expect("result line scans"));
+        }
+    });
+    dump("result_scan");
 
     // Fleet batches end to end at 1/2/4 daemons — the scaling curve the
     // work-stealing coordinator is supposed to deliver.
@@ -486,6 +496,7 @@ pub fn run_baseline_profiled(
         fft,
         simulate,
         json_parse,
+        result_scan,
     ];
     results.extend(fleets);
     BenchReport {
@@ -540,6 +551,7 @@ mod tests {
                 "fft",
                 "simulate",
                 "json_parse",
+                "result_scan",
                 "fleet_batch_1",
                 "fleet_batch_2",
                 "fleet_batch_4",

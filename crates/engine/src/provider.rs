@@ -19,8 +19,8 @@
 //!   shares the underlying providers, so every connection thread of a
 //!   daemon sees definitions the moment they are registered.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, Mutex, RwLock};
 
 use psdacc_sfg::{spec, GraphSpec};
 
@@ -708,6 +708,23 @@ impl ScenarioProvider for GraphProvider {
     }
 }
 
+/// How many compiled inline graphs a registry keeps.
+const INLINE_GRAPH_MEMO: usize = 64;
+
+/// Inline graph texts longer than this are compiled on every use, so the
+/// memo holds at most [`INLINE_GRAPH_MEMO`] × 64 KiB of text however large
+/// the graphs a peer sends (a wire line may carry 1 MiB).
+const INLINE_GRAPH_MEMO_TEXT: usize = 64 << 10;
+
+/// Compiled inline `graph={...}` scenarios, keyed by their exact JSON
+/// text and evicted oldest first.
+#[derive(Debug, Default)]
+struct InlineGraphs {
+    graphs: HashMap<Arc<str>, GraphScenario>,
+    /// Keys in insertion order, oldest first.
+    order: VecDeque<Arc<str>>,
+}
+
 /// The provider chain spec parsers consult, plus the handle for runtime
 /// graph definition. [`ScenarioRegistry::new`] gives the default chain:
 /// the builtin families and an empty dynamic provider; inline
@@ -717,6 +734,7 @@ impl ScenarioProvider for GraphProvider {
 pub struct ScenarioRegistry {
     providers: Vec<Arc<dyn ScenarioProvider>>,
     dynamic: Arc<GraphProvider>,
+    inline: Arc<Mutex<InlineGraphs>>,
 }
 
 impl Default for ScenarioRegistry {
@@ -732,6 +750,7 @@ impl ScenarioRegistry {
         ScenarioRegistry {
             providers: vec![Arc::new(BuiltinProvider), Arc::new(EstimProvider), dynamic.clone()],
             dynamic,
+            inline: Arc::default(),
         }
     }
 
@@ -873,6 +892,12 @@ impl ScenarioRegistry {
     /// families, or `graph={...}` / `graph {...}` with inline JSON (the
     /// remainder of the line, so the JSON may contain spaces).
     ///
+    /// Inline graphs are memoized: the registry (and every clone of it, so
+    /// every connection of a daemon) keeps the last 64 compiled graphs
+    /// keyed by their exact JSON text — never by a hash a peer claims — and
+    /// a repeat costs one hash lookup instead of a compile and a content
+    /// hash.
+    ///
     /// # Errors
     ///
     /// [`EngineError::Scenario`] / [`EngineError::GraphSpec`], naming the
@@ -883,8 +908,7 @@ impl ScenarioRegistry {
             return Err(EngineError::Scenario("empty scenario spec".to_string()));
         }
         if let Some(json) = inline_graph_json(trimmed) {
-            let scenario = GraphScenario::from_json(json, None)?;
-            return Ok(Scenario::Graph(scenario));
+            return self.inline_graph(json).map(Scenario::Graph);
         }
         let mut tokens = trimmed.split_whitespace();
         let name = tokens.next().expect("non-empty trimmed text");
@@ -902,6 +926,28 @@ impl ScenarioRegistry {
             }
         }
         self.parse(name, &params)
+    }
+
+    /// The compiled scenario for inline graph JSON `json`, from the memo
+    /// when the same text was compiled before.
+    fn inline_graph(&self, json: &str) -> Result<GraphScenario, EngineError> {
+        let memo = || self.inline.lock().expect("inline graph memo lock");
+        if let Some(hit) = memo().graphs.get(json) {
+            return Ok(hit.clone());
+        }
+        let scenario = GraphScenario::from_json(json, None)?;
+        if json.len() <= INLINE_GRAPH_MEMO_TEXT {
+            let mut memo = memo();
+            let key: Arc<str> = json.into();
+            if memo.graphs.insert(Arc::clone(&key), scenario.clone()).is_none() {
+                memo.order.push_back(key);
+                if memo.order.len() > INLINE_GRAPH_MEMO {
+                    let oldest = memo.order.pop_front().expect("memo is over its cap");
+                    memo.graphs.remove(&oldest);
+                }
+            }
+        }
+        Ok(scenario)
     }
 
     /// Renders the `scenarios` wire line (every family, with provenance).
@@ -1077,6 +1123,72 @@ mod tests {
             assert_eq!(back, s);
         }
         assert_eq!(registry.dynamic_count(), 0, "inline parsing registers nothing");
+    }
+
+    #[test]
+    fn inline_graph_memo_hit_equals_a_fresh_compile() {
+        let registry = ScenarioRegistry::new();
+        let line = format!("graph={DEMO_GRAPH}");
+        let Scenario::Graph(first) = registry.parse_spec_line(&line).unwrap() else { panic!() };
+        let Scenario::Graph(hit) = registry.parse_spec_line(&line).unwrap() else { panic!() };
+        // The second parse is the memoized compile (shared text), and it
+        // is what a fresh compile of the same bytes gives.
+        assert_eq!(hit.canonical_json().as_ptr(), first.canonical_json().as_ptr(), "memo hit");
+        let fresh = GraphScenario::from_json(DEMO_GRAPH, None).unwrap();
+        assert_eq!(hit.canonical_json(), fresh.canonical_json());
+        assert_eq!(hit.hash(), fresh.hash());
+        assert_eq!(hit.name(), None);
+        // Clones share the memo: a daemon's connections compile once.
+        let Scenario::Graph(shared) = registry.clone().parse_spec_line(&line).unwrap() else {
+            panic!()
+        };
+        assert_eq!(shared.canonical_json().as_ptr(), first.canonical_json().as_ptr());
+        // Defective graphs are errors every time and never memoized.
+        for _ in 0..2 {
+            assert!(matches!(
+                registry.parse_spec_line("graph={\"nodes\":[]}"),
+                Err(EngineError::GraphSpec(_))
+            ));
+        }
+        assert_eq!(registry.inline.lock().unwrap().graphs.len(), 1);
+    }
+
+    #[test]
+    fn inline_graph_memo_stays_at_its_cap() {
+        let registry = ScenarioRegistry::new();
+        let graph = |i: usize| DEMO_GRAPH.replace("0.3", &format!("0.3{i}"));
+        for i in 0..INLINE_GRAPH_MEMO + 5 {
+            registry.parse_spec_line(&format!("graph={}", graph(i))).unwrap();
+            let memo = registry.inline.lock().unwrap();
+            assert_eq!(memo.graphs.len(), (i + 1).min(INLINE_GRAPH_MEMO));
+            assert_eq!(memo.order.len(), memo.graphs.len());
+        }
+        // Oldest out first.
+        let memo = registry.inline.lock().unwrap();
+        assert!(!memo.graphs.contains_key(graph(4).as_str()));
+        assert!(memo.graphs.contains_key(graph(5).as_str()));
+        assert!(memo.graphs.contains_key(graph(INLINE_GRAPH_MEMO + 4).as_str()));
+        drop(memo);
+        // A graph text past the size bound compiles but is not kept.
+        let big = DEMO_GRAPH.replace("0.3", &format!("0.3{}", "0".repeat(INLINE_GRAPH_MEMO_TEXT)));
+        registry.parse_spec_line(&format!("graph={big}")).unwrap();
+        assert!(!registry.inline.lock().unwrap().graphs.contains_key(big.as_str()));
+    }
+
+    #[test]
+    fn named_graphs_bypass_the_inline_memo() {
+        let registry = ScenarioRegistry::new();
+        registry.parse_spec_line(&format!("graph={DEMO_GRAPH}")).unwrap();
+        let defined = registry.define_graph_json("c", DEMO_GRAPH).unwrap();
+        let Scenario::Graph(named) = registry.parse_spec_line("c").unwrap() else { panic!() };
+        assert_eq!(named.name(), Some("c"), "a name resolves to the definition, not the memo");
+        assert_eq!(named, defined);
+        let other = DEMO_GRAPH.replace("0.3", "0.4");
+        let replaced = registry.define_graph_json("c", &other).unwrap();
+        let Scenario::Graph(now) = registry.parse_spec_line("c").unwrap() else { panic!() };
+        assert_eq!(now, replaced, "redefinition still wins");
+        assert_eq!(registry.inline.lock().unwrap().graphs.len(), 1, "definitions add nothing");
+        assert_eq!(registry.dynamic_count(), 1, "inline parsing registers nothing");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! * [`Json`] + [`parse`] — a recursive-descent parser for the subset the
 //!   protocol needs (objects, arrays, strings, numbers, booleans, null).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -159,6 +160,137 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(value)
 }
 
+/// The top-level fields of a result line that the fleet coordinator acts
+/// on, as [`scan_result`] reads them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResultFields<'a> {
+    /// `kind`, when it is a string. Borrowed from the line unless the
+    /// string holds an escape.
+    pub kind: Option<Cow<'a, str>>,
+    /// `job`, when it is a non-negative integer.
+    pub job: Option<u64>,
+    /// Whether an `error` field is present, whatever its value.
+    pub has_error: bool,
+}
+
+/// Reads `kind`, `job` and the presence of `error` from the top level of
+/// one JSON document without building its tree: nested values are
+/// validated and skipped, and a string is copied only if it holds an
+/// escape. The fields agree with [`parse`] followed by [`Json::get`] (the
+/// last duplicate wins, a non-object has none of them), and the scan
+/// rejects exactly the documents [`parse`] rejects.
+///
+/// # Errors
+///
+/// A human-readable description with the byte offset of the problem.
+pub fn scan_result(text: &str) -> Result<ResultFields<'_>, String> {
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    let mut fields = ResultFields { kind: None, job: None, has_error: false };
+    skip_ws(bytes, &mut pos);
+    if bytes.get(pos) != Some(&b'{') {
+        skip_value(bytes, &mut pos, 0)?;
+    } else {
+        pos += 1;
+        skip_ws(bytes, &mut pos);
+        if bytes.get(pos) == Some(&b'}') {
+            pos += 1;
+        } else {
+            loop {
+                skip_ws(bytes, &mut pos);
+                let key = borrowed_string(text, &mut pos)?;
+                skip_ws(bytes, &mut pos);
+                expect(bytes, &mut pos, b':')?;
+                skip_ws(bytes, &mut pos);
+                let start = pos;
+                let kind = if &*key == "kind" && bytes.get(pos) == Some(&b'"') {
+                    Some(borrowed_string(text, &mut pos)?)
+                } else {
+                    skip_value(bytes, &mut pos, 1)?;
+                    None
+                };
+                match &*key {
+                    "kind" => fields.kind = kind,
+                    // A value that skipped as a number is a number token.
+                    "job" => {
+                        fields.job =
+                            text[start..pos].parse().ok().and_then(|v| Json::Num(v).as_u64())
+                    }
+                    "error" => fields.has_error = true,
+                    _ => {}
+                }
+                skip_ws(bytes, &mut pos);
+                match bytes.get(pos) {
+                    Some(b',') => pos += 1,
+                    Some(b'}') => {
+                        pos += 1;
+                        break;
+                    }
+                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
+                }
+            }
+        }
+    }
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing garbage at byte {pos}"));
+    }
+    Ok(fields)
+}
+
+/// One string token of `text`: the slice between its quotes, or its
+/// decoded copy when it holds an escape.
+fn borrowed_string<'a>(text: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+    let start = *pos;
+    if scan_string(text.as_bytes(), pos, None)? {
+        *pos = start;
+        return parse_string(text.as_bytes(), pos).map(Cow::Owned);
+    }
+    Ok(Cow::Borrowed(&text[start + 1..*pos - 1]))
+}
+
+/// [`parse_value`] without the tree: validates one value and moves past it.
+fn skip_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
+    skip_ws(bytes, pos);
+    let (open, close) = match bytes.get(*pos) {
+        None => return Err("unexpected end of input".to_string()),
+        Some(b'{') => (b'{', b'}'),
+        Some(b'[') => (b'[', b']'),
+        Some(b'"') => return scan_string(bytes, pos, None).map(drop),
+        Some(b't') => return parse_literal(bytes, pos, "true", Json::Null).map(drop),
+        Some(b'f') => return parse_literal(bytes, pos, "false", Json::Null).map(drop),
+        Some(b'n') => return parse_literal(bytes, pos, "null", Json::Null).map(drop),
+        Some(_) => return parse_number(bytes, pos).map(drop),
+    };
+    expect(bytes, pos, open)?;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&close) {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        if open == b'{' {
+            skip_ws(bytes, pos);
+            scan_string(bytes, pos, None)?;
+            skip_ws(bytes, pos);
+            expect(bytes, pos, b':')?;
+        }
+        skip_value(bytes, pos, depth + 1)?;
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(&c) if c == close => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => return Err(format!("expected `,` or `{}` at byte {}", close as char, *pos)),
+        }
+    }
+}
+
 /// Recursion ceiling: the parser runs on untrusted network input, and a
 /// line of a few hundred thousand `[`s must be an error, not a stack
 /// overflow (which aborts the whole process, not just the connection).
@@ -222,8 +354,20 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
     let mut out = String::new();
+    scan_string(bytes, pos, Some(&mut out))?;
+    Ok(out)
+}
+
+/// Reads one string token, decoding it into `out` when given and only
+/// validating it otherwise. Returns whether the token held an escape.
+fn scan_string(
+    bytes: &[u8],
+    pos: &mut usize,
+    mut out: Option<&mut String>,
+) -> Result<bool, String> {
+    expect(bytes, pos, b'"')?;
+    let mut escaped = false;
     loop {
         // Copy the run up to the next delimiter as one slice. Both
         // delimiters are ASCII and the input is a &str, so the run starts
@@ -231,26 +375,29 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
         // linear in the line, not in string chars × line length.
         let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\');
         let end = run.map_or(bytes.len(), |n| *pos + n);
-        out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+        if let Some(out) = out.as_mut() {
+            out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+        }
         *pos = end;
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                return Ok(escaped);
             }
             _ => {
                 // The run stopped at a `\`: decode one escape.
+                escaped = true;
                 *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
+                let c = match bytes.get(*pos) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'n') => '\n',
+                    Some(b't') => '\t',
+                    Some(b'r') => '\r',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
                     Some(b'u') => {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
@@ -266,12 +413,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                                     *pos - 1
                                 )
                             })?;
+                        *pos += 4;
                         // Surrogates are not paired up; the protocol never
                         // emits them (the writer escapes only controls).
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
+                        char::from_u32(code).unwrap_or('\u{fffd}')
                     }
                     other => return Err(format!("bad escape {other:?}")),
+                };
+                if let Some(out) = out.as_mut() {
+                    out.push(c);
                 }
                 *pos += 1;
             }

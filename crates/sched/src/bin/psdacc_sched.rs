@@ -352,13 +352,13 @@ fn cmd_submit(args: &SubmitArgs) -> ExitCode {
         trace: batch.clone(),
         ..FleetConfig::default()
     };
-    let outcome = {
-        let mut out = std::io::stdout().lock();
-        run_fleet(&args.daemons, &jobs, &config, |line| {
-            use std::io::Write as _;
-            let _ = writeln!(out, "{line}");
-        })
-    };
+    // Lines are written from the link threads, so through the shared
+    // (`Send`) stdout handle rather than a lock held by this thread.
+    let mut out = std::io::stdout();
+    let outcome = run_fleet(&args.daemons, &jobs, &config, |line| {
+        use std::io::Write as _;
+        let _ = writeln!(out, "{line}");
+    });
     match outcome {
         Ok(outcome) => {
             let stats_line = outcome.stats.to_json_line();

@@ -1,35 +1,39 @@
-//! The fleet coordinator: live connection per daemon, pull-based
+//! The fleet coordinator: one live connection per daemon, pull-based
 //! dispatch against the shared [`queue`](crate::queue), and the in-order
 //! merge that keeps fleet output bit-identical to a single-process run.
 //!
-//! Per daemon, two threads share one TCP connection driven in the serve
-//! protocol's `evaluate_units` mode:
+//! One thread owns each daemon link, in the serve protocol's
+//! `evaluate_units` mode, and does all of its work. It runs the `hello`
+//! handshake; no link sends a unit until every handshake has finished, so
+//! a half-dead fleet names every unreachable daemon at once. Then it
+//! writes every unit the daemon's in-flight window allows (own deque
+//! first, then steals) in one write, reads one result, merges it, and
+//! writes the next unit at once: no other thread stands between a result
+//! and the next dispatch. With nothing in flight it waits on the queue,
+//! which wakes it when a dead daemon's units are re-routed or the run
+//! ends. A premature EOF or an I/O error declares its daemon dead, which
+//! re-routes the daemon's queued units and retries its in-flight units
+//! once on the survivors. When the run concludes the link half-closes and
+//! reads its daemon's stream to the end. The caller's thread drives the
+//! first link, so a one-daemon batch starts no thread and N daemons start
+//! N−1.
 //!
-//! * the **sender** pulls units from the queue (own deque, then steals)
-//!   whenever the daemon's in-flight window has room, and half-closes the
-//!   write side when the run concludes;
-//! * the **reader** forwards result lines to the merger and, on a
-//!   premature EOF or read error, declares the daemon dead — which
-//!   re-routes its queued units and retries its in-flight units once on
-//!   the surviving daemons.
-//!
-//! The merger (the calling thread) re-assembles results by unit id,
-//! emitting each line the moment the next-in-order id completes. Since
-//! unit ids are the spec's submission order and every daemon computes
-//! `run_job` deterministically, the merged stream equals the local
-//! engine's output on every stable field, regardless of which daemon
-//! served which unit, how many units were stolen, or whether a daemon
-//! died mid-batch.
+//! The merge re-assembles results by unit id under one lock, handing each
+//! line to `on_line` — on whichever link thread completed it — the moment
+//! the next-in-order id completes. Since unit ids are the spec's
+//! submission order and every daemon computes `run_job`
+//! deterministically, the merged stream equals the local engine's output
+//! on every stable field, regardless of which daemon served which unit,
+//! how many units were stolen, or whether a daemon died mid-batch.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::Duration;
 
 use psdacc_engine::json::{self, Json, JsonWriter};
 use psdacc_engine::JobSpec;
-use psdacc_obs::{Histogram, MetricsRegistry, Severity, SpanId, TraceEvent, Tracer};
+use psdacc_obs::{Histogram, MetricsRegistry, OpenSpan, Severity, SpanId, TraceEvent, Tracer};
 use psdacc_serve::latency::{verb_of, VERBS};
 use psdacc_serve::protocol::{
     define_request_line, evaluate_units_line, job_request_line, parse_define_ack,
@@ -38,7 +42,7 @@ use psdacc_serve::protocol::{
 use psdacc_serve::{client, PROTOCOL_REVISION};
 
 use crate::error::SchedError;
-use crate::queue::{FleetQueue, QueueCounters, Unit};
+use crate::queue::{Dispatch, FleetQueue, Step, Unit};
 
 /// One named graph definition to forward to daemons: `(name, canonical
 /// GraphSpec JSON)`.
@@ -223,25 +227,9 @@ pub struct FleetOutcome {
     pub trace: Vec<TraceEvent>,
 }
 
-/// A connected, capacity-advertised daemon (post-`hello`).
-struct DaemonLink {
-    addr: String,
-    stream: TcpStream,
-    workers: usize,
-}
-
-/// Messages the per-daemon threads emit toward the merger. Death notices
-/// travel through the same channel as results so the merger processes a
-/// daemon's already-delivered results **before** its death — mpsc
-/// preserves per-sender order, so a unit whose result beat the crash is
-/// never miscounted as lost.
-enum Msg {
-    Result { daemon: usize, id: usize, line: String, failed: bool },
-    Dead { daemon: usize, reason: String },
-}
-
 /// Runs `jobs` across the fleet, streaming merged result lines through
-/// `on_line` in submission order.
+/// `on_line` in submission order. `on_line` runs on the link threads, one
+/// call at a time.
 ///
 /// # Errors
 ///
@@ -253,7 +241,7 @@ pub fn run_fleet(
     daemons: &[String],
     jobs: &[JobSpec],
     config: &FleetConfig,
-    mut on_line: impl FnMut(&str),
+    on_line: impl FnMut(&str) + Send,
 ) -> Result<FleetOutcome, SchedError> {
     if daemons.is_empty() {
         return Err(SchedError::Protocol("no daemons given".to_string()));
@@ -268,145 +256,47 @@ pub fn run_fleet(
         .enumerate()
         .map(|(id, spec)| Ok(Unit::new(id, job_request_line(id, spec)?, verb_of(&spec.kind))))
         .collect::<Result<_, SchedError>>()?;
-    let links = connect_fleet(daemons, config)?;
-    let windows: Vec<usize> =
-        links.iter().map(|l| l.workers.max(1) * config.window_factor.max(1)).collect();
-    let queue = FleetQueue::new(units, windows.clone());
-
-    // Observability is opt-in and observational: a disabled tracer makes
-    // every recording call a no-op branch, and nothing below feeds back
-    // into scheduling decisions.
-    let tracer = match &config.trace {
-        Some(batch) => Tracer::new(batch),
-        None => Tracer::disabled(),
-    };
-    let root = tracer.start("fleet.batch", None, None);
-    let root_id = root.as_ref().map(|s| s.id);
-    let open_line = evaluate_units_line(
-        config
-            .trace
-            .as_ref()
-            .map(|batch| TraceContext { batch: batch.clone(), span: root_id })
-            .as_ref(),
-    );
     let metrics = MetricsRegistry::new();
-    let roundtrip: [Arc<Histogram>; VERBS.len()] = std::array::from_fn(|i| {
-        metrics.histogram(&format!("fleet_roundtrip_ns{{verb={}}}", VERBS[i]))
-    });
-
-    let (tx, rx) = mpsc::channel::<Msg>();
-    let mut lines: Vec<Option<String>> = vec![None; jobs.len()];
-    let mut next_to_emit = 0usize;
-    let mut failed = 0usize;
-    let mut completed = 0usize;
-    let mut events: Vec<FleetEvent> = Vec::new();
+    let batch = Batch {
+        daemons,
+        config,
+        hellos: daemons.iter().map(|_| OnceLock::new()).collect(),
+        handshakes: Barrier::new(daemons.len()),
+        units: Mutex::new(units),
+        run: OnceLock::new(),
+        merge: Mutex::new(Merge {
+            lines: vec![None; jobs.len()],
+            next: 0,
+            failed: 0,
+            completed: 0,
+            events: Vec::new(),
+            on_line,
+        }),
+        roundtrip: std::array::from_fn(|i| {
+            metrics.histogram(&format!("fleet_roundtrip_ns{{verb={}}}", VERBS[i]))
+        }),
+    };
     std::thread::scope(|scope| {
-        for (d, link) in links.iter().enumerate() {
-            let queue = &queue;
-            let sender_tx = tx.clone();
-            let reader_tx = tx.clone();
-            let tracer = &tracer;
-            let open_line = open_line.as_str();
-            scope
-                .spawn(move || sender_loop(d, link, queue, &sender_tx, tracer, root_id, open_line));
-            scope.spawn(move || reader_loop(d, link, queue, &reader_tx));
+        let batch = &batch;
+        for d in 1..daemons.len() {
+            scope.spawn(move || batch.link(d));
         }
-        drop(tx);
-        // The merger: emit the contiguous prefix as it becomes available.
-        for msg in rx {
-            let (daemon, id, line, f) = match msg {
-                Msg::Result { daemon, id, line, failed } => (daemon, id, line, failed),
-                Msg::Dead { daemon, reason } => {
-                    let report = queue.mark_dead(daemon, &reason);
-                    let addr = &links[daemon].addr;
-                    events.push(FleetEvent {
-                        name: "daemon_dead".to_string(),
-                        daemon: addr.clone(),
-                        unit: None,
-                        detail: reason.clone(),
-                    });
-                    tracer.event(
-                        "fleet.daemon_dead",
-                        Severity::Warn,
-                        root_id,
-                        None,
-                        vec![
-                            ("daemon".to_string(), addr.clone()),
-                            ("reason".to_string(), reason.clone()),
-                        ],
-                    );
-                    for (name, ids) in [
-                        ("unit_redispatched", &report.redispatched),
-                        ("unit_rerouted", &report.rerouted),
-                    ] {
-                        for &unit in ids {
-                            events.push(FleetEvent {
-                                name: name.to_string(),
-                                daemon: addr.clone(),
-                                unit: Some(unit as u64),
-                                detail: format!("displaced by death of {addr}"),
-                            });
-                            tracer.event(
-                                &format!("fleet.{name}"),
-                                Severity::Warn,
-                                root_id,
-                                Some(unit as u64),
-                                vec![("daemon".to_string(), addr.clone())],
-                            );
-                        }
-                    }
-                    continue;
-                }
-            };
-            if id >= lines.len() {
-                queue.set_fatal(format!("{}: result id {id} out of range", links[daemon].addr));
-                continue;
-            }
-            let fresh = lines[id].is_none();
-            let completion = queue.complete(daemon, id, fresh);
-            if let Some(done) = &completion {
-                let verb = VERBS.iter().position(|&v| v == done.verb).unwrap_or(0);
-                roundtrip[verb].record(done.roundtrip);
-            }
-            if !fresh {
-                // A re-dispatched unit's first answer raced in already;
-                // deterministic jobs make the copies identical, so drop it.
-                continue;
-            }
-            if let Some(done) = &completion {
-                // The coordinator's view of the unit: send to merged
-                // result, covering the wire both ways plus daemon-side
-                // queueing and execution (whose finer spans the daemon
-                // records under the same root).
-                let rt_ns = done.roundtrip.as_nanos().min(u128::from(psdacc_obs::MAX_TS_NS)) as u64;
-                tracer.span_at(
-                    "fleet.unit",
-                    root_id,
-                    Some(id as u64),
-                    tracer.now_ns().saturating_sub(rt_ns),
-                    rt_ns,
-                    vec![
-                        ("daemon".to_string(), links[daemon].addr.clone()),
-                        ("verb".to_string(), done.verb.to_string()),
-                    ],
-                );
-            }
-            if f {
-                failed += 1;
-            }
-            completed += 1;
-            lines[id] = Some(line);
-            while next_to_emit < lines.len() {
-                match &lines[next_to_emit] {
-                    Some(line) => {
-                        on_line(line);
-                        next_to_emit += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
+        batch.link(0);
     });
+    let Batch { hellos, run, merge, roundtrip, .. } = batch;
+    let Some(run) = run.into_inner().flatten() else {
+        let failures: Vec<String> =
+            hellos.into_iter().filter_map(|h| h.into_inner().and_then(Result::err)).collect();
+        return Err(SchedError::Io(format!(
+            "{} of {} daemons failed setup: {}",
+            failures.len(),
+            daemons.len(),
+            failures.join("; ")
+        )));
+    };
+    let Merge { lines, failed, completed, mut events, .. } =
+        merge.into_inner().expect("no link panics holding the merge");
+    let Run { queue, windows, tracer, root, .. } = run;
     if let Some(fatal) = queue.fatal() {
         return Err(SchedError::Fleet(fatal));
     }
@@ -416,7 +306,7 @@ pub fn run_fleet(
             jobs.len()
         )));
     }
-    let counters: QueueCounters = queue.counters();
+    let counters = queue.counters();
     let served = queue.served();
     tracer.end_with(root, vec![("units".to_string(), jobs.len().to_string())]);
     // Merge: coordinator events first, then each live daemon's retained
@@ -425,15 +315,15 @@ pub fn run_fleet(
     let mut trace = tracer.snapshot();
     if tracer.is_enabled() {
         let batch = tracer.batch().to_string();
-        for (d, link) in links.iter().enumerate() {
+        for (d, addr) in daemons.iter().enumerate() {
             if queue.is_dead(d) {
                 continue;
             }
-            match fetch_daemon_trace(&link.addr, &batch, config.connect_timeout) {
+            match fetch_daemon_trace(addr, &batch, config.connect_timeout) {
                 Ok(fetched) => trace.extend(fetched),
                 Err(e) => events.push(FleetEvent {
                     name: "trace_fetch_failed".to_string(),
-                    daemon: link.addr.clone(),
+                    daemon: addr.clone(),
                     unit: None,
                     detail: e.to_string(),
                 }),
@@ -446,12 +336,13 @@ pub fn run_fleet(
         redispatched: counters.redispatched,
         rerouted: counters.rerouted,
         failed,
-        daemons: links
+        daemons: daemons
             .iter()
+            .zip(hellos)
             .enumerate()
-            .map(|(d, link)| DaemonReport {
-                addr: link.addr.clone(),
-                workers: link.workers,
+            .map(|(d, (addr, hello))| DaemonReport {
+                addr: addr.clone(),
+                workers: hello.into_inner().and_then(Result::ok).unwrap_or(0),
                 window: windows[d],
                 served: served[d],
                 dead: queue.is_dead(d),
@@ -474,6 +365,269 @@ pub fn run_fleet(
             .collect(),
     };
     Ok(FleetOutcome { lines: lines.into_iter().flatten().collect(), stats, trace })
+}
+
+/// One batch as its link threads share it.
+struct Batch<'a, F> {
+    daemons: &'a [String],
+    config: &'a FleetConfig,
+    /// Each link's handshake outcome: the advertised worker count, or why
+    /// the daemon failed setup.
+    hellos: Vec<OnceLock<Result<usize, String>>>,
+    /// Every link waits here after its handshake.
+    handshakes: Barrier,
+    /// The rendered units, until the first link past the handshakes deals
+    /// them into the queue.
+    units: Mutex<Vec<Unit>>,
+    /// The dispatch state, built once every handshake has finished; `None`
+    /// when one failed.
+    run: OnceLock<Option<Run>>,
+    merge: Mutex<Merge<F>>,
+    roundtrip: [Arc<Histogram>; VERBS.len()],
+}
+
+/// What the links share once every handshake has succeeded.
+struct Run {
+    queue: FleetQueue,
+    windows: Vec<usize>,
+    /// Observability is opt-in and observational: a disabled tracer makes
+    /// every recording call a no-op branch, and nothing feeds back into
+    /// scheduling decisions.
+    tracer: Tracer,
+    root: Option<OpenSpan>,
+    /// The `evaluate_units` opener, carrying the trace context.
+    open_line: String,
+}
+
+/// The in-order merge.
+struct Merge<F> {
+    lines: Vec<Option<String>>,
+    /// The first id not yet handed to `on_line`.
+    next: usize,
+    failed: usize,
+    completed: usize,
+    events: Vec<FleetEvent>,
+    on_line: F,
+}
+
+impl<F: FnMut(&str) + Send> Batch<'_, F> {
+    /// Drives daemon `d`'s link from handshake to the end of its stream.
+    fn link(&self, d: usize) {
+        let link = connect_daemon(&self.daemons[d], self.config);
+        let hello = link.as_ref().map(|&(_, workers)| workers).map_err(ToString::to_string);
+        self.hellos[d].set(hello).expect("one handshake per link");
+        self.handshakes.wait();
+        let (Some(run), Ok((stream, _))) = (self.run.get_or_init(|| self.start()), link) else {
+            return;
+        };
+        if let Err(reason) = self.stream(d, &stream, run) {
+            // After the run concluded a failing link is no death.
+            if !run.queue.is_finished() {
+                self.declare_dead(d, run, reason);
+            }
+        }
+    }
+
+    /// Deals the units once every handshake has succeeded, and opens the
+    /// trace's root span.
+    fn start(&self) -> Option<Run> {
+        let workers: Vec<usize> = self
+            .hellos
+            .iter()
+            .map(|h| h.get().and_then(|r| r.as_ref().ok()).copied())
+            .collect::<Option<_>>()?;
+        let windows: Vec<usize> =
+            workers.iter().map(|w| w.max(&1) * self.config.window_factor.max(1)).collect();
+        let units = std::mem::take(&mut *self.units.lock().expect("units lock"));
+        let queue = FleetQueue::new(units, windows.clone());
+        let tracer = match &self.config.trace {
+            Some(batch) => Tracer::new(batch),
+            None => Tracer::disabled(),
+        };
+        let root = tracer.start("fleet.batch", None, None);
+        let context = self
+            .config
+            .trace
+            .as_ref()
+            .map(|batch| TraceContext { batch: batch.clone(), span: root.as_ref().map(|s| s.id) });
+        let open_line = evaluate_units_line(context.as_ref());
+        Some(Run { queue, windows, tracer, root, open_line })
+    }
+
+    /// The unit loop on one link: send what the window allows in one
+    /// write, then read and merge one result, until the run stops. `Err`
+    /// says why the daemon is dead.
+    fn stream(&self, d: usize, stream: &TcpStream, run: &Run) -> Result<(), String> {
+        let addr = &self.daemons[d];
+        let write_failed = |e: std::io::Error| format!("write to {addr} failed: {e}");
+        let mut writer = BufWriter::new(stream);
+        let mut reader = BufReader::new(stream);
+        writeln!(writer, "{}", run.open_line).map_err(write_failed)?;
+        let mut sent: Vec<Dispatch> = Vec::new();
+        loop {
+            let step = run.queue.next(d);
+            if let Step::Send(dispatch) = step {
+                writeln!(writer, "{}", dispatch.line).map_err(write_failed)?;
+                sent.push(dispatch);
+                continue;
+            }
+            writer.flush().map_err(write_failed)?;
+            for dispatch in sent.drain(..) {
+                run.tracer.event(
+                    "fleet.dispatch",
+                    Severity::Info,
+                    root_id(run),
+                    Some(dispatch.id as u64),
+                    vec![
+                        ("daemon".to_string(), addr.clone()),
+                        ("stolen".to_string(), dispatch.stolen.to_string()),
+                        ("queue_wait_ns".to_string(), dispatch.queue_wait.as_nanos().to_string()),
+                    ],
+                );
+            }
+            if matches!(step, Step::Stop) {
+                break;
+            }
+            match read_capped_line(&mut reader) {
+                Ok(Some(line)) => {
+                    if !self.accept(d, line, run) {
+                        // This daemon's traffic poisoned the run: drop the
+                        // link rather than wait on a misbehaving peer.
+                        return Ok(());
+                    }
+                }
+                Ok(None) => return Err(format!("{addr} closed mid-batch")),
+                Err(e) => return Err(format!("read from {addr} failed: {e}")),
+            }
+        }
+        // The run is over: half-close, then read to the daemon's end of
+        // stream, so every unit it holds has finished when the batch
+        // returns.
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = std::io::copy(&mut reader, &mut std::io::sink());
+        Ok(())
+    }
+
+    /// Merges one line from daemon `d`. `false` when the line poisoned the
+    /// run: malformed, a daemon-side rejection, or an id out of range.
+    fn accept(&self, d: usize, mut line: String, run: &Run) -> bool {
+        let addr = &self.daemons[d];
+        line.truncate(line.trim_end().len());
+        if line.is_empty() {
+            return true;
+        }
+        let (id, failed) = match json::scan_result(&line) {
+            Err(e) => {
+                run.queue.set_fatal(format!("{addr}: bad response line: {e}"));
+                return false;
+            }
+            // The merge counts results itself; the stream's own tally
+            // adds nothing.
+            Ok(fields) if fields.kind.as_deref() == Some("summary") => return true,
+            Ok(fields) if fields.kind.as_deref() == Some("error") => {
+                let value = json::parse(&line).unwrap_or(Json::Null);
+                let detail = value.get("error").and_then(Json::as_str).unwrap_or("unspecified");
+                run.queue.set_fatal(format!("{addr}: daemon rejected: {detail}"));
+                return false;
+            }
+            Ok(fields) => match fields.job {
+                Some(id) => (id as usize, fields.has_error),
+                None => {
+                    run.queue.set_fatal(format!("{addr}: result line without job id: {line}"));
+                    return false;
+                }
+            },
+        };
+        let mut merge = self.merge.lock().expect("no link panics holding the merge");
+        if id >= merge.lines.len() {
+            run.queue.set_fatal(format!("{addr}: result id {id} out of range"));
+            return false;
+        }
+        let fresh = merge.lines[id].is_none();
+        let completion = run.queue.complete(d, id, fresh);
+        if let Some(done) = &completion {
+            let verb = VERBS.iter().position(|&v| v == done.verb).unwrap_or(0);
+            self.roundtrip[verb].record(done.roundtrip);
+        }
+        if !fresh {
+            // The id is merged already: a daemon answered it twice.
+            // Deterministic jobs make the copies identical, so drop it.
+            return true;
+        }
+        if let Some(done) = &completion {
+            // The coordinator's view of the unit: send to merged result,
+            // covering the wire both ways plus daemon-side queueing and
+            // execution (whose finer spans the daemon records under the
+            // same root).
+            let rt_ns = done.roundtrip.as_nanos().min(u128::from(psdacc_obs::MAX_TS_NS)) as u64;
+            run.tracer.span_at(
+                "fleet.unit",
+                root_id(run),
+                Some(id as u64),
+                run.tracer.now_ns().saturating_sub(rt_ns),
+                rt_ns,
+                vec![
+                    ("daemon".to_string(), addr.clone()),
+                    ("verb".to_string(), done.verb.to_string()),
+                ],
+            );
+        }
+        merge.failed += usize::from(failed);
+        merge.completed += 1;
+        merge.lines[id] = Some(line);
+        // Emit the contiguous prefix as it becomes available.
+        let Merge { lines, next, on_line, .. } = &mut *merge;
+        while let Some(Some(line)) = lines.get(*next) {
+            on_line(line);
+            *next += 1;
+        }
+        true
+    }
+
+    /// Declares daemon `d` dead and records the death and every unit it
+    /// displaced as structured events.
+    fn declare_dead(&self, d: usize, run: &Run, reason: String) {
+        let addr = &self.daemons[d];
+        let mut merge = self.merge.lock().expect("no link panics holding the merge");
+        let report = run.queue.mark_dead(d, &reason);
+        run.tracer.event(
+            "fleet.daemon_dead",
+            Severity::Warn,
+            root_id(run),
+            None,
+            vec![("daemon".to_string(), addr.clone()), ("reason".to_string(), reason.clone())],
+        );
+        merge.events.push(FleetEvent {
+            name: "daemon_dead".to_string(),
+            daemon: addr.clone(),
+            unit: None,
+            detail: reason,
+        });
+        for (name, ids) in
+            [("unit_redispatched", &report.redispatched), ("unit_rerouted", &report.rerouted)]
+        {
+            for &unit in ids {
+                merge.events.push(FleetEvent {
+                    name: name.to_string(),
+                    daemon: addr.clone(),
+                    unit: Some(unit as u64),
+                    detail: format!("displaced by death of {addr}"),
+                });
+                run.tracer.event(
+                    &format!("fleet.{name}"),
+                    Severity::Warn,
+                    root_id(run),
+                    Some(unit as u64),
+                    vec![("daemon".to_string(), addr.clone())],
+                );
+            }
+        }
+    }
+}
+
+/// The trace's root span id (`None` when not tracing).
+fn root_id(run: &Run) -> Option<SpanId> {
+    run.root.as_ref().map(|s| s.id)
 }
 
 /// Fetches the retained daemon-side trace for `batch` from one daemon,
@@ -526,38 +680,9 @@ pub fn fetch_fleet_trace(
     Ok(merged)
 }
 
-/// Connects and `hello`-handshakes every daemon, collecting **all**
-/// failures so a half-dead fleet reports every dead address at once.
-fn connect_fleet(daemons: &[String], config: &FleetConfig) -> Result<Vec<DaemonLink>, SchedError> {
-    let mut results: Vec<Option<Result<DaemonLink, SchedError>>> =
-        (0..daemons.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> =
-            daemons.iter().map(|addr| scope.spawn(move || connect_daemon(addr, config))).collect();
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("connect thread"));
-        }
-    });
-    let mut links = Vec::with_capacity(daemons.len());
-    let mut failures = Vec::new();
-    for result in results.into_iter().flatten() {
-        match result {
-            Ok(link) => links.push(link),
-            Err(e) => failures.push(e.to_string()),
-        }
-    }
-    if !failures.is_empty() {
-        return Err(SchedError::Io(format!(
-            "{} of {} daemons failed setup: {}",
-            failures.len(),
-            daemons.len(),
-            failures.join("; ")
-        )));
-    }
-    Ok(links)
-}
-
-fn connect_daemon(addr: &str, config: &FleetConfig) -> Result<DaemonLink, SchedError> {
+/// Connects to one daemon and runs the handshake: `hello` (returning the
+/// advertised worker count) and every forwarded definition.
+fn connect_daemon(addr: &str, config: &FleetConfig) -> Result<(TcpStream, usize), SchedError> {
     let stream = client::connect_with_timeout(addr, config.connect_timeout)?;
     // Bound the handshake too: a listener that accepts but never answers
     // must not hang the whole fleet.
@@ -567,7 +692,7 @@ fn connect_daemon(addr: &str, config: &FleetConfig) -> Result<DaemonLink, SchedE
         writeln!(writer, "{{\"kind\":\"hello\"}}")?;
         writer.flush()?;
     }
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(&stream);
     let line = read_capped_line(&mut reader)?
         .ok_or_else(|| SchedError::Protocol(format!("{addr}: closed during hello")))?;
     let reply = json::parse(line.trim_end())
@@ -612,123 +737,5 @@ fn connect_daemon(addr: &str, config: &FleetConfig) -> Result<DaemonLink, SchedE
     }
     // Unit execution may legitimately take long (cold preprocessing).
     stream.set_read_timeout(None)?;
-    Ok(DaemonLink { addr: addr.to_string(), stream, workers })
-}
-
-/// Feeds one daemon: the `evaluate_units` opener (carrying the trace
-/// context when tracing), then units as the window allows, then
-/// half-close. Every dispatch records a `fleet.dispatch` event with the
-/// unit's queue wait and whether it was stolen. A write failure declares
-/// the daemon dead (through the merger channel, so in-transit results
-/// are counted first).
-fn sender_loop(
-    d: usize,
-    link: &DaemonLink,
-    queue: &FleetQueue,
-    tx: &mpsc::Sender<Msg>,
-    tracer: &Tracer,
-    root: Option<SpanId>,
-    open_line: &str,
-) {
-    let run = || -> std::io::Result<()> {
-        let mut writer = BufWriter::new(link.stream.try_clone()?);
-        writeln!(writer, "{open_line}")?;
-        writer.flush()?;
-        while let Some(dispatch) = queue.acquire(d) {
-            writeln!(writer, "{}", dispatch.line)?;
-            writer.flush()?;
-            tracer.event(
-                "fleet.dispatch",
-                Severity::Info,
-                root,
-                Some(dispatch.id as u64),
-                vec![
-                    ("daemon".to_string(), link.addr.clone()),
-                    ("stolen".to_string(), dispatch.stolen.to_string()),
-                    ("queue_wait_ns".to_string(), dispatch.queue_wait.as_nanos().to_string()),
-                ],
-            );
-        }
-        writer.flush()?;
-        link.stream.shutdown(Shutdown::Write)?;
-        Ok(())
-    };
-    if let Err(e) = run() {
-        let _ =
-            tx.send(Msg::Dead { daemon: d, reason: format!("write to {} failed: {e}", link.addr) });
-    }
-}
-
-/// Drains one daemon's result stream into the merger. EOF before the run
-/// concluded — or any read/parse failure — declares the daemon dead.
-fn reader_loop(d: usize, link: &DaemonLink, queue: &FleetQueue, tx: &mpsc::Sender<Msg>) {
-    let dead = |reason: String| {
-        let _ = tx.send(Msg::Dead { daemon: d, reason });
-    };
-    let mut reader = match link.stream.try_clone() {
-        Ok(stream) => BufReader::new(stream),
-        Err(e) => {
-            dead(format!("clone of {} failed: {e}", link.addr));
-            return;
-        }
-    };
-    loop {
-        match read_capped_line(&mut reader) {
-            Ok(Some(line)) => {
-                let trimmed = line.trim_end();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let value = match json::parse(trimmed) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        queue.set_fatal(format!("{}: bad response line: {e}", link.addr));
-                        return;
-                    }
-                };
-                match value.get("kind").and_then(Json::as_str) {
-                    // The merger counts results itself; the stream's own
-                    // tally adds nothing.
-                    Some("summary") => {}
-                    Some("error") => {
-                        let detail = value
-                            .get("error")
-                            .and_then(Json::as_str)
-                            .unwrap_or("unspecified")
-                            .to_string();
-                        queue.set_fatal(format!("{}: daemon rejected: {detail}", link.addr));
-                        return;
-                    }
-                    _ => {
-                        let Some(id) = value.get("job").and_then(Json::as_u64) else {
-                            queue.set_fatal(format!(
-                                "{}: result line without job id: {trimmed}",
-                                link.addr
-                            ));
-                            return;
-                        };
-                        let failed = value.get("error").is_some();
-                        let _ = tx.send(Msg::Result {
-                            daemon: d,
-                            id: id as usize,
-                            line: trimmed.to_string(),
-                            failed,
-                        });
-                    }
-                }
-            }
-            Ok(None) => {
-                if !queue.is_finished() {
-                    dead(format!("{} closed mid-batch", link.addr));
-                }
-                return;
-            }
-            Err(e) => {
-                if !queue.is_finished() {
-                    dead(format!("read from {} failed: {e}", link.addr));
-                }
-                return;
-            }
-        }
-    }
+    Ok((stream, workers))
 }

@@ -15,6 +15,11 @@
 //! * the coordinator holds a live `evaluate_units` connection per daemon
 //!   and keeps each daemon's **bounded in-flight window** (advertised
 //!   worker count x a factor) full — every completion pulls the next unit;
+//! * **one thread per link** does all of a daemon's work — handshake,
+//!   dispatch, reading and merging results — so the thread that reads a
+//!   result writes the next unit. The caller's thread drives the first
+//!   link (one daemon starts no thread, N daemons start N−1), and the
+//!   `on_line` callback runs on the link threads, one call at a time;
 //! * a straggler's **queued** (not yet sent) units are stolen by idle
 //!   daemons from the back of its deque, mirroring `psdacc-engine`'s
 //!   thread pool one level up;

@@ -4,13 +4,15 @@
 //! threads on one machine to daemons on a fleet.
 //!
 //! Units are dealt round-robin onto per-daemon deques up front. Each
-//! daemon's sender pulls from its **own** deque (front) while its
-//! in-flight window has room; a daemon whose deque runs dry steals from
-//! the **back** of the longest live victim's deque — so a straggler's
-//! queued (not yet sent) units drain toward idle daemons, exactly like
-//! the engine pool's owner/thief split. Completions free window slots and
-//! wake waiting senders; a dead daemon's queued units re-route and its
-//! in-flight units retry **once** elsewhere.
+//! daemon's link takes from its **own** deque (front) while its in-flight
+//! window has room; a link whose deque runs dry steals from the **back**
+//! of the longest live victim's deque — so a straggler's queued (not yet
+//! sent) units drain toward idle daemons, exactly like the engine pool's
+//! owner/thief split. A link reads its own results, so a full window
+//! tells it to read, not to wait; only a link with nothing in flight and
+//! nothing to take waits, until a dead daemon's units re-route or the run
+//! ends. A dead daemon's queued units re-route and its in-flight units
+//! retry **once** elsewhere.
 //!
 //! Everything lives behind one `Mutex` + `Condvar`. Fleet units are
 //! coarse (an evaluation, at worst a preprocessing pass), so the lock is
@@ -44,8 +46,8 @@ impl Unit {
     }
 }
 
-/// What [`FleetQueue::acquire`] hands a sender: the wire line plus the
-/// scheduling context the coordinator's trace wants to record.
+/// A unit [`FleetQueue::next`] hands a link to send: the wire line plus
+/// the scheduling context the coordinator's trace wants to record.
 #[derive(Debug)]
 pub(crate) struct Dispatch {
     pub(crate) id: usize,
@@ -56,9 +58,21 @@ pub(crate) struct Dispatch {
     pub(crate) queue_wait: Duration,
 }
 
+/// What a link does next, as [`FleetQueue::next`] decides it.
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// Write this unit.
+    Send(Dispatch),
+    /// Read a result: the window is full, or nothing is left to take while
+    /// units are in flight.
+    Read,
+    /// Stop sending: the run is over (all done, or fatal) or the daemon is
+    /// dead.
+    Stop,
+}
+
 /// What [`FleetQueue::complete`] reports back for a unit this daemon
-/// actually had in flight (absent for duplicate answers whose in-flight
-/// entry was already drained by a death).
+/// actually had in flight (absent for an answer to any other id).
 #[derive(Debug)]
 pub(crate) struct Completion {
     pub(crate) verb: &'static str,
@@ -105,7 +119,7 @@ struct Inner {
     counters: QueueCounters,
     /// First unrecoverable failure; poisons the whole run.
     fatal: Option<String>,
-    /// All units complete — senders should half-close.
+    /// All units complete — links should half-close.
     done: bool,
 }
 
@@ -142,14 +156,16 @@ impl FleetQueue {
         }
     }
 
-    /// Blocks until daemon `d` may send another unit (own deque first,
-    /// then a steal from the longest live victim), the run finishes, or
-    /// `d` is marked dead. `None` means "half-close and stop sending".
-    pub(crate) fn acquire(&self, d: usize) -> Option<Dispatch> {
+    /// What daemon `d`'s link does next: send a unit (own deque first,
+    /// then a steal from the longest live victim) while its window has
+    /// room, read while units are in flight, or stop once the run is over
+    /// or `d` is dead. With nothing in flight and nothing to take it
+    /// blocks until a death re-routes units or the run ends.
+    pub(crate) fn next(&self, d: usize) -> Step {
         let mut g = self.inner.lock().expect("fleet queue lock");
         loop {
             if g.done || g.fatal.is_some() || g.dead[d] {
-                return None;
+                return Step::Stop;
             }
             if g.in_flight[d].len() < g.window[d] {
                 let unit = match g.queues[d].pop_front() {
@@ -173,18 +189,21 @@ impl FleetQueue {
                         queue_wait: unit.enqueued.elapsed(),
                     };
                     g.in_flight[d].insert(unit.id, (unit, Instant::now()));
-                    return Some(handout);
+                    return Step::Send(handout);
                 }
+            }
+            if !g.in_flight[d].is_empty() {
+                return Step::Read;
             }
             g = self.cv.wait(g).expect("fleet queue wait");
         }
     }
 
     /// Records a result for unit `id` from daemon `d`: frees the window
-    /// slot, and (when `fresh`, i.e. the merger had not seen this id yet)
+    /// slot, and (when `fresh`, i.e. the merge had not seen this id yet)
     /// counts the completion — the last fresh completion flips `done` and
-    /// wakes every sender to half-close. Returns the completed unit's verb
-    /// and roundtrip when `d` actually had the unit in flight.
+    /// wakes every waiting link to half-close. Returns the completed unit's
+    /// verb and roundtrip when `d` actually had the unit in flight.
     pub(crate) fn complete(&self, d: usize, id: usize, fresh: bool) -> Option<Completion> {
         let mut g = self.inner.lock().expect("fleet queue lock");
         let timing = g.in_flight[d]
@@ -195,9 +214,11 @@ impl FleetQueue {
             g.remaining = g.remaining.saturating_sub(1);
             if g.remaining == 0 {
                 g.done = true;
+                // Only the end of the run concerns another link: a freed
+                // slot is this link's own.
+                self.cv.notify_all();
             }
         }
-        self.cv.notify_all();
         timing
     }
 
@@ -299,56 +320,80 @@ mod tests {
         FleetQueue::new((0..nunits).map(unit).collect(), windows.to_vec())
     }
 
+    /// The unit `d` sends next; panics if the queue says read or stop.
+    fn send(q: &FleetQueue, d: usize) -> Dispatch {
+        match q.next(d) {
+            Step::Send(dispatch) => dispatch,
+            other => panic!("daemon {d} got {other:?}, not a unit"),
+        }
+    }
+
     #[test]
     fn own_queue_first_then_steal_from_longest() {
         let q = queue(6, &[4, 4]); // deal: d0 = {0,2,4}, d1 = {1,3,5}
-        assert_eq!(q.acquire(0).unwrap().id, 0);
-        assert_eq!(q.acquire(0).unwrap().id, 2);
-        let own = q.acquire(0).unwrap();
+        assert_eq!(send(&q, 0).id, 0);
+        assert_eq!(send(&q, 0).id, 2);
+        let own = send(&q, 0);
         assert_eq!(own.id, 4);
         assert!(!own.stolen);
-        // d0's deque is dry: the next acquire steals from d1's back.
-        let stolen = q.acquire(0).unwrap();
+        // d0's deque is dry: the next unit is stolen from d1's back.
+        let stolen = send(&q, 0);
         assert_eq!(stolen.id, 5);
         assert!(stolen.stolen, "a cross-deque pull must be flagged");
         assert_eq!(q.counters().steals, 1);
         // d1 still gets its own front.
-        assert_eq!(q.acquire(1).unwrap().id, 1);
+        assert_eq!(send(&q, 1).id, 1);
     }
 
     #[test]
     fn window_blocks_until_completion_then_refills() {
         let q = queue(4, &[1, 1]);
-        assert_eq!(q.acquire(0).unwrap().id, 0);
-        // Window full: a second acquire would block, so drive it from a
-        // thread and release it by completing the first unit.
+        assert_eq!(send(&q, 0).id, 0);
+        // Window full: the link must read its result before sending more.
+        assert!(matches!(q.next(0), Step::Read));
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let done = q.complete(0, 0, true).expect("unit 0 was in flight");
+        assert_eq!(done.verb, "evaluate");
+        assert!(done.roundtrip >= std::time::Duration::from_millis(30));
+        assert_eq!(send(&q, 0).id, 2);
+    }
+
+    #[test]
+    fn idle_link_waits_until_a_death_reroutes_units() {
+        let q = queue(2, &[2, 2]); // d0 = {0}, d1 = {1}
+        assert_eq!(send(&q, 0).id, 0);
+        assert_eq!(send(&q, 1).id, 1);
+        q.complete(1, 1, true);
+        // d1 has nothing in flight and nothing to take: it waits, and d0's
+        // death hands it d0's in-flight unit.
         std::thread::scope(|scope| {
-            let t = scope.spawn(|| q.acquire(0).map(|d| d.id));
+            let idle = scope.spawn(|| send(&q, 1).id);
             std::thread::sleep(std::time::Duration::from_millis(30));
-            let done = q.complete(0, 0, true).expect("unit 0 was in flight");
-            assert_eq!(done.verb, "evaluate");
-            assert!(done.roundtrip >= std::time::Duration::from_millis(30));
-            assert_eq!(t.join().unwrap(), Some(2));
+            assert!(!idle.is_finished(), "an idle link must wait, not spin or stop");
+            q.mark_dead(0, "test kill");
+            assert_eq!(idle.join().unwrap(), 0);
         });
+        q.complete(1, 0, true);
+        assert!(matches!(q.next(1), Step::Stop));
     }
 
     #[test]
     fn completions_flip_done_and_release_everyone() {
         let q = queue(2, &[2, 2]);
-        let a = q.acquire(0).unwrap().id;
-        let b = q.acquire(1).unwrap().id;
+        let a = send(&q, 0).id;
+        let b = send(&q, 1).id;
         q.complete(0, a, true);
         q.complete(1, b, true);
         assert!(q.is_finished());
-        assert!(q.acquire(0).is_none());
+        assert!(matches!(q.next(0), Step::Stop));
         assert_eq!(q.served(), vec![1, 1]);
     }
 
     #[test]
     fn dead_daemon_redispatches_in_flight_and_reroutes_queued() {
         let q = queue(6, &[2, 2]); // d0 = {0,2,4}, d1 = {1,3,5}
-        let _ = q.acquire(0).unwrap(); // 0 in flight on d0
-        let _ = q.acquire(0).unwrap(); // 2 in flight on d0
+        let _ = send(&q, 0); // 0 in flight on d0
+        let _ = send(&q, 0); // 2 in flight on d0
         let report = q.mark_dead(0, "test kill");
         assert!(q.is_dead(0));
         assert_eq!(report.redispatched, vec![0, 2], "in-flight 0 and 2 retried");
@@ -361,10 +406,10 @@ mod tests {
         assert!(again.rerouted.is_empty() && again.redispatched.is_empty());
         // d1 now drains everything — its own units plus all of d0's —
         // while dead d0 gets nothing.
-        assert!(q.acquire(0).is_none());
+        assert!(matches!(q.next(0), Step::Stop));
         let mut got = Vec::new();
         for _ in 0..6 {
-            let id = q.acquire(1).unwrap().id;
+            let id = send(&q, 1).id;
             q.complete(1, id, true);
             got.push(id);
         }
@@ -377,11 +422,11 @@ mod tests {
     #[test]
     fn second_death_of_the_same_unit_is_fatal() {
         let q = queue(2, &[1, 1]);
-        let id0 = q.acquire(0).unwrap().id;
+        let id0 = send(&q, 0).id;
         q.mark_dead(0, "first kill");
         // id0 was re-dispatched onto d1's queue; pull it there and die.
         loop {
-            let id = q.acquire(1).unwrap().id;
+            let id = send(&q, 1).id;
             if id == id0 {
                 break;
             }
@@ -390,7 +435,7 @@ mod tests {
         q.mark_dead(1, "second kill");
         let fatal = q.fatal().expect("fatal after two deaths");
         assert!(fatal.contains(&format!("unit {id0}")), "{fatal}");
-        assert!(q.acquire(1).is_none());
+        assert!(matches!(q.next(1), Step::Stop));
     }
 
     #[test]

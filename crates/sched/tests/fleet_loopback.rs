@@ -529,6 +529,83 @@ fn traced_fleet_run_merges_parented_spans_and_stays_bit_identical() {
     fast.shutdown();
 }
 
+/// A link with nothing in flight waits on the queue, not on its socket:
+/// the fast daemon drains every unit it can take and goes idle while the
+/// slow one still holds units, and when the slow one dies those units
+/// must reach the idle link — the batch completes bit-identically, with
+/// the displaced units served by the survivor.
+#[test]
+fn idle_link_picks_up_a_dead_daemons_units() {
+    let spec = BatchSpec::parse(SPEC).unwrap();
+    let expected = expected_lines(&spec);
+    let doomed = spawn_daemon(
+        1,
+        ServerConfig {
+            // Long enough for the fast daemon to serve everything else and
+            // go idle before the first (and last) slow unit completes.
+            chaos_unit_delay: Duration::from_millis(150),
+            chaos_die_after_units: Some(1),
+            ..ServerConfig::default()
+        },
+    );
+    let fast = spawn_daemon(2, ServerConfig::default());
+    let daemons = vec![doomed.addr().to_string(), fast.addr().to_string()];
+    let config = FleetConfig { trace: Some("idle-link".to_string()), ..FleetConfig::default() };
+
+    let outcome = run_fleet(&daemons, &spec.jobs(), &config, |_| {}).unwrap();
+
+    assert_bit_identical(&outcome.lines, &expected);
+    let stats = &outcome.stats;
+    assert_eq!(stats.failed, 0);
+    assert!(stats.daemons[0].dead && !stats.daemons[1].dead, "{stats:?}");
+    assert!(stats.rerouted + stats.redispatched > 0, "the death displaced units: {stats:?}");
+    assert_eq!(stats.daemons[0].served + stats.daemons[1].served, expected.len(), "{stats:?}");
+    // Every displaced unit was completed by the survivor.
+    let fast_addr = &daemons[1];
+    let displaced: Vec<u64> = stats
+        .events
+        .iter()
+        .filter(|e| matches!(e.name.as_str(), "unit_redispatched" | "unit_rerouted"))
+        .map(|e| e.unit.unwrap())
+        .collect();
+    assert_eq!(displaced.len(), stats.rerouted + stats.redispatched);
+    for unit in displaced {
+        let served_by = outcome
+            .trace
+            .iter()
+            .find(|e| e.name == "fleet.unit" && e.unit == Some(unit))
+            .and_then(|e| e.fields.iter().find(|(k, _)| k == "daemon"))
+            .map(|(_, v)| v.as_str());
+        assert_eq!(served_by, Some(fast_addr.as_str()), "unit {unit}");
+    }
+    doomed.shutdown();
+    fast.shutdown();
+}
+
+/// Merged lines stream: `on_line` sees the first line as soon as it is
+/// merged, not when the batch ends.
+#[test]
+fn merged_lines_stream_before_the_batch_ends() {
+    const DELAY: Duration = Duration::from_millis(30);
+    let spec = BatchSpec::parse(
+        "scenario fir-cascade stages=1 taps=9 cutoff=0.3\nbatch npsd=64 bits=8..11 methods=psd\n",
+    )
+    .unwrap();
+    let daemon =
+        spawn_daemon(1, ServerConfig { chaos_unit_delay: DELAY, ..ServerConfig::default() });
+    let mut first: Option<std::time::Instant> = None;
+    let outcome =
+        run_fleet(&[daemon.addr().to_string()], &spec.jobs(), &FleetConfig::default(), |_| {
+            first.get_or_insert_with(std::time::Instant::now);
+        })
+        .unwrap();
+    let returned = std::time::Instant::now();
+    assert_eq!(outcome.lines.len(), 4);
+    let lead = returned - first.expect("on_line saw the lines");
+    assert!(lead >= DELAY, "line 0 reached on_line only {lead:?} before the batch returned");
+    daemon.shutdown();
+}
+
 /// Fleet setup fails fast with every unreachable daemon named — no
 /// connect hang, no partial dispatch.
 #[test]

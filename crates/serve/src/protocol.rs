@@ -716,6 +716,30 @@ mod tests {
     }
 
     #[test]
+    fn scenario_sha_is_checked_against_memoized_inline_graphs() {
+        let registry = reg();
+        let anon = JobSpec {
+            scenario: Scenario::Graph(
+                psdacc_engine::GraphScenario::from_json(DEMO_GRAPH, None).unwrap(),
+            ),
+            npsd: 64,
+            rounding: RoundingMode::Truncate,
+            kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: 9 },
+        };
+        let line = job_request_line(0, &anon).unwrap();
+        // Twice: the second parse is served by the registry's memo.
+        for _ in 0..2 {
+            assert!(matches!(parse_request(&line, 0, &registry), Ok(Request::Job { .. })));
+        }
+        // A forged hash never selects a memo entry: the memo is keyed by
+        // the graph text, and the hash is checked against what it holds.
+        let Scenario::Graph(g) = &anon.scenario else { unreachable!() };
+        let forged = line.replace(g.hash(), &"0".repeat(32));
+        let err = parse_request(&forged, 0, &registry).unwrap_err();
+        assert!(err.contains("replaced mid-batch"), "{err}");
+    }
+
+    #[test]
     fn define_ack_round_trip() {
         let mut w = JsonWriter::new();
         w.field_str("kind", "scenario_defined");
