@@ -1,5 +1,5 @@
 //! Where experiment batches execute: the local engine, or — with
-//! `--daemons` — a `psdacc-sched` work-stealing fleet.
+//! `--daemons` — a `psdacc-sched` fleet.
 //!
 //! Experiments declare their workloads as ordinary engine job lists
 //! (matching the table1/table2 ports); this module routes the list either
@@ -54,9 +54,8 @@ fn fleet_powers(daemons: &[String], jobs: Vec<JobSpec>) -> Vec<f64> {
         .unwrap_or_else(|e| panic!("fleet run failed: {e}"));
     assert_eq!(outcome.stats.failed, 0, "fleet jobs failed: {:?}", outcome.stats);
     eprintln!(
-        "[fleet] {} units, {} steals, {} re-dispatched across {} daemons",
+        "[fleet] {} units, {} re-dispatched across {} daemons",
         outcome.stats.units,
-        outcome.stats.steals,
         outcome.stats.redispatched,
         outcome.stats.daemons.len()
     );

@@ -12,7 +12,7 @@
 //!
 //! Engine-batch experiments (table1, table2, fig4, fig5) additionally take
 //! `--daemons HOST:PORT[,...]` to dispatch their batches through the
-//! `psdacc-sched` work-stealing coordinator across running `psdacc-serve`
+//! `psdacc-sched` pull-queue coordinator across running `psdacc-serve`
 //! daemons instead of the local engine ([`fleet`]), with identical numbers
 //! either way.
 

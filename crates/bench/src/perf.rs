@@ -10,7 +10,7 @@
 //! subsystem's hot paths), a 1024-point radix-2 FFT, the Monte-Carlo
 //! simulation an analytical estimate replaces (the numerator of the
 //! paper's speed-up), the JSON decode every fleet result line pays, and a
-//! work-stealing fleet batch at 1/2/4 in-process loopback daemons — and
+//! fleet batch at 1/2/4 in-process loopback daemons — and
 //! writes one versioned JSON line:
 //!
 //! ```json
@@ -198,7 +198,7 @@ const GRAPH_JSON: &str = r#"{"nodes":[
   {"name":"s","block":"add","inputs":["g1","g2"]}],
   "outputs":["s"]}"#;
 
-/// One fleet-batch probe: `n` loopback daemons, work-stealing dispatch,
+/// One fleet-batch probe: `n` loopback daemons, pull-queue dispatch,
 /// in-order merge. Throughput counts units, not iterations.
 fn fleet_probe(name: &str, n: usize, iters: usize) -> BenchResult {
     let spec = BatchSpec::parse(FLEET_SPEC).expect("fleet spec parses");
@@ -469,7 +469,7 @@ pub fn run_baseline_profiled(
     dump("result_scan");
 
     // Fleet batches end to end at 1/2/4 daemons — the scaling curve the
-    // work-stealing coordinator is supposed to deliver.
+    // pull-queue coordinator is supposed to deliver.
     let fleets: Vec<BenchResult> = [1usize, 2, 4]
         .iter()
         .map(|&n| {

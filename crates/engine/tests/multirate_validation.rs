@@ -59,7 +59,7 @@ fn one_level_codec_matches_alias_model_eq14_total() {
 
 /// Sweep both decimated families across depths, word-lengths, *and both
 /// rounding modes*: the analytic prediction and a seeded Monte-Carlo
-/// `simulate` job (sharing one preprocessing cache on the work-stealing
+/// `simulate` job (sharing one preprocessing cache on the engine's worker
 /// pool) agree within the stated 15% tolerance — the paper's multirate
 /// accuracy class, plus Monte-Carlo sampling noise. The Truncate points
 /// exercise the mean-path kernels (`dc` and the upsampler image lines)

@@ -23,9 +23,8 @@
 //!   wall-clock is reconciled against the critical roundtrip, with the
 //!   residue reported as unattributed.
 //! * **Daemon utilization** — per-daemon busy time from `serve.unit`
-//!   spans against batch wall-clock, joined with dispatch/steal/
-//!   queue-wait attribution from the coordinator's `fleet.dispatch`
-//!   events.
+//!   spans against batch wall-clock, joined with dispatch and queue-wait
+//!   attribution from the coordinator's `fleet.dispatch` events.
 //! * **Refinement trajectories** — every greedy-refinement unit's
 //!   committed descent, reconstructed step by step from the `refine.step`
 //!   events the engine emits, so a campaign's "why did it land on these
@@ -101,8 +100,6 @@ pub struct DaemonUtilization {
     pub utilization: f64,
     /// `fleet.dispatch` events targeting this daemon.
     pub dispatches: u64,
-    /// Dispatches flagged as work-stealing.
-    pub steals: u64,
     /// Summed dispatch queue wait, ns.
     pub queue_wait_ns: u64,
 }
@@ -232,9 +229,6 @@ pub fn analyze(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
                 let addr = field(ev, "daemon").unwrap_or("unknown").to_string();
                 let d = daemons.entry(addr.clone()).or_insert_with(|| blank_daemon(addr));
                 d.dispatches += 1;
-                if field(ev, "stolen") == Some("true") {
-                    d.steals += 1;
-                }
                 d.queue_wait_ns +=
                     field(ev, "queue_wait_ns").and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
             } else if ev.name == "refine.step" {
@@ -399,7 +393,6 @@ fn blank_daemon(addr: String) -> DaemonUtilization {
         busy_ns: 0,
         utilization: 0.0,
         dispatches: 0,
-        steals: 0,
         queue_wait_ns: 0,
     }
 }
@@ -461,7 +454,6 @@ impl TraceAnalysis {
                 w.field_u64("busy_ns", d.busy_ns);
                 w.field_f64("utilization", d.utilization);
                 w.field_u64("dispatches", d.dispatches);
-                w.field_u64("steals", d.steals);
                 w.field_u64("queue_wait_ns", d.queue_wait_ns);
                 w.finish()
             })
@@ -566,13 +558,12 @@ impl TraceAnalysis {
         out.push_str("daemons:\n");
         for d in &self.daemons {
             out.push_str(&format!(
-                "  {:<24} units={:<4} busy={:>10}  util={:>5.1}%  dispatches={} steals={} queue_wait={}\n",
+                "  {:<24} units={:<4} busy={:>10}  util={:>5.1}%  dispatches={} queue_wait={}\n",
                 d.addr,
                 d.units,
                 fmt_ns(d.busy_ns),
                 d.utilization * 100.0,
                 d.dispatches,
-                d.steals,
                 fmt_ns(d.queue_wait_ns),
             ));
         }
@@ -610,7 +601,7 @@ mod tests {
         }
     }
 
-    fn dispatch(unit: u64, daemon: &str, stolen: &str, wait: &str) -> TraceEvent {
+    fn dispatch(unit: u64, daemon: &str, wait: &str) -> TraceEvent {
         TraceEvent {
             ts_ns: 0,
             name: "fleet.dispatch".to_string(),
@@ -623,7 +614,6 @@ mod tests {
             severity: Severity::Info,
             fields: vec![
                 ("daemon".to_string(), daemon.to_string()),
-                ("stolen".to_string(), stolen.to_string()),
                 ("queue_wait_ns".to_string(), wait.to_string()),
             ],
         }
@@ -657,7 +647,7 @@ mod tests {
     /// fleet.batch -> fleet.unit#1 -> serve.unit#1@b -> unit.preprocess.
     /// Unit 1 also committed two refinement steps, merged out of order.
     fn fixture() -> Vec<TraceEvent> {
-        let mut warn = dispatch(1, "b", "true", "75");
+        let mut warn = dispatch(1, "b", "75");
         warn.name = "fleet.redispatch".to_string();
         warn.severity = Severity::Warn;
         warn.span = SpanId(950);
@@ -674,8 +664,8 @@ mod tests {
             span("unit.preprocess", 32, Some(11), 38, 300, Some(1), Some("b"), vec![]),
             span("unit.tau_eval", 33, Some(11), 340, 100, Some(1), Some("b"), vec![]),
             span("unit.serialize", 34, Some(11), 441, 5, Some(1), Some("b"), vec![]),
-            dispatch(0, "a", "false", "50"),
-            dispatch(1, "b", "true", "75"),
+            dispatch(0, "a", "50"),
+            dispatch(1, "b", "75"),
             warn,
             // Merged out of order: the analyzer must restore step order.
             refine(1, 1, 7, 11, "2.5e-7"),
@@ -727,11 +717,11 @@ mod tests {
         let a_d = &a.daemons[0];
         assert_eq!((a_d.addr.as_str(), a_d.units, a_d.busy_ns), ("a", 1, 250));
         assert!((a_d.utilization - 0.25).abs() < 1e-12);
-        assert_eq!((a_d.dispatches, a_d.steals, a_d.queue_wait_ns), (1, 0, 50));
+        assert_eq!((a_d.dispatches, a_d.queue_wait_ns), (1, 50));
         let b_d = &a.daemons[1];
         assert_eq!((b_d.addr.as_str(), b_d.units, b_d.busy_ns), ("b", 1, 450));
         assert!((b_d.utilization - 0.45).abs() < 1e-12);
-        assert_eq!((b_d.dispatches, b_d.steals, b_d.queue_wait_ns), (1, 1, 75));
+        assert_eq!((b_d.dispatches, b_d.queue_wait_ns), (1, 75));
     }
 
     #[test]

@@ -530,7 +530,7 @@ mod tests {
         let root_id = root.as_ref().unwrap().id;
         let child = t.start("child", Some(root_id), Some(3));
         t.end_with(child, vec![("k".to_string(), "v".to_string())]);
-        t.event("steal", Severity::Info, Some(root_id), Some(3), Vec::new());
+        t.event("dispatch", Severity::Info, Some(root_id), Some(3), Vec::new());
         t.end(root);
         let events = t.snapshot();
         assert_eq!(events.len(), 3);

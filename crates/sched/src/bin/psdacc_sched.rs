@@ -2,24 +2,23 @@
 //!
 //! ```text
 //! psdacc-sched submit --daemons HOST:PORT[,HOST:PORT...] SPECFILE
-//!                     [--graph NAME=FILE]... [--window-factor N]
-//!                     [--timeout-seconds N] [--stats-json PATH]
+//!                     [--graph NAME=FILE]... [--timeout-seconds N]
+//!                     [--stats-json PATH]
 //! ```
 //!
-//! Expands a batch spec locally and dispatches it across the daemons with
-//! pull-based work stealing (each daemon's in-flight window sized by its
-//! advertised worker count; stragglers' queued units re-routed to idle
-//! daemons; a dead daemon's units retried once elsewhere). Merged result
-//! lines stream to stdout in submission order — bit-identical to a local
-//! `psdacc-engine run` on every stable field — and one `{"kind":"fleet"}`
-//! stats line (steal / re-dispatch counters, per-daemon accounting) goes
-//! to stderr, or to `--stats-json PATH` for scripts.
+//! Expands a batch spec locally and dispatches it across the daemons from
+//! one pull queue (each daemon takes the next unit while its in-flight
+//! window, sized by its advertised worker count, has room; a dead
+//! daemon's units retried once elsewhere). Merged result lines stream to
+//! stdout in submission order — bit-identical to a local `psdacc-engine
+//! run` on every stable field — and one `{"kind":"fleet"}` stats line
+//! (re-dispatch counter, per-daemon accounting) goes to stderr, or to
+//! `--stats-json PATH` for scripts.
 //!
 //! `--graph NAME=FILE` (repeatable) registers a declarative `GraphSpec`
 //! JSON file as a named scenario: locally (so the spec parses) and on
-//! **every** daemon via `define_scenario` before any unit streams — work
-//! stealing may hand any unit to any daemon, so definitions must be
-//! fleet-wide.
+//! **every** daemon via `define_scenario` before any unit streams — any
+//! daemon may take any unit, so definitions must be fleet-wide.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -32,17 +31,16 @@ use psdacc_serve::client;
 const USAGE: &str = "usage:
   psdacc-sched submit --daemons HOST:PORT[,HOST:PORT...] SPECFILE
                       [--graph NAME=FILE]... [--trace-dir DIR]
-                      [--window-factor N]
                       [--timeout-seconds N] [--stats-json PATH]
                       [--trace PATH] [--batch ID]
   psdacc-sched trace  --daemons HOST:PORT[,HOST:PORT...] --batch ID
                       [--timeout-seconds N]
   psdacc-sched analyze --trace PATH [--json]
 
-Dispatches a batch spec across psdacc-serve daemons with pull-based work
-stealing: per-daemon in-flight windows sized by advertised capacity,
-idle daemons stealing stragglers' queued units, dead daemons' units
-retried once elsewhere, results merged back in submission order
+Dispatches a batch spec across psdacc-serve daemons from one pull queue:
+each daemon takes the next unit while its in-flight window (advertised
+workers x 2) has room, dead daemons' units are retried once elsewhere,
+and results merge back in submission order
 (bit-identical to a single-process run). --graph NAME=FILE (repeatable)
 registers a GraphSpec JSON file as scenario NAME locally and on every
 daemon (define_scenario) before units stream; --trace-dir DIR resolves
@@ -51,7 +49,7 @@ a content-addressed trace store before definitions ship, so daemons
 never hold trace state.
 
 --trace PATH records an end-to-end trace of the run: coordinator spans
-(fleet.batch root, per-unit roundtrips, dispatch/steal events) merged
+(fleet.batch root, per-unit roundtrips, dispatch events) merged
 with every daemon's per-unit stage spans, written to PATH as JSONL.
 --batch ID names the trace batch (default: derived from the wall clock).
 `trace` fetches the daemons' retained trace for a batch id after the
@@ -60,7 +58,7 @@ fact and prints it as JSONL to stdout.
 `analyze` reads a merged fleet trace (the --trace PATH output) and
 reports where the time went: the critical path bounding wall-clock,
 per-stage totals (parse/cache_lookup/preprocess/tau_eval/serialize),
-and per-daemon utilization with dispatch/steal/queue-wait attribution.
+and per-daemon utilization with dispatch/queue-wait attribution.
 Human text by default; --json emits the single-line machine report.
 ";
 
@@ -69,7 +67,6 @@ struct SubmitArgs {
     spec_path: String,
     graphs: Vec<String>,
     trace_dir: Option<String>,
-    window_factor: usize,
     timeout: Duration,
     stats_json: Option<String>,
     trace: Option<String>,
@@ -219,7 +216,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
 fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
     let mut daemons: Vec<String> = Vec::new();
     let mut spec_path: Option<String> = None;
-    let mut window_factor = 2usize;
     let mut timeout = Duration::from_secs(30);
     let mut stats_json = None;
     let mut graphs: Vec<String> = Vec::new();
@@ -242,13 +238,6 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
                     .map(String::from)
                     .collect();
             }
-            "--window-factor" => {
-                window_factor = value("--window-factor")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or("--window-factor must be a positive integer")?;
-            }
             "--timeout-seconds" => {
                 timeout = Duration::from_secs(
                     value("--timeout-seconds")?
@@ -264,7 +253,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
             other if other.starts_with("--") => {
                 return Err(format!(
                     "unknown argument `{other}` (allowed: --daemons, --graph, --trace-dir, \
-                     --window-factor, --timeout-seconds, --stats-json, --trace, --batch)"
+                     --timeout-seconds, --stats-json, --trace, --batch)"
                 ));
             }
             positional => {
@@ -283,17 +272,7 @@ fn parse_submit(args: &[String]) -> Result<SubmitArgs, String> {
         return Err("--batch names the trace batch and needs --trace PATH".to_string());
     }
     let spec_path = spec_path.ok_or("submit needs a SPECFILE")?;
-    Ok(SubmitArgs {
-        daemons,
-        spec_path,
-        graphs,
-        trace_dir,
-        window_factor,
-        timeout,
-        stats_json,
-        trace,
-        batch,
-    })
+    Ok(SubmitArgs { daemons, spec_path, graphs, trace_dir, timeout, stats_json, trace, batch })
 }
 
 fn cmd_submit(args: &SubmitArgs) -> ExitCode {
@@ -346,12 +325,7 @@ fn cmd_submit(args: &SubmitArgs) -> ExitCode {
             format!("fleet-{:08x}", (wall ^ u64::from(std::process::id())) & 0xffff_ffff)
         })
     });
-    let config = FleetConfig {
-        window_factor: args.window_factor,
-        definitions,
-        trace: batch.clone(),
-        ..FleetConfig::default()
-    };
+    let config = FleetConfig { definitions, trace: batch.clone(), ..FleetConfig::default() };
     // Lines are written from the link threads, so through the shared
     // (`Send`) stdout handle rather than a lock held by this thread.
     let mut out = std::io::stdout();
@@ -386,10 +360,9 @@ fn cmd_submit(args: &SubmitArgs) -> ExitCode {
                 );
             }
             eprintln!(
-                "{} units across {} daemons | {} steals, {} re-dispatched | {} failed",
+                "{} units across {} daemons | {} re-dispatched | {} failed",
                 outcome.stats.units,
                 args.daemons.len(),
-                outcome.stats.steals,
                 outcome.stats.redispatched,
                 outcome.stats.failed
             );

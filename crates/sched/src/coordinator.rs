@@ -1,30 +1,30 @@
 //! The fleet coordinator: one live connection per daemon, pull-based
-//! dispatch against the shared [`queue`](crate::queue), and the in-order
+//! dispatch from the shared [`queue`](crate::queue), and the in-order
 //! merge that keeps fleet output bit-identical to a single-process run.
 //!
 //! One thread owns each daemon link, in the serve protocol's
 //! `evaluate_units` mode, and does all of its work. It runs the `hello`
 //! handshake; no link sends a unit until every handshake has finished, so
 //! a half-dead fleet names every unreachable daemon at once. Then it
-//! writes every unit the daemon's in-flight window allows (own deque
-//! first, then steals) in one write, reads one result, merges it, and
-//! writes the next unit at once: no other thread stands between a result
-//! and the next dispatch. With nothing in flight it waits on the queue,
-//! which wakes it when a dead daemon's units are re-routed or the run
-//! ends. A premature EOF or an I/O error declares its daemon dead, which
-//! re-routes the daemon's queued units and retries its in-flight units
-//! once on the survivors. When the run concludes the link half-closes and
-//! reads its daemon's stream to the end. The caller's thread drives the
-//! first link, so a one-daemon batch starts no thread and N daemons start
-//! N−1.
+//! takes as many units off the front of the queue as the daemon's
+//! in-flight window allows and sends them in one write, reads one result,
+//! merges it, and sends the next unit at once: no other thread stands
+//! between a result and the next dispatch. With nothing in flight it
+//! waits on the queue, which wakes it when a dead daemon's units return
+//! or the run ends. A premature EOF or an I/O error declares its daemon
+//! dead, which puts the daemon's in-flight units back at the front of the
+//! queue for one retry on the survivors. When the run concludes the link
+//! half-closes and reads its daemon's stream to the end. The caller's
+//! thread drives the first link, so a one-daemon batch starts no thread
+//! and N daemons start N−1.
 //!
 //! The merge re-assembles results by unit id under one lock, handing each
 //! line to `on_line` — on whichever link thread completed it — the moment
 //! the next-in-order id completes. Since unit ids are the spec's
 //! submission order and every daemon computes `run_job`
 //! deterministically, the merged stream equals the local engine's output
-//! on every stable field, regardless of which daemon served which unit,
-//! how many units were stolen, or whether a daemon died mid-batch.
+//! on every stable field, regardless of which daemon served which unit or
+//! whether a daemon died mid-batch.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream};
@@ -48,20 +48,25 @@ use crate::queue::{Dispatch, FleetQueue, Step, Unit};
 /// GraphSpec JSON)`.
 pub type ScenarioDefinition = (String, String);
 
+/// In-flight window per daemon = advertised workers x this factor: 2
+/// keeps every daemon worker busy while a refill is on the wire.
+const WINDOW_FACTOR: usize = 2;
+
+/// The in-flight window granted to a daemon advertising `workers`.
+fn window(workers: usize) -> usize {
+    workers.max(1) * WINDOW_FACTOR
+}
+
 /// Coordinator policy knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// In-flight window per daemon = advertised workers x this factor.
-    /// Factor 2 (default) keeps every daemon worker busy while a refill
-    /// is on the wire; factor 1 is strict one-unit-per-worker.
-    pub window_factor: usize,
     /// Per-candidate TCP connect bound and `hello` reply deadline — an
     /// unreachable daemon is a fast, named setup error, never a hang.
     pub connect_timeout: Duration,
     /// Named graph definitions forwarded to **every** daemon (via
     /// `define_scenario`) during the handshake, before any unit streams.
-    /// Work stealing and death re-dispatch may hand any unit to any
-    /// daemon, so a unit referencing a runtime-defined scenario by name
+    /// Any daemon may take any unit off the queue, first dispatch or
+    /// retry, so a unit referencing a runtime-defined scenario by name
     /// must resolve on the whole fleet — forwarding up front is what
     /// makes that unconditional.
     pub definitions: Vec<ScenarioDefinition>,
@@ -78,7 +83,6 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            window_factor: 2,
             connect_timeout: Duration::from_secs(5),
             definitions: Vec::new(),
             trace: None,
@@ -106,8 +110,8 @@ pub struct DaemonReport {
 /// *which* daemon failed and *which* units moved, not just counters.
 #[derive(Debug, Clone)]
 pub struct FleetEvent {
-    /// Incident kind: `daemon_dead`, `unit_redispatched`, `unit_rerouted`,
-    /// or `trace_fetch_failed`.
+    /// Incident kind: `daemon_dead`, `unit_redispatched`, or
+    /// `trace_fetch_failed`.
     pub name: String,
     /// The daemon address involved.
     pub daemon: String,
@@ -165,20 +169,16 @@ impl VerbLatency {
 pub struct FleetStats {
     /// Total units dispatched.
     pub units: usize,
-    /// Units served from a daemon other than the one they were dealt to.
-    pub steals: usize,
     /// In-flight units of dead daemons retried elsewhere.
     pub redispatched: usize,
-    /// Queued units of dead daemons re-routed elsewhere.
-    pub rerouted: usize,
     /// Results carrying an `error` field.
     pub failed: usize,
     /// Per-daemon accounting, in the order the daemons were given.
     pub daemons: Vec<DaemonReport>,
     /// Structured incidents (deaths, displaced units), in occurrence order.
     pub events: Vec<FleetEvent>,
-    /// Coordinator-side roundtrip percentiles per verb (always all four
-    /// verbs, unused ones with zero counts).
+    /// Coordinator-side roundtrip percentiles per verb (always every verb
+    /// of `VERBS`, unused ones with zero counts).
     pub latency: Vec<VerbLatency>,
 }
 
@@ -203,9 +203,7 @@ impl FleetStats {
         let mut w = JsonWriter::new();
         w.field_str("kind", "fleet");
         w.field_usize("units", self.units);
-        w.field_usize("steals", self.steals);
         w.field_usize("redispatched", self.redispatched);
-        w.field_usize("rerouted", self.rerouted);
         w.field_usize("failed", self.failed);
         w.field_raw("daemons", &format!("[{}]", daemons.join(",")));
         w.field_raw("events", &format!("[{}]", events.join(",")));
@@ -262,7 +260,7 @@ pub fn run_fleet(
         config,
         hellos: daemons.iter().map(|_| OnceLock::new()).collect(),
         handshakes: Barrier::new(daemons.len()),
-        units: Mutex::new(units),
+        queue: FleetQueue::new(units, daemons.len()),
         run: OnceLock::new(),
         merge: Mutex::new(Merge {
             lines: vec![None; jobs.len()],
@@ -283,7 +281,7 @@ pub fn run_fleet(
         }
         batch.link(0);
     });
-    let Batch { hellos, run, merge, roundtrip, .. } = batch;
+    let Batch { hellos, queue, run, merge, roundtrip, .. } = batch;
     let Some(run) = run.into_inner().flatten() else {
         let failures: Vec<String> =
             hellos.into_iter().filter_map(|h| h.into_inner().and_then(Result::err)).collect();
@@ -296,7 +294,7 @@ pub fn run_fleet(
     };
     let Merge { lines, failed, completed, mut events, .. } =
         merge.into_inner().expect("no link panics holding the merge");
-    let Run { queue, windows, tracer, root, .. } = run;
+    let Run { tracer, root, .. } = run;
     if let Some(fatal) = queue.fatal() {
         return Err(SchedError::Fleet(fatal));
     }
@@ -306,7 +304,6 @@ pub fn run_fleet(
             jobs.len()
         )));
     }
-    let counters = queue.counters();
     let served = queue.served();
     tracer.end_with(root, vec![("units".to_string(), jobs.len().to_string())]);
     // Merge: coordinator events first, then each live daemon's retained
@@ -332,20 +329,21 @@ pub fn run_fleet(
     }
     let stats = FleetStats {
         units: jobs.len(),
-        steals: counters.steals,
-        redispatched: counters.redispatched,
-        rerouted: counters.rerouted,
+        redispatched: queue.redispatched(),
         failed,
         daemons: daemons
             .iter()
             .zip(hellos)
             .enumerate()
-            .map(|(d, (addr, hello))| DaemonReport {
-                addr: addr.clone(),
-                workers: hello.into_inner().and_then(Result::ok).unwrap_or(0),
-                window: windows[d],
-                served: served[d],
-                dead: queue.is_dead(d),
+            .map(|(d, (addr, hello))| {
+                let workers = hello.into_inner().and_then(Result::ok).unwrap_or(0);
+                DaemonReport {
+                    addr: addr.clone(),
+                    workers,
+                    window: window(workers),
+                    served: served[d],
+                    dead: queue.is_dead(d),
+                }
             })
             .collect(),
         events,
@@ -376,10 +374,8 @@ struct Batch<'a, F> {
     hellos: Vec<OnceLock<Result<usize, String>>>,
     /// Every link waits here after its handshake.
     handshakes: Barrier,
-    /// The rendered units, until the first link past the handshakes deals
-    /// them into the queue.
-    units: Mutex<Vec<Unit>>,
-    /// The dispatch state, built once every handshake has finished; `None`
+    queue: FleetQueue,
+    /// The trace state, built once every handshake has finished; `None`
     /// when one failed.
     run: OnceLock<Option<Run>>,
     merge: Mutex<Merge<F>>,
@@ -388,8 +384,6 @@ struct Batch<'a, F> {
 
 /// What the links share once every handshake has succeeded.
 struct Run {
-    queue: FleetQueue,
-    windows: Vec<usize>,
     /// Observability is opt-in and observational: a disabled tracer makes
     /// every recording call a no-op branch, and nothing feeds back into
     /// scheduling decisions.
@@ -417,29 +411,23 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
         let hello = link.as_ref().map(|&(_, workers)| workers).map_err(ToString::to_string);
         self.hellos[d].set(hello).expect("one handshake per link");
         self.handshakes.wait();
-        let (Some(run), Ok((stream, _))) = (self.run.get_or_init(|| self.start()), link) else {
+        let (Some(run), Ok((stream, workers))) = (self.run.get_or_init(|| self.start()), link)
+        else {
             return;
         };
-        if let Err(reason) = self.stream(d, &stream, run) {
+        if let Err(reason) = self.stream(d, &stream, window(workers), run) {
             // After the run concluded a failing link is no death.
-            if !run.queue.is_finished() {
+            if !self.queue.is_finished() {
                 self.declare_dead(d, run, reason);
             }
         }
     }
 
-    /// Deals the units once every handshake has succeeded, and opens the
-    /// trace's root span.
+    /// Opens the trace's root span once every handshake has succeeded.
     fn start(&self) -> Option<Run> {
-        let workers: Vec<usize> = self
-            .hellos
-            .iter()
-            .map(|h| h.get().and_then(|r| r.as_ref().ok()).copied())
-            .collect::<Option<_>>()?;
-        let windows: Vec<usize> =
-            workers.iter().map(|w| w.max(&1) * self.config.window_factor.max(1)).collect();
-        let units = std::mem::take(&mut *self.units.lock().expect("units lock"));
-        let queue = FleetQueue::new(units, windows.clone());
+        if !self.hellos.iter().all(|h| h.get().is_some_and(Result::is_ok)) {
+            return None;
+        }
         let tracer = match &self.config.trace {
             Some(batch) => Tracer::new(batch),
             None => Tracer::disabled(),
@@ -451,13 +439,13 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
             .as_ref()
             .map(|batch| TraceContext { batch: batch.clone(), span: root.as_ref().map(|s| s.id) });
         let open_line = evaluate_units_line(context.as_ref());
-        Some(Run { queue, windows, tracer, root, open_line })
+        Some(Run { tracer, root, open_line })
     }
 
     /// The unit loop on one link: send what the window allows in one
     /// write, then read and merge one result, until the run stops. `Err`
     /// says why the daemon is dead.
-    fn stream(&self, d: usize, stream: &TcpStream, run: &Run) -> Result<(), String> {
+    fn stream(&self, d: usize, stream: &TcpStream, window: usize, run: &Run) -> Result<(), String> {
         let addr = &self.daemons[d];
         let write_failed = |e: std::io::Error| format!("write to {addr} failed: {e}");
         let mut writer = BufWriter::new(stream);
@@ -465,7 +453,7 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
         writeln!(writer, "{}", run.open_line).map_err(write_failed)?;
         let mut sent: Vec<Dispatch> = Vec::new();
         loop {
-            let step = run.queue.next(d);
+            let step = self.queue.next(d, window);
             if let Step::Send(dispatch) = step {
                 writeln!(writer, "{}", dispatch.line).map_err(write_failed)?;
                 sent.push(dispatch);
@@ -480,7 +468,6 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
                     Some(dispatch.id as u64),
                     vec![
                         ("daemon".to_string(), addr.clone()),
-                        ("stolen".to_string(), dispatch.stolen.to_string()),
                         ("queue_wait_ns".to_string(), dispatch.queue_wait.as_nanos().to_string()),
                     ],
                 );
@@ -518,7 +505,7 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
         }
         let (id, failed) = match json::scan_result(&line) {
             Err(e) => {
-                run.queue.set_fatal(format!("{addr}: bad response line: {e}"));
+                self.queue.set_fatal(format!("{addr}: bad response line: {e}"));
                 return false;
             }
             // The merge counts results itself; the stream's own tally
@@ -527,24 +514,24 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
             Ok(fields) if fields.kind.as_deref() == Some("error") => {
                 let value = json::parse(&line).unwrap_or(Json::Null);
                 let detail = value.get("error").and_then(Json::as_str).unwrap_or("unspecified");
-                run.queue.set_fatal(format!("{addr}: daemon rejected: {detail}"));
+                self.queue.set_fatal(format!("{addr}: daemon rejected: {detail}"));
                 return false;
             }
             Ok(fields) => match fields.job {
                 Some(id) => (id as usize, fields.has_error),
                 None => {
-                    run.queue.set_fatal(format!("{addr}: result line without job id: {line}"));
+                    self.queue.set_fatal(format!("{addr}: result line without job id: {line}"));
                     return false;
                 }
             },
         };
         let mut merge = self.merge.lock().expect("no link panics holding the merge");
         if id >= merge.lines.len() {
-            run.queue.set_fatal(format!("{addr}: result id {id} out of range"));
+            self.queue.set_fatal(format!("{addr}: result id {id} out of range"));
             return false;
         }
         let fresh = merge.lines[id].is_none();
-        let completion = run.queue.complete(d, id, fresh);
+        let completion = self.queue.complete(d, id, fresh);
         if let Some(done) = &completion {
             let verb = VERBS.iter().position(|&v| v == done.verb).unwrap_or(0);
             self.roundtrip[verb].record(done.roundtrip);
@@ -589,7 +576,7 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
     fn declare_dead(&self, d: usize, run: &Run, reason: String) {
         let addr = &self.daemons[d];
         let mut merge = self.merge.lock().expect("no link panics holding the merge");
-        let report = run.queue.mark_dead(d, &reason);
+        let redispatched = self.queue.mark_dead(d, &reason);
         run.tracer.event(
             "fleet.daemon_dead",
             Severity::Warn,
@@ -603,24 +590,20 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
             unit: None,
             detail: reason,
         });
-        for (name, ids) in
-            [("unit_redispatched", &report.redispatched), ("unit_rerouted", &report.rerouted)]
-        {
-            for &unit in ids {
-                merge.events.push(FleetEvent {
-                    name: name.to_string(),
-                    daemon: addr.clone(),
-                    unit: Some(unit as u64),
-                    detail: format!("displaced by death of {addr}"),
-                });
-                run.tracer.event(
-                    &format!("fleet.{name}"),
-                    Severity::Warn,
-                    root_id(run),
-                    Some(unit as u64),
-                    vec![("daemon".to_string(), addr.clone())],
-                );
-            }
+        for unit in redispatched {
+            merge.events.push(FleetEvent {
+                name: "unit_redispatched".to_string(),
+                daemon: addr.clone(),
+                unit: Some(unit as u64),
+                detail: format!("displaced by death of {addr}"),
+            });
+            run.tracer.event(
+                "fleet.unit_redispatched",
+                Severity::Warn,
+                root_id(run),
+                Some(unit as u64),
+                vec![("daemon".to_string(), addr.clone())],
+            );
         }
     }
 }

@@ -21,7 +21,7 @@
 //! Every connection is a unit stream: job lines execute as they arrive
 //! and results stream back tagged with their request id. The
 //! `psdacc-sched` coordinator drives that stream across a fleet —
-//! per-daemon in-flight windows, work stealing, failure re-dispatch — and
+//! one pull queue, per-daemon in-flight windows, failure re-dispatch — and
 //! merges results into lines identical to a local `psdacc-engine run` of
 //! the same spec (timing fields aside). See [`protocol`] for the wire
 //! format, [`server`] for connection semantics (including `ServerConfig`

@@ -46,7 +46,7 @@ pub struct ServerConfig {
     pub max_connections: Option<usize>,
     /// Fault injection: artificial delay before every unit executes.
     /// Models a slow/overloaded machine so schedulers and CI can prove
-    /// work actually re-routes around stragglers.
+    /// load actually shifts away from stragglers.
     pub chaos_unit_delay: Duration,
     /// Fault injection: after this many units served (daemon lifetime
     /// total), abruptly shut both socket directions of the serving
@@ -695,9 +695,13 @@ fn run_unit(
         conn.failed.fetch_add(1, Ordering::Relaxed);
     }
     let serialize = tracer.start("unit.serialize", parent, Some(id as u64));
-    let sent = conn.send(result_line(id, &result), Some(Arc::clone(finished)));
+    let line = result_line(id, &result);
+    // Close the spans before the line can reach the peer: the peer's
+    // roundtrip ends when it reads the line, and the unit's span must fit
+    // inside it. The hand-off to the socket counts as wire time.
     tracer.end(serialize);
     tracer.end(unit_span);
+    let sent = conn.send(line, Some(Arc::clone(finished)));
     if sent.is_err() {
         // Peer gone or past the write deadline: the connection is dead.
         return;

@@ -5,7 +5,7 @@
 //! worker pool shared by every connection, the write deadline) holds on
 //! the wire. Jobs split by hand over two daemons' unit streams
 //! merge bit-identically for defined and measured scenarios here;
-//! coordinator-level properties — work-stealing merges and warm restarts
+//! coordinator-level properties — pull-queue merges and warm restarts
 //! through `run_fleet` — live in `psdacc-sched`'s `fleet_loopback` tests.
 
 use std::io::{BufRead, BufReader, Write};

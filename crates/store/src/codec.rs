@@ -224,6 +224,13 @@ impl Record {
         let flavor = RecordFlavor::from_code(cur.u32()?)?;
         let nodes = cur.u32()? as usize;
         let width = cur.u32()? as usize;
+        // A zero width makes the payload 0 bytes for any node count, so
+        // the size check below could not bound `nodes` before allocating.
+        if width == 0 {
+            return Err(StoreError::Codec(format!(
+                "record declares {nodes} nodes x 0 cells; rows need at least one cell"
+            )));
+        }
         if flavor == RecordFlavor::SingleRate && width != npsd {
             return Err(StoreError::Codec(format!(
                 "single-rate record declares width {width}, expected npsd {npsd}"
@@ -452,6 +459,26 @@ mod tests {
         };
         let back = Record::decode(&rec.encode().unwrap()).unwrap();
         assert!(back.rows.is_empty());
+    }
+
+    #[test]
+    fn zero_width_record_with_huge_node_count_is_a_typed_error() {
+        // A checksum-valid single-rate record with npsd = width = 0 and
+        // nodes = u32::MAX: its payload is 0 bytes, so only the width
+        // guard stands between it and a ~100 GB row allocation.
+        let mut body = MAGIC.to_vec();
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.push(b'k');
+        body.extend_from_slice(&0u32.to_le_bytes()); // npsd
+        body.extend_from_slice(&RecordFlavor::SingleRate.code().to_le_bytes());
+        body.extend_from_slice(&u32::MAX.to_le_bytes()); // nodes
+        body.extend_from_slice(&0u32.to_le_bytes()); // width
+        body.extend_from_slice(&0.0f64.to_le_bytes());
+        let checksum = fnv1a64(&body);
+        body.extend_from_slice(&checksum.to_le_bytes());
+        let err = Record::decode(&body).unwrap_err();
+        assert!(matches!(err, StoreError::Codec(_)), "{err}");
+        assert!(err.to_string().contains("0 cells"), "{err}");
     }
 
     #[test]
