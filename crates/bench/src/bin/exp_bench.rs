@@ -2,8 +2,9 @@
 //! tau_eval, single- and multirate; budget; GraphSpec compile; store
 //! codec; cache warm/cold; one cached job through `Engine::run`; Welch
 //! and sigma-delta estimation; a radix-2 FFT; the Monte-Carlo simulation
-//! reference; JSON decode of fleet result lines; fleet batches at 1/2/4
-//! daemons) and writes the versioned `BENCH_psd.json` line with exact
+//! reference; JSON decode of fleet result lines; the fleet's per-batch and
+//! per-unit cost on one loopback daemon) and writes the versioned
+//! `BENCH_psd.json` line with exact
 //! nearest-rank order statistics (see `psdacc_bench::perf`). With
 //! `--compare` it also diffs the fresh run against a committed baseline
 //! and exits nonzero past the regression threshold (see

@@ -9,9 +9,10 @@
 //! trace plus a bit-true sigma-delta modulation pass (the measured-signal
 //! subsystem's hot paths), a 1024-point radix-2 FFT, the Monte-Carlo
 //! simulation an analytical estimate replaces (the numerator of the
-//! paper's speed-up), the JSON decode every fleet result line pays, and a
-//! fleet batch at 1/2/4 in-process loopback daemons — and
-//! writes one versioned JSON line:
+//! paper's speed-up), the JSON decode every fleet result line pays, and the
+//! fleet's cost model on one in-process loopback daemon (a 1-unit batch,
+//! and the marginal cost of one more unit) — and writes one versioned JSON
+//! line:
 //!
 //! ```json
 //! {"kind":"bench","version":4,
@@ -37,11 +38,13 @@ use std::time::Instant;
 
 use psdacc_core::{AccuracyEvaluator, Method, WordLengthPlan};
 use psdacc_engine::json::{self, JsonWriter};
-use psdacc_engine::{BatchSpec, Engine, EvaluatorCache, GraphScenario, JobKind, JobSpec, Scenario};
+use psdacc_engine::{
+    BatchSpec, Engine, EvaluatorCache, GraphScenario, JobKind, JobResult, JobSpec, Scenario,
+};
 use psdacc_fft::{Complex, Direction, Radix2Fft};
 use psdacc_fixed::RoundingMode;
 use psdacc_sched::{run_fleet, FleetConfig};
-use psdacc_serve::{result_line, Server};
+use psdacc_serve::Server;
 use psdacc_sim::{measure_quantization_error, SimulationPlan};
 use psdacc_store::Record;
 use psdacc_systems::filter_bank::{fir_entry, fir_system};
@@ -56,7 +59,7 @@ pub const SCHEMA_VERSION: u64 = 4;
 /// One timed probe of the suite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
-    /// Probe name (`preprocess`, `fleet_batch_2`, ...).
+    /// Probe name (`preprocess`, `fleet_unit`, ...).
     pub name: String,
     /// Timed iterations.
     pub iters: usize,
@@ -150,12 +153,13 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
 /// Times `iters` runs of `work` (which completes `units_per_iter` units
 /// each run) and derives the order-statistic/throughput record from the
 /// raw per-iteration samples.
-pub fn measure(
-    name: &str,
-    iters: usize,
-    units_per_iter: usize,
-    mut work: impl FnMut(),
-) -> BenchResult {
+pub fn measure(name: &str, iters: usize, units_per_iter: usize, work: impl FnMut()) -> BenchResult {
+    let (samples, total) = sample(iters, work);
+    summarize(name, units_per_iter, samples, total)
+}
+
+/// Each of `iters` runs of `work`, ns, and the wall seconds of all of them.
+fn sample(iters: usize, mut work: impl FnMut()) -> (Vec<u64>, f64) {
     let mut samples = Vec::with_capacity(iters);
     let t0 = Instant::now();
     for _ in 0..iters {
@@ -163,7 +167,12 @@ pub fn measure(
         work();
         samples.push(it.elapsed().as_nanos() as u64);
     }
-    let total = t0.elapsed().as_secs_f64();
+    (samples, t0.elapsed().as_secs_f64())
+}
+
+/// The record of per-iteration `samples` that took `total` wall seconds.
+fn summarize(name: &str, units_per_iter: usize, mut samples: Vec<u64>, total: f64) -> BenchResult {
+    let iters = samples.len();
     samples.sort_unstable();
     BenchResult {
         name: name.to_string(),
@@ -181,8 +190,9 @@ pub fn measure(
     }
 }
 
-/// The spec the `fleet_batch_*` probes dispatch (20 units: a bits sweep,
-/// a refinement, and a seeded simulation over one scenario).
+/// The spec whose 20 result lines (a bits sweep, a refinement, and a
+/// seeded simulation over one scenario) the `json_parse` and `result_scan`
+/// probes decode.
 const FLEET_SPEC: &str = "scenario fir-cascade stages=1 taps=9 cutoff=0.3\n\
                           batch npsd=64 bits=4..21 methods=psd\n\
                           min-uniform npsd=64 budget=1e-6 min=2 max=24\n\
@@ -198,24 +208,10 @@ const GRAPH_JSON: &str = r#"{"nodes":[
   {"name":"s","block":"add","inputs":["g1","g2"]}],
   "outputs":["s"]}"#;
 
-/// One fleet-batch probe: `n` loopback daemons, pull-queue dispatch,
-/// in-order merge. Throughput counts units, not iterations.
-fn fleet_probe(name: &str, n: usize, iters: usize) -> BenchResult {
-    let spec = BatchSpec::parse(FLEET_SPEC).expect("fleet spec parses");
-    let jobs = spec.jobs();
-    let handles: Vec<_> = (0..n)
-        .map(|_| Server::bind("127.0.0.1:0", Engine::new(2)).unwrap().spawn().unwrap())
-        .collect();
-    let daemons: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
-    let result = measure(name, iters, jobs.len(), || {
-        let outcome =
-            run_fleet(&daemons, &jobs, &FleetConfig::default(), |_| {}).expect("fleet batch");
-        assert_eq!(outcome.stats.failed, 0, "{:?}", outcome.stats);
-    });
-    for h in handles {
-        h.shutdown();
-    }
-    result
+/// One batch of `jobs` through the fleet coordinator.
+fn fleet_batch(daemons: &[String], jobs: &[JobSpec]) {
+    let outcome = run_fleet(daemons, jobs, &FleetConfig::default(), |_| {}).expect("fleet batch");
+    assert_eq!(outcome.stats.failed, 0, "{:?}", outcome.stats);
 }
 
 /// Runs the whole suite at `npsd` / `iters`.
@@ -443,13 +439,8 @@ pub fn run_baseline_profiled(
     // locally and rendered as a daemon sends them (every job line pays the
     // same decode in the daemon).
     let fleet_jobs = BatchSpec::parse(FLEET_SPEC).expect("fleet spec parses").jobs();
-    let result_lines: Vec<String> = Engine::new(1)
-        .run(fleet_jobs)
-        .results
-        .iter()
-        .enumerate()
-        .map(|(id, r)| result_line(id, r))
-        .collect();
+    let result_lines: Vec<String> =
+        Engine::new(1).run(fleet_jobs).results.iter().map(JobResult::to_json_line).collect();
     clear();
     let json_parse = measure("json_parse", iters, result_lines.len(), || {
         for line in &result_lines {
@@ -468,19 +459,27 @@ pub fn run_baseline_profiled(
     });
     dump("result_scan");
 
-    // Fleet batches end to end at 1/2/4 daemons — the scaling curve the
-    // pull-queue coordinator is supposed to deliver.
-    let fleets: Vec<BenchResult> = [1usize, 2, 4]
-        .iter()
-        .map(|&n| {
-            let name = format!("fleet_batch_{n}");
-            let result = fleet_probe(&name, n, iters);
-            dump(&name);
-            result
-        })
-        .collect();
+    // The fleet's cost model on one one-worker loopback daemon, over the
+    // cached job of `engine_job`: `fleet_setup` is a 1-unit batch
+    // (handshake, stream opener, one unit, end of stream); `fleet_unit` is
+    // the marginal cost of one more unit, each 41-unit batch less the
+    // median 1-unit batch, over 40.
+    let daemon = Server::bind("127.0.0.1:0", Engine::new(1)).unwrap().spawn().unwrap();
+    let daemons = [daemon.addr().to_string()];
+    let (one, many) = (vec![job.clone()], vec![job; 41]);
+    fleet_batch(&daemons, &one);
+    clear();
+    let fleet_setup = measure("fleet_setup", iters, 1, || fleet_batch(&daemons, &one));
+    dump("fleet_setup");
+    let (batches, _) = sample(iters, || fleet_batch(&daemons, &many));
+    dump("fleet_unit");
+    daemon.shutdown();
+    let per_unit: Vec<u64> =
+        batches.iter().map(|&t| (t.saturating_sub(fleet_setup.p50_ns) / 40).max(1)).collect();
+    let marginal_s = per_unit.iter().sum::<u64>() as f64 / 1e9;
+    let fleet_unit = summarize("fleet_unit", 1, per_unit, marginal_s);
 
-    let mut results = vec![
+    let results = vec![
         preprocess,
         preprocess_multirate,
         tau_eval,
@@ -497,8 +496,9 @@ pub fn run_baseline_profiled(
         simulate,
         json_parse,
         result_scan,
+        fleet_setup,
+        fleet_unit,
     ];
-    results.extend(fleets);
     BenchReport {
         meta: BenchMeta {
             iters,
@@ -552,9 +552,8 @@ mod tests {
                 "simulate",
                 "json_parse",
                 "result_scan",
-                "fleet_batch_1",
-                "fleet_batch_2",
-                "fleet_batch_4",
+                "fleet_setup",
+                "fleet_unit",
             ]
         );
         // meta.probes mirrors the result names exactly.

@@ -6,7 +6,7 @@ use std::time::Instant;
 use crate::cache::{CacheStats, EvaluatorCache, PreprocessCache};
 use crate::error::EngineError;
 use crate::job::{run_job, JobResult, JobSpec};
-use crate::pool::Pool;
+use crate::pool::{Pool, Slot};
 
 /// Parallel batch-evaluation engine with a shared preprocessing cache.
 ///
@@ -17,9 +17,12 @@ use crate::pool::Pool;
 /// the in-memory [`EvaluatorCache`], and `psdacc-store` provides a
 /// disk-persistent one that survives process restarts.
 ///
-/// Each engine owns one executor: `threads` workers started with the
-/// engine, which exit once it drops and their queue is empty. Batches
-/// ([`Engine::run`]) and single tasks ([`Engine::submit`]) share them.
+/// Each engine owns one executor: `threads` execution slots over one FIFO,
+/// and `threads` workers started with the engine, which exit once it drops
+/// and their queue is empty. At most `threads` tasks run at once. A thread
+/// that hands the engine work ([`Engine::run`], [`Engine::execute`]) runs
+/// it itself while a slot is free and wakes workers only for what it cannot
+/// take, so a one-thread engine runs a whole batch on its caller.
 #[derive(Debug)]
 pub struct Engine {
     cache: Arc<dyn PreprocessCache>,
@@ -101,8 +104,23 @@ impl Engine {
         &self.cache
     }
 
-    /// Queues `task` on the engine's workers, behind every task and batch
-    /// job submitted before it. A task that panics loses only itself.
+    /// Runs `tasks` on the engine's slots, this thread first: it queues them
+    /// behind earlier work, runs tasks from the front of the queue while a
+    /// slot is free, and wakes a worker for each task it cannot take right
+    /// away. Returns once every one of `tasks` has been taken; those a
+    /// worker took may still be running. A task that panics loses only
+    /// itself; one that must block on anything but computation releases its
+    /// [`Slot`] first.
+    pub fn execute<T>(&self, tasks: impl IntoIterator<Item = T>)
+    where
+        T: FnOnce(&mut Slot<'_>) + Send + 'static,
+    {
+        self.pool.execute(tasks.into_iter().map(|task| Box::new(task) as _).collect());
+    }
+
+    /// Queues `task` for the engine's workers, behind every task and batch
+    /// job queued before it; the calling thread does not run it. A task
+    /// that panics loses only itself.
     pub fn submit(&self, task: impl FnOnce() + Send + 'static) {
         self.pool.submit(task);
     }
@@ -116,10 +134,10 @@ impl Engine {
         self.run_streaming(jobs, |_result| {})
     }
 
-    /// Like [`Engine::run`], invoking `on_result` on the calling thread as
-    /// each job completes (completion order — [`JobResult::job`] carries the
-    /// batch index), so callers can stream output while the batch is still
-    /// executing.
+    /// Like [`Engine::run`], invoking `on_result` on the calling thread for
+    /// each job in completion order ([`JobResult::job`] carries the batch
+    /// index). The caller runs jobs itself until every job is taken, then
+    /// streams results as the jobs still in flight on workers complete.
     ///
     /// # Panics
     ///
@@ -132,13 +150,11 @@ impl Engine {
         let t0 = Instant::now();
         let njobs = jobs.len();
         let (tx, rx) = mpsc::channel();
-        for (idx, spec) in jobs.into_iter().enumerate() {
+        self.execute(jobs.into_iter().enumerate().map(|(idx, spec)| {
             let (cache, tx) = (Arc::clone(&self.cache), tx.clone());
-            self.submit(move || {
-                // The caller stops listening only when it is unwinding.
-                let _ = tx.send(run_job(cache.as_ref(), idx, &spec));
-            });
-        }
+            // The caller stops listening only when it is unwinding.
+            move |_: &mut Slot<'_>| drop(tx.send(run_job(cache.as_ref(), idx, &spec)))
+        }));
         drop(tx);
         // Each task drops its sender when it returns or panics, so this
         // ends once the whole batch has run.

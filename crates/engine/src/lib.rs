@@ -18,12 +18,14 @@
 //!   ([`ScenarioRegistry::define_graph`] — the serve `define_scenario`
 //!   verb), identified everywhere by the content hash of its canonical
 //!   JSON;
-//! * a **persistent worker pool** owned by each [`Engine`]: threads
-//!   started once and fed from one shared FIFO, so no call pays a thread
-//!   spawn and an idle worker always takes the next job — job costs are
-//!   wildly non-uniform (a cache miss pays a whole preprocessing pass, a
-//!   hit pays microseconds). The `psdacc-serve` daemon submits its units
-//!   to the same pool ([`Engine::submit`]);
+//! * a **persistent executor** owned by each [`Engine`]: `threads`
+//!   execution slots over one shared FIFO, and as many workers started
+//!   once, so no call pays a thread spawn and whoever holds a free slot
+//!   takes the next job — job costs are wildly non-uniform (a cache miss
+//!   pays a whole preprocessing pass, a hit pays microseconds). The thread
+//!   that hands over work runs it itself while a slot is free and wakes
+//!   workers only for the rest ([`Engine::execute`]); the `psdacc-serve`
+//!   daemon runs each connection's units that way;
 //! * a **shared preprocessing cache** ([`cache`]) keyed by
 //!   `(scenario, npsd)` behind `Arc`, guaranteeing exactly one
 //!   `AccuracyEvaluator::new` per key no matter how many workers race.
@@ -81,6 +83,7 @@ pub use engine::{BatchReport, Engine};
 pub use error::EngineError;
 pub use graphspec::{canonical_json, graph_spec_from_str, resolve_trace_refs, GraphScenario};
 pub use job::{run_job, run_job_traced, JobKind, JobResult, JobSpec, UnitTrace};
+pub use pool::Slot;
 pub use provider::{
     BuiltinProvider, FamilyInfo, GraphProvider, ParamSpec, ScenarioProvider, ScenarioRegistry,
 };

@@ -1,70 +1,250 @@
-//! The engine's executor: a fixed set of worker threads, started once per
-//! [`Engine`](crate::Engine), pulling boxed tasks from one shared FIFO.
+//! The engine's executor: `threads` execution slots over one FIFO of boxed
+//! tasks, served by the threads that submit work and by `threads`
+//! persistent workers.
 //!
-//! One queue feeding every worker balances load by itself: an idle worker
-//! takes the next task whatever the cost of the ones still running, so a
-//! cache miss that pays a whole preprocessing pass never strands cheap
-//! jobs behind it. The workers outlive every call, so no call pays for a
-//! thread spawn.
+//! A slot is the right to run one task; at most `threads` tasks run at once,
+//! whichever threads run them. A caller that hands the pool a batch
+//! ([`Pool::execute`]) runs it itself, front of the queue first, while a
+//! slot is free, and wakes a worker only for a task it cannot take right
+//! away: with one slot a batch never leaves the calling thread, and with
+//! more the workers take what the caller cannot. The caller returns once
+//! every one of its tasks has been taken, by itself or a worker. A thread
+//! that finishes a task keeps its slot for the next task at the front, so a
+//! busy pool hands no slot between threads; a task that must block on
+//! something other than computation (a socket write) gives its slot back
+//! first ([`Slot::release`]).
+//!
+//! One queue balances load by itself: whoever holds a free slot takes the
+//! next task whatever the cost of the ones still running, so a cache miss
+//! that pays a whole preprocessing pass never strands cheap jobs behind it.
+//! The workers outlive every call, so no call pays for a thread spawn.
 
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
-/// One unit of work for the pool.
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// One unit of work for the pool, run while holding a slot.
+type Task = Box<dyn FnOnce(&mut Slot<'_>) + Send + 'static>;
 
-/// A persistent pool of worker threads fed from one FIFO.
+/// The execution slot a running task holds. Tasks receive it so they can
+/// give it back before they block on anything but computation.
+#[derive(Debug)]
+pub struct Slot<'a> {
+    shared: &'a Shared,
+    held: bool,
+}
+
+impl Slot<'_> {
+    /// Gives the slot back before the task ends, so another task may run
+    /// while this one writes to a socket. Idempotent.
+    pub fn release(&mut self) {
+        if std::mem::take(&mut self.held) {
+            self.shared.give_back(&mut self.shared.lock());
+        }
+    }
+}
+
+/// What every thread of the pool shares.
+pub(crate) struct Shared {
+    state: Mutex<State>,
+    /// Signalled when a slot frees while tasks wait, or a task arrives while
+    /// a slot is free; workers and waiting callers both wait here.
+    ready: Condvar,
+}
+
+struct State {
+    queue: VecDeque<Task>,
+    /// Slots no task holds.
+    free: usize,
+    /// Tasks ever taken off the queue: a caller's tasks are all taken once
+    /// this passes the queue position of its last one.
+    taken: u64,
+    /// Callers blocked in [`Pool::execute`].
+    waiting: usize,
+    /// The pool was dropped: workers exit once the queue is empty.
+    closed: bool,
+}
+
+impl std::fmt::Debug for Shared {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Shared").finish_non_exhaustive()
+    }
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("no thread panics holding the pool state")
+    }
+
+    fn wait<'a>(&self, s: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.ready.wait(s).expect("no thread panics holding the pool state")
+    }
+
+    /// Takes the front task for a thread that holds a slot. A caller
+    /// waiting in [`Pool::execute`] may now have all its tasks taken.
+    fn pop(&self, s: &mut State) -> Option<Task> {
+        let task = s.queue.pop_front()?;
+        s.taken += 1;
+        if s.waiting > 0 {
+            self.ready.notify_all();
+        }
+        Some(task)
+    }
+
+    /// Takes the front task into a free slot.
+    fn claim(&self, s: &mut State) -> Option<Task> {
+        if s.free == 0 {
+            return None;
+        }
+        let task = self.pop(s)?;
+        s.free -= 1;
+        Some(task)
+    }
+
+    /// Frees a slot, waking a thread to fill it when a task waits.
+    fn give_back(&self, s: &mut State) {
+        s.free += 1;
+        if !s.queue.is_empty() {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Runs `task` in the slot it was claimed into, then the tasks at the
+    /// front of the queue in the same slot until `done` holds or the queue
+    /// runs dry. A task that released its slot needs a free one to go on.
+    /// Gives back the slot it ends with and returns with the state locked.
+    fn run_from(&self, task: Task, done: impl Fn(&State) -> bool) -> MutexGuard<'_, State> {
+        let mut task = task;
+        loop {
+            let mut slot = Slot { shared: self, held: true };
+            // A panicking task costs only itself: the panic hook has already
+            // reported it, and whoever waits on the task sees its channel
+            // sender dropped unsent.
+            let _ = panic::catch_unwind(AssertUnwindSafe(|| task(&mut slot)));
+            let mut s = self.lock();
+            if !slot.held {
+                if s.free == 0 {
+                    return s;
+                }
+                s.free -= 1;
+            }
+            match if done(&s) { None } else { self.pop(&mut s) } {
+                Some(next) => task = next,
+                None => {
+                    self.give_back(&mut s);
+                    return s;
+                }
+            }
+        }
+    }
+}
+
+/// A persistent pool of `threads` execution slots and as many workers.
 ///
-/// Dropping the pool closes the feed, and each worker exits once the
-/// queue is empty. The workers are detached, never joined: the last owner
-/// of a daemon's engine can be one of the engine's own tasks, and a
-/// thread cannot join itself.
+/// Dropping the pool closes it, and each worker exits once the queue is
+/// empty. The workers are detached, never joined: the last owner of a
+/// daemon's engine can be one of the engine's own tasks, and a thread
+/// cannot join itself.
 #[derive(Debug)]
 pub(crate) struct Pool {
-    feed: mpsc::Sender<Task>,
+    shared: Arc<Shared>,
     threads: usize,
 }
 
 impl Pool {
-    /// Starts `threads` workers (at least one).
+    /// Starts `threads` slots and workers (at least one).
     pub(crate) fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let (feed, rx) = mpsc::channel::<Task>();
-        let rx = Arc::new(Mutex::new(rx));
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                free: threads,
+                taken: 0,
+                waiting: 0,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        });
         for _ in 0..threads {
-            let rx = Arc::clone(&rx);
-            thread::spawn(move || worker(&rx));
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || worker(&shared));
         }
-        Pool { feed, threads }
+        Pool { shared, threads }
     }
 
-    /// Worker count.
+    /// Slot (and worker) count.
     pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Queues `task` behind every task submitted before it; the next idle
-    /// worker runs it.
+    /// Queues `tasks` behind every task queued before them and runs tasks
+    /// from the front on this thread while a slot is free, waking a worker
+    /// for each task it cannot take right away. Returns once every one of
+    /// `tasks` has been taken; those a worker took may still be running.
+    pub(crate) fn execute(&self, tasks: Vec<Task>) {
+        if tasks.is_empty() {
+            return;
+        }
+        let shared = &*self.shared;
+        let mut s = shared.lock();
+        s.queue.extend(tasks);
+        let end = s.taken + s.queue.len() as u64;
+        // This thread takes one task at a time; the other free slots go to
+        // workers.
+        for _ in 1..s.free.min(s.queue.len()) {
+            shared.ready.notify_one();
+        }
+        while s.taken < end {
+            s = match shared.claim(&mut s) {
+                Some(task) => {
+                    drop(s);
+                    shared.run_from(task, |s| s.taken >= end)
+                }
+                None => {
+                    s.waiting += 1;
+                    let mut s = shared.wait(s);
+                    s.waiting -= 1;
+                    s
+                }
+            };
+        }
+        // A wake-up this thread consumed without taking a task belongs to
+        // another waiter.
+        if s.free > 0 && !s.queue.is_empty() {
+            shared.ready.notify_one();
+        }
+    }
+
+    /// Queues `task` behind every task queued before it, for a worker: the
+    /// caller does not run it.
     pub(crate) fn submit(&self, task: impl FnOnce() + Send + 'static) {
-        self.feed
-            .send(Box::new(task))
-            .expect("workers hold the receiver as long as the feed is open");
+        let mut s = self.shared.lock();
+        s.queue.push_back(Box::new(move |_: &mut Slot<'_>| task()));
+        if s.free > 0 {
+            self.shared.ready.notify_one();
+        }
     }
 }
 
-fn worker(rx: &Mutex<mpsc::Receiver<Task>>) {
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shared.lock().closed = true;
+        self.shared.ready.notify_all();
+    }
+}
+
+fn worker(shared: &Shared) {
+    let mut s = shared.lock();
     loop {
-        // Holding the lock across the blocking recv is deliberate: exactly
-        // one idle worker waits in recv at a time, takes the task,
-        // releases, and executes while the next idle worker moves into
-        // recv — so execution still overlaps across all workers.
-        let task = rx.lock().expect("no worker panics holding the feed").recv();
-        let Ok(task) = task else { return };
-        // A panicking task costs only itself: the panic hook has already
-        // reported it, and whoever waits on the task sees its channel
-        // sender dropped unsent.
-        let _ = panic::catch_unwind(AssertUnwindSafe(task));
+        s = match shared.claim(&mut s) {
+            Some(task) => {
+                drop(s);
+                shared.run_from(task, |_| false)
+            }
+            None if s.closed && s.queue.is_empty() => return,
+            None => shared.wait(s),
+        };
     }
 }
 
@@ -78,6 +258,7 @@ mod tests {
     use psdacc_fixed::RoundingMode;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     /// `n` cheap jobs over one cached scenario, with distinct answers.
     fn jobs(n: usize) -> Vec<JobSpec> {
@@ -199,5 +380,70 @@ mod tests {
         drop((pool, tx));
         assert!(rx.recv().is_err(), "every queued task ran and dropped its sender");
         assert_eq!(count.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn a_one_thread_engine_runs_a_whole_batch_on_its_caller() {
+        let engine = Engine::new(1);
+        let ids = Arc::new(Mutex::new(Vec::new()));
+        engine.execute((0..50).map(|_| {
+            let ids = Arc::clone(&ids);
+            move |_: &mut Slot<'_>| ids.lock().expect("test lock").push(thread::current().id())
+        }));
+        let ids = ids.lock().expect("test lock");
+        assert_eq!(ids.len(), 50, "every task was taken before execute returned");
+        assert!(ids.iter().all(|&id| id == thread::current().id()), "a task left the caller");
+    }
+
+    #[test]
+    fn concurrent_callers_never_run_more_tasks_than_slots() {
+        let engine = Engine::new(2);
+        let (running, high) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (tx, rx) = mpsc::channel::<()>();
+        thread::scope(|scope| {
+            for _ in 0..3 {
+                let (engine, running, high, tx) = (&engine, &running, &high, tx.clone());
+                scope.spawn(move || {
+                    engine.execute((0..30).map(|_| {
+                        let (running, high, tx) =
+                            (Arc::clone(running), Arc::clone(high), tx.clone());
+                        move |_: &mut Slot<'_>| {
+                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                            high.fetch_max(now, Ordering::SeqCst);
+                            thread::sleep(std::time::Duration::from_micros(300));
+                            running.fetch_sub(1, Ordering::SeqCst);
+                            drop(tx);
+                        }
+                    }));
+                });
+            }
+        });
+        drop(tx);
+        assert!(rx.recv().is_err(), "every task ran and dropped its sender");
+        let high = high.load(Ordering::SeqCst);
+        assert!((1..=2).contains(&high), "{high} tasks ran at once on 2 slots");
+    }
+
+    #[test]
+    fn a_released_slot_runs_another_task_while_its_owner_blocks() {
+        let engine = Engine::new(1);
+        let (released_tx, released_rx) = mpsc::channel::<()>();
+        let (ran_tx, ran_rx) = mpsc::channel::<()>();
+        thread::scope(|scope| {
+            let blocked = scope.spawn(|| {
+                let (got_tx, got_rx) = mpsc::channel();
+                engine.execute([move |slot: &mut Slot<'_>| {
+                    slot.release();
+                    released_tx.send(()).expect("the test listens");
+                    // Blocks until a task runs in the slot it gave back.
+                    let got = ran_rx.recv_timeout(std::time::Duration::from_secs(30));
+                    got_tx.send(got).expect("the caller listens");
+                }]);
+                got_rx.recv().expect("the task answered")
+            });
+            released_rx.recv().expect("the first task released its slot");
+            engine.execute([move |_: &mut Slot<'_>| ran_tx.send(()).expect("the task listens")]);
+            assert_eq!(blocked.join().unwrap(), Ok(()), "the second task ran in the freed slot");
+        });
     }
 }

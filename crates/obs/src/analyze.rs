@@ -93,10 +93,11 @@ pub struct DaemonUtilization {
     pub addr: String,
     /// Units whose `serve.unit` span landed on this daemon.
     pub units: u64,
-    /// Sum of `serve.unit` durations, ns.
+    /// Time spent running units, ns: the `serve.unit` durations less
+    /// their `unit.queue` children (the wait for an execution slot).
     pub busy_ns: u64,
-    /// `busy_ns` over batch wall-clock. Can exceed 1.0 when the daemon
-    /// serves units concurrently.
+    /// `busy_ns` over batch wall-clock. Exceeds 1.0 only when the daemon
+    /// runs units concurrently, in more than one execution slot.
     pub utilization: f64,
     /// `fleet.dispatch` events targeting this daemon.
     pub dispatches: u64,
@@ -243,18 +244,27 @@ pub fn analyze(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
         }
         match ev.name.as_str() {
             "fleet.unit" => fleet_units.push((ev, dur)),
-            "serve.unit" => {
-                serve_units.push((ev, dur));
-                let addr = ev.daemon.clone().unwrap_or_else(|| "unknown".to_string());
-                let d = daemons.entry(addr.clone()).or_insert_with(|| blank_daemon(addr));
-                d.units += 1;
-                d.busy_ns += dur;
-            }
+            "serve.unit" => serve_units.push((ev, dur)),
             name if name.starts_with("unit.") => {
                 stages.entry(&ev.name).or_insert_with(|| blank_total(name)).add(dur, ev.unit);
             }
             _ => {}
         }
+    }
+
+    // A unit waiting for an execution slot is not work.
+    for &(ev, dur) in &serve_units {
+        let queued: u64 = children
+            .get(&ev.span)
+            .into_iter()
+            .flatten()
+            .filter(|k| k.name == "unit.queue")
+            .filter_map(|k| span_dur(k))
+            .sum();
+        let addr = ev.daemon.clone().unwrap_or_else(|| "unknown".to_string());
+        let d = daemons.entry(addr.clone()).or_insert_with(|| blank_daemon(addr));
+        d.units += 1;
+        d.busy_ns += dur.saturating_sub(queued);
     }
 
     // Wire: each roundtrip minus the daemon-side span of the same unit on
@@ -722,6 +732,26 @@ mod tests {
         assert_eq!((b_d.addr.as_str(), b_d.units, b_d.busy_ns), ("b", 1, 450));
         assert!((b_d.utilization - 0.45).abs() < 1e-12);
         assert_eq!((b_d.dispatches, b_d.queue_wait_ns), (1, 75));
+    }
+
+    /// Two units parsed together on a one-slot daemon: the second waits
+    /// for the first, and its wait is not busy time.
+    #[test]
+    fn queued_units_on_one_slot_never_exceed_full_utilization() {
+        let events = vec![
+            span("fleet.batch", 1, None, 0, 1000, None, None, vec![]),
+            span("serve.unit", 10, Some(1), 0, 450, Some(0), Some("a"), vec![]),
+            span("unit.queue", 20, Some(10), 0, 10, Some(0), Some("a"), vec![]),
+            span("serve.unit", 11, Some(1), 0, 900, Some(1), Some("a"), vec![]),
+            span("unit.queue", 21, Some(11), 0, 450, Some(1), Some("a"), vec![]),
+            span("unit.tau_eval", 22, Some(11), 450, 440, Some(1), Some("a"), vec![]),
+        ];
+        let a = analyze(&events).unwrap();
+        let d = &a.daemons[0];
+        assert_eq!((d.addr.as_str(), d.units, d.busy_ns), ("a", 2, 440 + 450));
+        assert!(d.utilization <= 1.0, "utilization {} on one slot", d.utilization);
+        let queue = a.stages.iter().find(|s| s.name == "unit.queue").unwrap();
+        assert_eq!((queue.count, queue.total_ns), (2, 460), "the queue is a layer of its own");
     }
 
     #[test]

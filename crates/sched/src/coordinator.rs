@@ -4,19 +4,19 @@
 //!
 //! One thread owns each daemon link, in the serve protocol's
 //! `evaluate_units` mode, and does all of its work. It runs the `hello`
-//! handshake; no link sends a unit until every handshake has finished, so
-//! a half-dead fleet names every unreachable daemon at once. Then it
-//! takes as many units off the front of the queue as the daemon's
-//! in-flight window allows and sends them in one write, reads one result,
-//! merges it, and sends the next unit at once: no other thread stands
-//! between a result and the next dispatch. With nothing in flight it
-//! waits on the queue, which wakes it when a dead daemon's units return
-//! or the run ends. A premature EOF or an I/O error declares its daemon
-//! dead, which puts the daemon's in-flight units back at the front of the
-//! queue for one retry on the survivors. When the run concludes the link
-//! half-closes and reads its daemon's stream to the end. The caller's
-//! thread drives the first link, so a one-daemon batch starts no thread
-//! and N daemons start N−1.
+//! handshake and claims its first window of units off the front of the
+//! queue; no link sends a unit until every handshake has finished, so a
+//! half-dead fleet names every unreachable daemon at once. Then it sends
+//! its window in one write, reads a result and every further result
+//! already buffered, merges them, and refills the window in one write at
+//! once: no other thread stands between a result and the next dispatch.
+//! With nothing in flight it waits on the queue, which wakes it when a
+//! dead daemon's units return or the run ends. A premature EOF or an I/O
+//! error declares its daemon dead, which puts the daemon's in-flight units
+//! back at the front of the queue for one retry on the survivors. When the
+//! run concludes the link half-closes and reads its daemon's stream to the
+//! end. The caller's thread drives the first link, so a one-daemon batch
+//! starts no thread and N daemons start N−1.
 //!
 //! The merge re-assembles results by unit id under one lock, handing each
 //! line to `on_line` — on whichever link thread completed it — the moment
@@ -48,8 +48,10 @@ use crate::queue::{Dispatch, FleetQueue, Step, Unit};
 /// GraphSpec JSON)`.
 pub type ScenarioDefinition = (String, String);
 
-/// In-flight window per daemon = advertised workers x this factor: 2
-/// keeps every daemon worker busy while a refill is on the wire.
+/// In-flight window per daemon = advertised workers x this factor. The
+/// window is a balance bound: it caps how many units one daemon holds
+/// while another could take them. It does not hide the refill's round
+/// trip, which for µs-scale units outlasts a window's work at any factor.
 const WINDOW_FACTOR: usize = 2;
 
 /// The in-flight window granted to a daemon advertising `workers`.
@@ -410,12 +412,18 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
         let link = connect_daemon(&self.daemons[d], self.config);
         let hello = link.as_ref().map(|&(_, workers)| workers).map_err(ToString::to_string);
         self.hellos[d].set(hello).expect("one handshake per link");
+        // Claim the first window before the barrier: a thread scheduled late
+        // after it still finds units of its own.
+        let claimed = match &link {
+            Ok((_, workers)) => self.queue.claim(d, window(*workers)),
+            Err(_) => Vec::new(),
+        };
         self.handshakes.wait();
         let (Some(run), Ok((stream, workers))) = (self.run.get_or_init(|| self.start()), link)
         else {
             return;
         };
-        if let Err(reason) = self.stream(d, &stream, window(workers), run) {
+        if let Err(reason) = self.stream(d, &stream, window(workers), run, claimed) {
             // After the run concluded a failing link is no death.
             if !self.queue.is_finished() {
                 self.declare_dead(d, run, reason);
@@ -442,16 +450,28 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
         Some(Run { tracer, root, open_line })
     }
 
-    /// The unit loop on one link: send what the window allows in one
-    /// write, then read and merge one result, until the run stops. `Err`
-    /// says why the daemon is dead.
-    fn stream(&self, d: usize, stream: &TcpStream, window: usize, run: &Run) -> Result<(), String> {
+    /// The unit loop on one link: send the `claimed` units and then what
+    /// the window allows in one write, read and merge one result and every
+    /// further result already buffered, and repeat until the run stops.
+    /// `Err` says why the daemon is dead.
+    fn stream(
+        &self,
+        d: usize,
+        stream: &TcpStream,
+        window: usize,
+        run: &Run,
+        claimed: Vec<Dispatch>,
+    ) -> Result<(), String> {
         let addr = &self.daemons[d];
         let write_failed = |e: std::io::Error| format!("write to {addr} failed: {e}");
         let mut writer = BufWriter::new(stream);
         let mut reader = BufReader::new(stream);
         writeln!(writer, "{}", run.open_line).map_err(write_failed)?;
-        let mut sent: Vec<Dispatch> = Vec::new();
+        for dispatch in &claimed {
+            writeln!(writer, "{}", dispatch.line).map_err(write_failed)?;
+        }
+        self.queue.start_clocks(d);
+        let mut sent = claimed;
         loop {
             let step = self.queue.next(d, window);
             if let Step::Send(dispatch) = step {
@@ -475,16 +495,22 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
             if matches!(step, Step::Stop) {
                 break;
             }
-            match read_capped_line(&mut reader) {
-                Ok(Some(line)) => {
-                    if !self.accept(d, line, run) {
-                        // This daemon's traffic poisoned the run: drop the
-                        // link rather than wait on a misbehaving peer.
-                        return Ok(());
+            // Refill once per burst of results, not once per line.
+            loop {
+                match read_capped_line(&mut reader) {
+                    Ok(Some(line)) => {
+                        if !self.accept(d, line, run) {
+                            // This daemon's traffic poisoned the run: drop
+                            // the link rather than wait on a misbehaving peer.
+                            return Ok(());
+                        }
                     }
+                    Ok(None) => return Err(format!("{addr} closed mid-batch")),
+                    Err(e) => return Err(format!("read from {addr} failed: {e}")),
                 }
-                Ok(None) => return Err(format!("{addr} closed mid-batch")),
-                Err(e) => return Err(format!("read from {addr} failed: {e}")),
+                if !reader.buffer().contains(&b'\n') {
+                    break;
+                }
             }
         }
         // The run is over: half-close, then read to the daemon's end of

@@ -97,6 +97,21 @@ struct Inner {
     done: bool,
 }
 
+impl Inner {
+    /// Moves the front unit in flight on daemon `d` while its window has
+    /// room.
+    fn take(&mut self, d: usize, window: usize) -> Option<Dispatch> {
+        if self.in_flight[d].len() >= window {
+            return None;
+        }
+        let unit = self.pending.pop_front()?;
+        let handout =
+            Dispatch { id: unit.id, line: unit.line.clone(), queue_wait: unit.enqueued.elapsed() };
+        self.in_flight[d].insert(unit.id, (unit, Instant::now()));
+        Some(handout)
+    }
+}
+
 /// The shared queue (see module docs).
 #[derive(Debug)]
 pub(crate) struct FleetQueue {
@@ -133,22 +148,31 @@ impl FleetQueue {
             if g.done || g.fatal.is_some() || g.dead[d] {
                 return Step::Stop;
             }
-            if g.in_flight[d].len() < window {
-                if let Some(unit) = g.pending.pop_front() {
-                    let handout = Dispatch {
-                        id: unit.id,
-                        line: unit.line.clone(),
-                        queue_wait: unit.enqueued.elapsed(),
-                    };
-                    g.in_flight[d].insert(unit.id, (unit, Instant::now()));
-                    return Step::Send(handout);
-                }
+            if let Some(dispatch) = g.take(d, window) {
+                return Step::Send(dispatch);
             }
             if !g.in_flight[d].is_empty() {
                 return Step::Read;
             }
             g = self.cv.wait(g).expect("fleet queue wait");
         }
+    }
+
+    /// Takes up to a full `window` for daemon `d` without waiting: the
+    /// units a link claims as soon as its handshake succeeds, before it may
+    /// send them. [`FleetQueue::start_clocks`] marks when they go out.
+    pub(crate) fn claim(&self, d: usize, window: usize) -> Vec<Dispatch> {
+        let mut g = self.inner.lock().expect("fleet queue lock");
+        std::iter::from_fn(|| g.take(d, window)).collect()
+    }
+
+    /// Restarts the roundtrip clock of every unit in flight on daemon `d`:
+    /// its claimed units go on the wire now, and the wait for the other
+    /// links' handshakes is no part of a roundtrip.
+    pub(crate) fn start_clocks(&self, d: usize) {
+        let now = Instant::now();
+        let mut g = self.inner.lock().expect("fleet queue lock");
+        g.in_flight[d].values_mut().for_each(|(_, sent)| *sent = now);
     }
 
     /// Records a result for unit `id` from daemon `d`: frees the window
@@ -280,6 +304,21 @@ mod tests {
         let order: Vec<usize> = [0, 1, 1, 0, 1, 0].iter().map(|&d| send(&q, d).id).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
         assert!(matches!(q.next(0, WINDOW), Step::Read), "queue empty, units in flight");
+    }
+
+    #[test]
+    fn claim_takes_up_to_a_window_without_waiting() {
+        let q = queue(3, 2);
+        let ids: Vec<usize> = q.claim(0, 2).iter().map(|u| u.id).collect();
+        assert_eq!(ids, vec![0, 1]);
+        assert_eq!(q.claim(1, 2).iter().map(|u| u.id).collect::<Vec<_>>(), vec![2]);
+        // Nothing left: a late link claims nothing rather than waiting.
+        assert!(q.claim(1, 2).is_empty());
+        assert!(matches!(q.next(0, 2), Step::Read), "claimed units are in flight");
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        q.start_clocks(0);
+        let done = q.complete(0, 0, true).expect("unit 0 was in flight");
+        assert!(done.roundtrip < std::time::Duration::from_millis(30), "{done:?}");
     }
 
     #[test]

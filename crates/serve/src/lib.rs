@@ -40,6 +40,6 @@ pub use client::{
 pub use error::ServeError;
 pub use protocol::{
     define_request_line, evaluate_units_line, job_request_line, parse_define_ack, parse_request,
-    parse_trace_reply, result_line, trace_request_line, Request, TraceContext,
+    parse_trace_reply, trace_request_line, Request, TraceContext,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ServerState, PROTOCOL_REVISION};

@@ -70,7 +70,7 @@
 
 use psdacc_engine::graphspec::parse_graph_spec;
 use psdacc_engine::json::{self, Json, JsonWriter};
-use psdacc_engine::{JobKind, JobResult, JobSpec, ScenarioRegistry};
+use psdacc_engine::{JobKind, JobSpec, ScenarioRegistry};
 use psdacc_fixed::RoundingMode;
 use psdacc_obs::{SpanId, TraceEvent};
 use psdacc_sfg::GraphSpec;
@@ -462,13 +462,6 @@ pub fn job_request_line(id: usize, spec: &JobSpec) -> Result<String, ServeError>
         }
     }
     Ok(w.finish())
-}
-
-/// Renders a result line with the `job` field remapped to the request id.
-pub fn result_line(id: usize, result: &JobResult) -> String {
-    let mut tagged = result.clone();
-    tagged.job = id;
-    tagged.to_json_line()
 }
 
 /// Renders the `define_scenario` request line for a named graph
@@ -912,8 +905,9 @@ mod tests {
         use psdacc_engine::EvaluatorCache;
         let cache = EvaluatorCache::new();
         let spec = &specs()[0];
-        let result = psdacc_engine::job::run_job(&cache, 0, spec);
-        let line = result_line(991, &result);
+        // The daemon runs each unit under its request id, so the rendered
+        // result carries it.
+        let line = psdacc_engine::job::run_job(&cache, 991, spec).to_json_line();
         let v = psdacc_engine::json::parse(&line).unwrap();
         assert_eq!(v.get("job").unwrap().as_u64(), Some(991));
     }

@@ -10,13 +10,13 @@ use std::time::{Duration, Instant};
 
 use psdacc_engine::job::{run_job_traced, UnitTrace};
 use psdacc_engine::json::JsonWriter;
-use psdacc_engine::{Engine, JobResult, JobSpec, ScenarioRegistry};
+use psdacc_engine::{Engine, JobResult, JobSpec, ScenarioRegistry, Slot};
 use psdacc_obs::{Counter, Gauge, MetricsRegistry, OpenSpan, SpanId, TraceStore, Tracer};
 use psdacc_sfg::GraphSpec;
 
 use crate::error::ServeError;
 use crate::latency::LatencyRegistry;
-use crate::protocol::{parse_request, read_capped_line, result_line, Request, TraceContext};
+use crate::protocol::{parse_request, read_capped_line, Request, TraceContext};
 
 /// Revision of the wire protocol this daemon speaks (`hello` advertises
 /// it; revision 2 added `hello` / `evaluate_units`, revision 3 added
@@ -303,9 +303,9 @@ impl Server {
 
     /// Serves until the shutdown flag is raised (never, unless a
     /// [`ServerHandle`] exists). Connection handlers run on their own
-    /// threads and stream their jobs unit by unit onto the engine's
-    /// workers. Connections beyond `max_connections` are refused with one
-    /// error line.
+    /// threads and run their units in the engine's execution slots.
+    /// Connections beyond `max_connections` are refused with one error
+    /// line.
     pub fn run(&self) {
         for stream in self.listener.incoming() {
             if self.state.shutdown.load(Ordering::SeqCst) {
@@ -398,20 +398,23 @@ fn error_line(lineno: usize, error: &str) -> String {
 /// How long a result or reply line may wait to reach the peer's socket
 /// before the daemon gives up on the peer. It counts from the moment the
 /// line is ready and covers every `write` call the line takes, so a peer
-/// that reads a trickle cannot stretch it. Pool workers write result lines,
-/// and a peer that stops reading would otherwise hold a worker in `write`
-/// for as long as it likes. A live reader never meets it: a write blocks
-/// only once the kernel's socket buffers are full.
+/// that reads a trickle cannot stretch it. The thread that finishes a unit
+/// may write its connection's lines, and a peer that stops reading would
+/// otherwise hold that thread in `write` for as long as it likes. A live
+/// reader never meets it: a write blocks only once the kernel's socket
+/// buffers are full.
 pub const WRITE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// One connection as its unit tasks see it: the queue of lines waiting for
-/// the peer, the lock held by whichever thread writes them, and the
-/// connection's fate.
+/// the peer, the lock held by whichever thread writes them, the units still
+/// to finish, and the connection's fate.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
     writing: Mutex<()>,
     queue: Mutex<Vec<Line>>,
+    /// Units handed to the engine that have not yet queued their line.
+    outstanding: AtomicUsize,
     died: AtomicBool,
     executed: AtomicUsize,
     failed: AtomicUsize,
@@ -429,10 +432,26 @@ struct Line {
 impl Conn {
     /// Queues `text` and writes the queue, unless another thread is already
     /// writing: that thread writes this line too, so at most one thread per
-    /// connection ever waits on the peer. `unit` is released once the line
-    /// is written or dropped. Errors only if this call's own write failed.
-    fn send(&self, text: String, unit: Option<Arc<Finished>>) -> Result<(), ServeError> {
-        self.queue().push(Line { text, ready: Instant::now(), _unit: unit });
+    /// connection ever waits on the peer. Errors only if this call's own
+    /// write failed.
+    fn send(&self, text: String) -> Result<(), ServeError> {
+        self.queue().push(Line { text, ready: Instant::now(), _unit: None });
+        self.write_queued()
+    }
+
+    /// Queues a finished unit's line (`None` when the unit did not run) and
+    /// says whether it was the connection's last outstanding unit: that
+    /// unit's thread writes the queue, so a burst's lines leave in one write.
+    fn finish(&self, text: Option<String>, unit: Arc<Finished>) -> bool {
+        if let Some(text) = text {
+            self.queue().push(Line { text, ready: Instant::now(), _unit: Some(unit) });
+        }
+        self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
+    /// Writes what is queued unless another thread is writing (see
+    /// [`Conn::send`]).
+    fn write_queued(&self) -> Result<(), ServeError> {
         self.drain(self.writing.try_lock().ok())
     }
 
@@ -509,11 +528,31 @@ impl Drop for Finished {
     }
 }
 
-/// Drives one connection. Control requests are answered immediately; every
-/// job line is handed to the engine's worker pool the moment it arrives,
-/// and each result is written back as soon as it completes (any order —
-/// results carry their request id). The pool is the daemon's: `workers`
-/// threads shared by every connection.
+/// A parsed job line waiting for its burst to run.
+#[derive(Debug)]
+struct Unit {
+    id: usize,
+    spec: JobSpec,
+    span: Option<OpenSpan>,
+    /// Tracer clock when the unit was parsed: its `unit.queue` span starts
+    /// here.
+    queued_ns: u64,
+}
+
+/// Drives one connection. Control requests are answered as soon as they
+/// are read. Job lines are collected into a burst: every complete line
+/// already buffered from the socket. The handler then runs the burst
+/// through the engine itself ([`Engine::execute`]): it runs units while one
+/// of the daemon's `workers` execution slots is free, and the engine's
+/// workers take only what it cannot. Slots are shared by every connection,
+/// so at most `workers` units execute at once daemon-wide.
+///
+/// A unit's result line is queued while another unit of the connection is
+/// still outstanding; whichever thread finishes the last one gives its
+/// slot back and writes every queued line in one write. Results carry
+/// their request id, so their order is free. One thread at a time writes a
+/// connection's lines: one that finds another writing leaves its lines to
+/// it and moves on.
 ///
 /// The unit stream opens with the first job line, or earlier with an
 /// optional `evaluate_units` opener that may carry a trace context; an
@@ -521,18 +560,16 @@ impl Drop for Finished {
 /// per connection: at most three units per worker are in flight, and a
 /// peer that outruns the daemon blocks in the kernel's TCP window instead
 /// of growing an unbounded queue. A unit stays in flight until its result
-/// line is written, and one thread at a time writes a connection's lines:
-/// a worker that finds another writing queues its line and moves on. A
-/// line not written within [`WRITE_DEADLINE`] of being ready kills the
-/// connection, so a peer that reads slowly or not at all holds at most one
-/// worker, and only until one of its lines is that late. On client
-/// half-close every unit finishes, then one
+/// line is written. A line not written within [`WRITE_DEADLINE`] of being
+/// ready kills the connection, so a peer that reads slowly or not at all
+/// holds at most one thread, and only until one of its lines is that late.
+/// On client half-close every unit finishes, then one
 /// `{"kind":"summary","mode":"units",...}` line ends an opened stream (a
 /// connection that only sent control requests gets no summary). A unit
 /// whose job panics answers with an error result and counts as failed.
 ///
 /// With a trace context, every unit records a `serve.unit` span parented
-/// under the coordinator's root span, with `unit.parse` /
+/// under the coordinator's root span, with `unit.parse` / `unit.queue` /
 /// `unit.cache_lookup` / `unit.preprocess` / `unit.tau_eval` /
 /// `unit.serialize` children — the per-unit timing breakdown the merged
 /// fleet trace is built from. Tracing never alters results: the tracer
@@ -544,12 +581,14 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
         stream,
         writing: Mutex::new(()),
         queue: Mutex::new(Vec::new()),
+        outstanding: AtomicUsize::new(0),
         died: AtomicBool::new(false),
         executed: AtomicUsize::new(0),
         failed: AtomicUsize::new(0),
     });
     let (done_tx, done_rx) = mpsc::channel::<()>();
     let mut in_flight = 0usize;
+    let mut burst: Vec<Unit> = Vec::new();
     // The opened unit stream: its tracer (disabled without a trace
     // context) and the coordinator span its units parent under.
     let mut opened: Option<(Arc<Tracer>, Option<SpanId>)> = None;
@@ -557,10 +596,26 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
         Some(trace) => (state.traces.create(&trace.batch), trace.span),
         None => (Arc::new(Tracer::disabled()), None),
     };
+    let run_burst = |burst: &mut Vec<Unit>, tracer: &Arc<Tracer>| {
+        if burst.is_empty() {
+            return;
+        }
+        conn.outstanding.fetch_add(burst.len(), Ordering::AcqRel);
+        state.engine.execute(burst.drain(..).map(|unit| {
+            let (state, conn, tracer) = (Arc::clone(state), Arc::clone(&conn), Arc::clone(tracer));
+            let finished = Arc::new(Finished(done_tx.clone()));
+            move |slot: &mut Slot<'_>| run_unit(&state, &conn, &tracer, unit, finished, slot)
+        }));
+    };
     let mut auto_id = 0usize;
     let mut lineno = 0usize;
     let mut read_error: Option<std::io::Error> = None;
     while !conn.died.load(Ordering::SeqCst) {
+        // The burst is every complete line the socket had delivered: run it
+        // before a read that may block.
+        if let (Some((tracer, _)), false) = (&opened, reader.buffer().contains(&b'\n')) {
+            run_burst(&mut burst, tracer);
+        }
         let line = match read_capped_line(&mut reader) {
             Ok(Some(line)) => line,
             Ok(None) => break,
@@ -581,16 +636,18 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
             Ok(Request::Job { id, spec }) => {
                 auto_id += 1;
                 let (tracer, root_span) = opened.get_or_insert_with(|| open(None));
-                let unit_span = tracer.start("serve.unit", *root_span, Some(id as u64));
-                if let Some(span) = &unit_span {
+                let span = tracer.start("serve.unit", *root_span, Some(id as u64));
+                let mut queued_ns = 0;
+                if let Some(span) = &span {
                     // The parse happened before the span could exist;
                     // record it as a measured child ending now.
+                    queued_ns = tracer.now_ns();
                     tracer.span_at(
                         "unit.parse",
                         Some(span.id),
                         Some(id as u64),
                         parse_start,
-                        tracer.now_ns().saturating_sub(parse_start),
+                        queued_ns.saturating_sub(parse_start),
                         Vec::new(),
                     );
                 }
@@ -598,20 +655,12 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
                 // (two units per worker) never reaches.
                 in_flight -= done_rx.try_iter().count();
                 if in_flight == max_in_flight {
+                    run_burst(&mut burst, tracer);
                     done_rx.recv().expect("the handler holds a sender");
                     in_flight -= 1;
                 }
                 in_flight += 1;
-                let task = (
-                    Arc::clone(state),
-                    Arc::clone(&conn),
-                    Arc::clone(tracer),
-                    Arc::new(Finished(done_tx.clone())),
-                );
-                state.engine.submit(move || {
-                    let (state, conn, tracer, finished) = task;
-                    run_unit(&state, &conn, &tracer, id, &spec, unit_span, &finished);
-                });
+                burst.push(Unit { id, spec, span, queued_ns });
                 continue;
             }
             Ok(Request::EvaluateUnits { trace }) => {
@@ -635,7 +684,10 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
         };
         // A failed write has killed the connection; the units still in
         // flight see that and return unexecuted.
-        conn.send(reply, None)?;
+        conn.send(reply)?;
+    }
+    if let Some((tracer, _)) = &opened {
+        run_burst(&mut burst, tracer);
     }
     for _ in 0..in_flight {
         done_rx.recv().expect("the handler holds a sender");
@@ -648,7 +700,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
     if let Some(e) = read_error {
         // Tell the peer (best effort) and the daemon log why the stream
         // ended without a summary.
-        let _ = conn.send(error_line(lineno + 1, &e.to_string()), None).and_then(|()| conn.flush());
+        let _ = conn.send(error_line(lineno + 1, &e.to_string())).and_then(|()| conn.flush());
         return Err(ServeError::Io(format!("connection read failed: {e}")));
     }
     if opened.is_some() {
@@ -657,63 +709,76 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
         w.field_str("mode", "units");
         w.field_usize("jobs", conn.executed.load(Ordering::Relaxed));
         w.field_usize("failed", conn.failed.load(Ordering::Relaxed));
-        conn.send(w.finish(), None)?;
+        conn.send(w.finish())?;
     }
     conn.flush()
 }
 
-/// One unit task on the engine's pool: (chaos-)execute, queue the result
-/// line, count it. A unit of a dead connection returns without executing;
-/// a job that panics answers with an error result.
+/// One unit in an execution slot: (chaos-)execute, queue the result line,
+/// count it, and — for the connection's last outstanding unit — give the
+/// slot back and write the queue. A unit of a dead connection returns
+/// without executing; a job that panics answers with an error result.
 fn run_unit(
     state: &ServerState,
     conn: &Conn,
     tracer: &Tracer,
-    id: usize,
-    spec: &JobSpec,
-    unit_span: Option<OpenSpan>,
-    finished: &Arc<Finished>,
+    unit: Unit,
+    finished: Arc<Finished>,
+    slot: &mut Slot<'_>,
 ) {
-    if conn.died.load(Ordering::SeqCst) {
-        return;
-    }
-    if !state.config.chaos_unit_delay.is_zero() {
-        std::thread::sleep(state.config.chaos_unit_delay);
-    }
-    let parent = unit_span.as_ref().map(|s| s.id);
-    let unit_trace = UnitTrace { tracer, parent, unit: Some(id as u64) };
-    let t0 = Instant::now();
-    let cache = state.engine.cache().as_ref();
-    let run = || run_job_traced(cache, 0, spec, Some(&unit_trace));
-    let result = panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
-        let what = panic.downcast_ref::<&str>().copied();
-        let what = what.or_else(|| panic.downcast_ref::<String>().map(String::as_str));
-        JobResult::failed(0, spec, format!("job panicked: {}", what.unwrap_or("no message")))
+    let Unit { id, spec, span, queued_ns } = unit;
+    let line = (!conn.died.load(Ordering::SeqCst)).then(|| {
+        let parent = span.as_ref().map(|s| s.id);
+        if parent.is_some() {
+            let waited = tracer.now_ns().saturating_sub(queued_ns);
+            tracer.span_at("unit.queue", parent, Some(id as u64), queued_ns, waited, Vec::new());
+        }
+        if !state.config.chaos_unit_delay.is_zero() {
+            std::thread::sleep(state.config.chaos_unit_delay);
+        }
+        let unit_trace = UnitTrace { tracer, parent, unit: Some(id as u64) };
+        let t0 = Instant::now();
+        let cache = state.engine.cache().as_ref();
+        let run = || run_job_traced(cache, id, &spec, Some(&unit_trace));
+        let result = panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+            let what = panic.downcast_ref::<&str>().copied();
+            let what = what.or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+            JobResult::failed(id, &spec, format!("job panicked: {}", what.unwrap_or("no message")))
+        });
+        state.latency.record(&spec.kind, t0.elapsed());
+        if result.error.is_some() {
+            conn.failed.fetch_add(1, Ordering::Relaxed);
+        }
+        let serialize = tracer.start("unit.serialize", parent, Some(id as u64));
+        let line = result.to_json_line();
+        // Close the spans before the line can reach the peer: the peer's
+        // roundtrip ends when it reads the line, and the unit's span must
+        // fit inside it. The hand-off to the socket counts as wire time.
+        tracer.end(serialize);
+        tracer.end(span);
+        line
     });
-    state.latency.record(&spec.kind, t0.elapsed());
-    if result.error.is_some() {
-        conn.failed.fetch_add(1, Ordering::Relaxed);
+    let ran = line.is_some();
+    let last = conn.finish(line, finished);
+    let mut chaos = false;
+    if ran {
+        state.units_served.inc();
+        conn.executed.fetch_add(1, Ordering::Relaxed);
+        let served = state.units_served.get() as usize;
+        chaos = state.config.chaos_die_after_units.is_some_and(|limit| served >= limit);
     }
-    let serialize = tracer.start("unit.serialize", parent, Some(id as u64));
-    let line = result_line(id, &result);
-    // Close the spans before the line can reach the peer: the peer's
-    // roundtrip ends when it reads the line, and the unit's span must fit
-    // inside it. The hand-off to the socket counts as wire time.
-    tracer.end(serialize);
-    tracer.end(unit_span);
-    let sent = conn.send(line, Some(Arc::clone(finished)));
-    if sent.is_err() {
-        // Peer gone or past the write deadline: the connection is dead.
+    if !last && !chaos {
         return;
     }
-    state.units_served.inc();
-    let served = state.units_served.get() as usize;
-    conn.executed.fetch_add(1, Ordering::Relaxed);
-    if state.config.chaos_die_after_units.is_some_and(|limit| served >= limit) {
-        // Simulated crash after the result is out: both directions down,
+    slot.release();
+    if chaos {
+        // Simulated crash once the result is out: both directions down,
         // mid-stream.
         let _ = conn.flush();
         conn.kill();
+    } else {
+        // A failed write has killed the connection.
+        let _ = conn.write_queued();
     }
 }
 

@@ -608,6 +608,28 @@ fn workers_are_shared_across_connections() {
     daemon.shutdown();
 }
 
+/// A one-worker daemon runs a two-unit burst on the connection's own
+/// thread and answers both units, then the summary counts both.
+#[test]
+fn a_one_worker_daemon_answers_a_two_unit_burst() {
+    let daemon = spawn_memory_daemon(1);
+    let stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    // One write, so both lines reach the daemon as one burst.
+    write!(&stream, "{}\n{}\n", unit_line(0), unit_line(1)).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    let mut ids: Vec<u64> = lines[..2].iter().map(|l| stat(l, "job")).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, [0, 1], "{lines:?}");
+    assert!(lines[..2].iter().all(|l| l.contains("\"power\"")), "{lines:?}");
+    assert_eq!(stat(&lines[2], "jobs"), 2, "{lines:?}");
+    assert_eq!(stat(&lines[2], "failed"), 0, "{lines:?}");
+    daemon.shutdown();
+}
+
 /// A peer that floods units and never reads parks the daemon's only
 /// worker in `write`, but for at most the write deadline: another
 /// connection's unit is still answered.
