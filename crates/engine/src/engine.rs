@@ -19,10 +19,10 @@ use crate::pool::{Pool, Slot};
 ///
 /// Each engine owns one executor: `threads` execution slots over one FIFO,
 /// and `threads` workers started with the engine, which exit once it drops
-/// and their queue is empty. At most `threads` tasks run at once. A thread
-/// that hands the engine work ([`Engine::run`], [`Engine::execute`]) runs
-/// it itself while a slot is free and wakes workers only for what it cannot
-/// take, so a one-thread engine runs a whole batch on its caller.
+/// and their queue is empty. At most `threads` tasks run at once. A
+/// one-thread engine runs the work a thread hands it ([`Engine::run`],
+/// [`Engine::execute`]) on that thread; with more threads the workers run
+/// it.
 #[derive(Debug)]
 pub struct Engine {
     cache: Arc<dyn PreprocessCache>,
@@ -104,13 +104,12 @@ impl Engine {
         &self.cache
     }
 
-    /// Runs `tasks` on the engine's slots, this thread first: it queues them
-    /// behind earlier work, runs tasks from the front of the queue while a
-    /// slot is free, and wakes a worker for each task it cannot take right
-    /// away. Returns once every one of `tasks` has been taken; those a
-    /// worker took may still be running. A task that panics loses only
-    /// itself; one that must block on anything but computation releases its
-    /// [`Slot`] first.
+    /// Runs `tasks` on the engine's slots, behind earlier work. A one-thread
+    /// engine runs them on this thread, in order, and returns once all have
+    /// been taken; with more threads the workers run them and this returns
+    /// at once. It never runs a task queued before them. A task that panics
+    /// loses only itself; one that must block on anything but computation
+    /// releases its [`Slot`] first.
     pub fn execute<T>(&self, tasks: impl IntoIterator<Item = T>)
     where
         T: FnOnce(&mut Slot<'_>) + Send + 'static,
@@ -121,7 +120,8 @@ impl Engine {
     /// Queues `task` for the engine's workers, behind every task and batch
     /// job queued before it; the calling thread does not run it. A task
     /// that panics loses only itself.
-    pub fn submit(&self, task: impl FnOnce() + Send + 'static) {
+    #[cfg(test)]
+    pub(crate) fn submit(&self, task: impl FnOnce() + Send + 'static) {
         self.pool.submit(task);
     }
 
@@ -136,8 +136,9 @@ impl Engine {
 
     /// Like [`Engine::run`], invoking `on_result` on the calling thread for
     /// each job in completion order ([`JobResult::job`] carries the batch
-    /// index). The caller runs jobs itself until every job is taken, then
-    /// streams results as the jobs still in flight on workers complete.
+    /// index). A one-thread engine runs the jobs on the caller, which then
+    /// streams their results; with more threads the caller streams results
+    /// as the workers complete them.
     ///
     /// # Panics
     ///

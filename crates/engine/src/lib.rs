@@ -22,10 +22,11 @@
 //!   execution slots over one shared FIFO, and as many workers started
 //!   once, so no call pays a thread spawn and whoever holds a free slot
 //!   takes the next job — job costs are wildly non-uniform (a cache miss
-//!   pays a whole preprocessing pass, a hit pays microseconds). The thread
-//!   that hands over work runs it itself while a slot is free and wakes
-//!   workers only for the rest ([`Engine::execute`]); the `psdacc-serve`
-//!   daemon runs each connection's units that way;
+//!   pays a whole preprocessing pass, a hit pays microseconds). A
+//!   one-thread engine runs the work a thread hands it on that thread,
+//!   with no hand-off; with more threads the workers run it
+//!   ([`Engine::execute`]). The `psdacc-serve` daemon hands it each
+//!   connection's units;
 //! * a **shared preprocessing cache** ([`cache`]) keyed by
 //!   `(scenario, npsd)` behind `Arc`, guaranteeing exactly one
 //!   `AccuracyEvaluator::new` per key no matter how many workers race.

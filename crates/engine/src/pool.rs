@@ -1,23 +1,27 @@
 //! The engine's executor: `threads` execution slots over one FIFO of boxed
-//! tasks, served by the threads that submit work and by `threads`
-//! persistent workers.
+//! tasks, served by `threads` persistent workers and, on a one-slot pool,
+//! by the threads that hand it work.
 //!
 //! A slot is the right to run one task; at most `threads` tasks run at once,
-//! whichever threads run them. A caller that hands the pool a batch
-//! ([`Pool::execute`]) runs it itself, front of the queue first, while a
-//! slot is free, and wakes a worker only for a task it cannot take right
-//! away: with one slot a batch never leaves the calling thread, and with
-//! more the workers take what the caller cannot. The caller returns once
-//! every one of its tasks has been taken, by itself or a worker. A thread
-//! that finishes a task keeps its slot for the next task at the front, so a
-//! busy pool hands no slot between threads; a task that must block on
-//! something other than computation (a socket write) gives its slot back
-//! first ([`Slot::release`]).
+//! whichever threads run them. On a one-slot pool a caller that hands over a
+//! batch ([`Pool::execute`]) runs its own tasks itself, in queue order,
+//! whenever the slot is free, and returns once every one of them has been
+//! taken: the batch never leaves the calling thread, and no other slot
+//! could run a task while it does. On a pool with more slots the workers
+//! run the batch and the caller returns at once: a caller busy running a
+//! task could not do its own work meanwhile (a daemon's connection thread
+//! reads the next units), and the other slots would go without it. A caller
+//! never runs a task queued before its batch (another caller's): that
+//! task's owner or a worker runs it, so whatever a task blocks on holds
+//! only its own caller. A thread that finishes a task keeps its slot for
+//! the next task it may run, so a busy pool hands no slot between threads;
+//! a task that must block on something other than computation (a socket
+//! write) gives its slot back first ([`Slot::release`]).
 //!
-//! One queue balances load by itself: whoever holds a free slot takes the
-//! next task whatever the cost of the ones still running, so a cache miss
-//! that pays a whole preprocessing pass never strands cheap jobs behind it.
-//! The workers outlive every call, so no call pays for a thread spawn.
+//! One queue balances load by itself: a free slot goes to the next task
+//! whatever the cost of the ones still running, so a cache miss that pays a
+//! whole preprocessing pass never strands cheap jobs behind it. The workers
+//! outlive every call, so no call pays for a thread spawn.
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -49,8 +53,12 @@ impl Slot<'_> {
 pub(crate) struct Shared {
     state: Mutex<State>,
     /// Signalled when a slot frees while tasks wait, or a task arrives while
-    /// a slot is free; workers and waiting callers both wait here.
-    ready: Condvar,
+    /// a slot is free; workers wait here, and any one of them can take it.
+    work: Condvar,
+    /// Signalled to every waiting caller when a task is taken or a slot
+    /// frees: a caller's next task may have reached the front, or its last
+    /// been taken.
+    turn: Condvar,
 }
 
 struct State {
@@ -77,18 +85,23 @@ impl Shared {
         self.state.lock().expect("no thread panics holding the pool state")
     }
 
-    fn wait<'a>(&self, s: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        self.ready.wait(s).expect("no thread panics holding the pool state")
+    fn wait<'a>(&self, cv: &Condvar, s: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        cv.wait(s).expect("no thread panics holding the pool state")
     }
 
-    /// Takes the front task for a thread that holds a slot. A caller
-    /// waiting in [`Pool::execute`] may now have all its tasks taken.
+    /// Wakes every caller waiting in [`Pool::execute`].
+    fn tell_callers(&self, s: &State) {
+        if s.waiting > 0 {
+            self.turn.notify_all();
+        }
+    }
+
+    /// Takes the front task for a thread that holds a slot. A waiting
+    /// caller may now have its next task at the front, or all taken.
     fn pop(&self, s: &mut State) -> Option<Task> {
         let task = s.queue.pop_front()?;
         s.taken += 1;
-        if s.waiting > 0 {
-            self.ready.notify_all();
-        }
+        self.tell_callers(s);
         Some(task)
     }
 
@@ -102,17 +115,20 @@ impl Shared {
         Some(task)
     }
 
-    /// Frees a slot, waking a thread to fill it when a task waits.
+    /// Frees a slot, waking a worker (and the waiting callers, one of which
+    /// may own the front task) to fill it when a task waits.
     fn give_back(&self, s: &mut State) {
         s.free += 1;
         if !s.queue.is_empty() {
-            self.ready.notify_one();
+            self.work.notify_one();
+            self.tell_callers(s);
         }
     }
 
     /// Runs `task` in the slot it was claimed into, then the tasks at the
     /// front of the queue in the same slot until `done` holds or the queue
-    /// runs dry. A task that released its slot needs a free one to go on.
+    /// runs dry (a caller's `done` holds once the front task is not its
+    /// own). A task that released its slot needs a free one to go on.
     /// Gives back the slot it ends with and returns with the state locked.
     fn run_from(&self, task: Task, done: impl Fn(&State) -> bool) -> MutexGuard<'_, State> {
         let mut task = task;
@@ -164,7 +180,8 @@ impl Pool {
                 waiting: 0,
                 closed: false,
             }),
-            ready: Condvar::new(),
+            work: Condvar::new(),
+            turn: Condvar::new(),
         });
         for _ in 0..threads {
             let shared = Arc::clone(&shared);
@@ -178,51 +195,52 @@ impl Pool {
         self.threads
     }
 
-    /// Queues `tasks` behind every task queued before them and runs tasks
-    /// from the front on this thread while a slot is free, waking a worker
-    /// for each task it cannot take right away. Returns once every one of
-    /// `tasks` has been taken; those a worker took may still be running.
+    /// Queues `tasks` behind every task queued before them. With more than
+    /// one slot, wakes a worker for each free slot and returns. With one,
+    /// runs them on this thread, in order, whenever the slot is free, and
+    /// returns once every one has been taken (a worker takes those left
+    /// while one of them blocks without its slot); tasks queued before them
+    /// are left to their own callers and the worker.
     pub(crate) fn execute(&self, tasks: Vec<Task>) {
         if tasks.is_empty() {
             return;
         }
         let shared = &*self.shared;
         let mut s = shared.lock();
+        let start = s.taken + s.queue.len() as u64;
         s.queue.extend(tasks);
-        let end = s.taken + s.queue.len() as u64;
-        // This thread takes one task at a time; the other free slots go to
-        // workers.
-        for _ in 1..s.free.min(s.queue.len()) {
-            shared.ready.notify_one();
+        if self.threads > 1 {
+            for _ in 0..s.free.min(s.queue.len()) {
+                shared.work.notify_one();
+            }
+            return;
         }
+        let end = s.taken + s.queue.len() as u64;
         while s.taken < end {
-            s = match shared.claim(&mut s) {
+            let task = if s.taken >= start { shared.claim(&mut s) } else { None };
+            s = match task {
                 Some(task) => {
                     drop(s);
                     shared.run_from(task, |s| s.taken >= end)
                 }
                 None => {
                     s.waiting += 1;
-                    let mut s = shared.wait(s);
+                    let mut s = shared.wait(&shared.turn, s);
                     s.waiting -= 1;
                     s
                 }
             };
         }
-        // A wake-up this thread consumed without taking a task belongs to
-        // another waiter.
-        if s.free > 0 && !s.queue.is_empty() {
-            shared.ready.notify_one();
-        }
     }
 
     /// Queues `task` behind every task queued before it, for a worker: the
     /// caller does not run it.
+    #[cfg(test)]
     pub(crate) fn submit(&self, task: impl FnOnce() + Send + 'static) {
         let mut s = self.shared.lock();
         s.queue.push_back(Box::new(move |_: &mut Slot<'_>| task()));
         if s.free > 0 {
-            self.shared.ready.notify_one();
+            self.shared.work.notify_one();
         }
     }
 }
@@ -230,7 +248,7 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         self.shared.lock().closed = true;
-        self.shared.ready.notify_all();
+        self.shared.work.notify_all();
     }
 }
 
@@ -243,7 +261,7 @@ fn worker(shared: &Shared) {
                 shared.run_from(task, |_| false)
             }
             None if s.closed && s.queue.is_empty() => return,
-            None => shared.wait(s),
+            None => shared.wait(&shared.work, s),
         };
     }
 }
@@ -397,31 +415,105 @@ mod tests {
 
     #[test]
     fn concurrent_callers_never_run_more_tasks_than_slots() {
+        for slots in [1, 2] {
+            let engine = Engine::new(slots);
+            let (running, high) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+            let (tx, rx) = mpsc::channel::<()>();
+            thread::scope(|scope| {
+                for _ in 0..3 {
+                    let (engine, running, high, tx) = (&engine, &running, &high, tx.clone());
+                    scope.spawn(move || {
+                        engine.execute((0..30).map(|_| {
+                            let (running, high, tx) =
+                                (Arc::clone(running), Arc::clone(high), tx.clone());
+                            move |_: &mut Slot<'_>| {
+                                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                                high.fetch_max(now, Ordering::SeqCst);
+                                thread::sleep(std::time::Duration::from_micros(300));
+                                running.fetch_sub(1, Ordering::SeqCst);
+                                drop(tx);
+                            }
+                        }));
+                    });
+                }
+            });
+            drop(tx);
+            assert!(rx.recv().is_err(), "every task ran and dropped its sender");
+            let high = high.load(Ordering::SeqCst);
+            assert!((1..=slots).contains(&high), "{high} tasks ran at once on {slots} slots");
+        }
+    }
+
+    #[test]
+    fn a_many_slot_engine_leaves_a_batch_to_its_workers() {
         let engine = Engine::new(2);
-        let (running, high) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
-        let (tx, rx) = mpsc::channel::<()>();
-        thread::scope(|scope| {
-            for _ in 0..3 {
-                let (engine, running, high, tx) = (&engine, &running, &high, tx.clone());
-                scope.spawn(move || {
-                    engine.execute((0..30).map(|_| {
-                        let (running, high, tx) =
-                            (Arc::clone(running), Arc::clone(high), tx.clone());
-                        move |_: &mut Slot<'_>| {
-                            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                            high.fetch_max(now, Ordering::SeqCst);
-                            thread::sleep(std::time::Duration::from_micros(300));
-                            running.fetch_sub(1, Ordering::SeqCst);
-                            drop(tx);
-                        }
-                    }));
-                });
-            }
-        });
+        let (tx, rx) = mpsc::channel();
+        engine.execute((0..20).map(|_| {
+            let tx = tx.clone();
+            move |_: &mut Slot<'_>| tx.send(thread::current().id()).expect("the test listens")
+        }));
         drop(tx);
-        assert!(rx.recv().is_err(), "every task ran and dropped its sender");
-        let high = high.load(Ordering::SeqCst);
-        assert!((1..=2).contains(&high), "{high} tasks ran at once on 2 slots");
+        let ids: Vec<_> = rx.iter().collect();
+        assert_eq!(ids.len(), 20, "every task ran");
+        assert!(ids.iter().all(|&id| id != thread::current().id()), "a task ran on its caller");
+    }
+
+    /// Queues `task` for a worker, as [`Pool::submit`] does, with its slot.
+    fn submit_with_slot(pool: &Pool, task: impl FnOnce(&mut Slot<'_>) + Send + 'static) {
+        pool.shared.lock().queue.push_back(Box::new(task));
+        pool.shared.work.notify_one();
+    }
+
+    #[test]
+    fn a_caller_never_runs_a_task_queued_before_its_batch() {
+        let pool = Pool::new(1);
+        let (ran_tx, ran_rx) = mpsc::channel();
+        let (worker_go, worker_wait) = mpsc::channel::<()>();
+        let (slot_go, slot_wait) = mpsc::channel::<()>();
+        // The only worker parks in a task that gave its slot back.
+        let parked = ran_tx.clone();
+        submit_with_slot(&pool, move |slot| {
+            slot.release();
+            parked.send(("parked", thread::current().id())).expect("the test listens");
+            worker_wait.recv().expect("the test lets the worker go");
+        });
+        assert_eq!(ran_rx.recv().expect("the worker parks").0, "parked");
+        thread::scope(|scope| {
+            let pool = &pool;
+            // A caller holds the only slot until the test lets it go.
+            let blocker = ran_tx.clone();
+            scope.spawn(move || {
+                pool.execute(vec![Box::new(move |_: &mut Slot<'_>| {
+                    blocker.send(("blocker", thread::current().id())).expect("the test listens");
+                    slot_wait.recv().expect("the test lets the task go");
+                })]);
+            });
+            assert_eq!(ran_rx.recv().expect("the blocker runs").0, "blocker");
+            // A task queued before the next caller's batch.
+            let before = ran_tx.clone();
+            pool.submit(move || {
+                before.send(("before", thread::current().id())).expect("the test listens");
+            });
+            let own = ran_tx.clone();
+            let caller = scope.spawn(move || {
+                pool.execute(vec![Box::new(move |_: &mut Slot<'_>| {
+                    own.send(("own", thread::current().id())).expect("the test listens");
+                })]);
+                thread::current().id()
+            });
+            while pool.shared.lock().waiting == 0 {
+                thread::yield_now();
+            }
+            // The slot frees while only the caller can take it.
+            slot_go.send(()).expect("the blocker waits");
+            thread::sleep(std::time::Duration::from_millis(100));
+            worker_go.send(()).expect("the worker waits");
+            let caller = caller.join().unwrap();
+            let ran: Vec<_> = ran_rx.iter().take(2).collect();
+            let before = ran.iter().find(|(name, _)| *name == "before").expect("it ran");
+            assert_ne!(before.1, caller, "the caller ran a task queued before its batch");
+            assert!(ran.iter().any(|(name, _)| *name == "own"), "{ran:?}");
+        });
     }
 
     #[test]

@@ -397,27 +397,37 @@ fn error_line(lineno: usize, error: &str) -> String {
 
 /// How long a result or reply line may wait to reach the peer's socket
 /// before the daemon gives up on the peer. It counts from the moment the
-/// line is ready and covers every `write` call the line takes, so a peer
-/// that reads a trickle cannot stretch it. The thread that finishes a unit
+/// line may first be written (for a result line held for its burst, the
+/// moment it is let go) and covers every `write` call the line takes, so a
+/// peer that reads a trickle cannot stretch it. The thread that finishes a unit
 /// may write its connection's lines, and a peer that stops reading would
 /// otherwise hold that thread in `write` for as long as it likes. A live
 /// reader never meets it: a write blocks only once the kernel's socket
 /// buffers are full.
 pub const WRITE_DEADLINE: Duration = Duration::from_secs(2);
 
-/// One connection as its unit tasks see it: the queue of lines waiting for
-/// the peer, the lock held by whichever thread writes them, the units still
-/// to finish, and the connection's fate.
+/// One connection as its unit tasks see it: its lines, the lock held by
+/// whichever thread writes them, and the connection's fate.
 #[derive(Debug)]
 struct Conn {
     stream: TcpStream,
     writing: Mutex<()>,
-    queue: Mutex<Vec<Line>>,
-    /// Units handed to the engine that have not yet queued their line.
-    outstanding: AtomicUsize,
+    lines: Mutex<Lines>,
     died: AtomicBool,
     executed: AtomicUsize,
     failed: AtomicUsize,
+}
+
+/// A connection's units that have not started, and its lines not yet
+/// written.
+#[derive(Debug, Default)]
+struct Lines {
+    /// Units handed to the engine that have not started.
+    queued: usize,
+    /// Finished units' lines, held while a unit is queued.
+    held: Vec<(String, Arc<Finished>)>,
+    /// Lines waiting for the peer.
+    waiting: Vec<Line>,
 }
 
 /// A line waiting for the peer, with the unit it completes.
@@ -435,18 +445,37 @@ impl Conn {
     /// connection ever waits on the peer. Errors only if this call's own
     /// write failed.
     fn send(&self, text: String) -> Result<(), ServeError> {
-        self.queue().push(Line { text, ready: Instant::now(), _unit: None });
+        self.lines().waiting.push(Line { text, ready: Instant::now(), _unit: None });
         self.write_queued()
     }
 
-    /// Queues a finished unit's line (`None` when the unit did not run) and
-    /// says whether it was the connection's last outstanding unit: that
-    /// unit's thread writes the queue, so a burst's lines leave in one write.
-    fn finish(&self, text: Option<String>, unit: Arc<Finished>) -> bool {
+    /// Counts `n` units handed to the engine.
+    fn enqueue(&self, n: usize) {
+        self.lines().queued += n;
+    }
+
+    /// Marks a queued unit as started.
+    fn start(&self) {
+        self.lines().queued -= 1;
+    }
+
+    /// Takes a finished unit's line (`None` when the unit did not run) and
+    /// says whether lines wait for the peer. The line is held while another
+    /// unit of the connection is queued, so a burst's lines leave in one
+    /// write; once none is, or on `release`, every held line is let go,
+    /// and its write deadline starts now.
+    fn finish(&self, text: Option<String>, unit: Arc<Finished>, release: bool) -> bool {
+        let mut lines = self.lines();
         if let Some(text) = text {
-            self.queue().push(Line { text, ready: Instant::now(), _unit: Some(unit) });
+            lines.held.push((text, unit));
         }
-        self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1
+        if lines.queued == 0 || release {
+            let ready = Instant::now();
+            let held = std::mem::take(&mut lines.held);
+            let held = held.into_iter().map(|(text, unit)| Line { text, ready, _unit: Some(unit) });
+            lines.waiting.extend(held);
+        }
+        !lines.waiting.is_empty()
     }
 
     /// Writes what is queued unless another thread is writing (see
@@ -460,14 +489,14 @@ impl Conn {
         self.drain(Some(self.writing.lock().expect("no thread panics while writing")))
     }
 
-    fn queue(&self) -> MutexGuard<'_, Vec<Line>> {
-        self.queue.lock().expect("no thread panics holding the queue")
+    fn lines(&self) -> MutexGuard<'_, Lines> {
+        self.lines.lock().expect("no thread panics holding the lines")
     }
 
     fn drain<'a>(&'a self, mut writing: Option<MutexGuard<'a, ()>>) -> Result<(), ServeError> {
         let mut result = Ok(());
         while let Some(guard) = writing {
-            let lines = std::mem::take(&mut *self.queue());
+            let lines = std::mem::take(&mut self.lines().waiting);
             if let (Some(first), false) = (lines.first(), self.died.load(Ordering::SeqCst)) {
                 let text: String = lines.iter().flat_map(|l| [l.text.as_str(), "\n"]).collect();
                 if let Err(e) =
@@ -480,7 +509,8 @@ impl Conn {
             drop(guard);
             drop(lines);
             // A line queued while this thread wrote found the lock taken.
-            writing = if self.queue().is_empty() { None } else { self.writing.try_lock().ok() };
+            writing =
+                if self.lines().waiting.is_empty() { None } else { self.writing.try_lock().ok() };
         }
         result
     }
@@ -541,18 +571,21 @@ struct Unit {
 
 /// Drives one connection. Control requests are answered as soon as they
 /// are read. Job lines are collected into a burst: every complete line
-/// already buffered from the socket. The handler then runs the burst
-/// through the engine itself ([`Engine::execute`]): it runs units while one
-/// of the daemon's `workers` execution slots is free, and the engine's
-/// workers take only what it cannot. Slots are shared by every connection,
-/// so at most `workers` units execute at once daemon-wide.
+/// already buffered from the socket, handed to the engine in one call
+/// ([`Engine::execute`]). A one-worker daemon runs the burst on the
+/// handler's own thread, whenever its one execution slot is free: no other
+/// slot could run a unit meanwhile, so no thread hand-off buys anything.
+/// With more workers the engine's workers run it and the handler goes back
+/// to reading, so the units that arrive meanwhile reach free slots. Slots
+/// are shared by every connection, so at most `workers` units execute at
+/// once daemon-wide, and a handler never runs another connection's unit.
 ///
-/// A unit's result line is queued while another unit of the connection is
-/// still outstanding; whichever thread finishes the last one gives its
-/// slot back and writes every queued line in one write. Results carry
-/// their request id, so their order is free. One thread at a time writes a
-/// connection's lines: one that finds another writing leaves its lines to
-/// it and moves on.
+/// A unit's result line is held while another unit of the connection is
+/// still queued (not started); whichever thread finishes a unit when none
+/// is gives its slot back and writes every held line in one write. Results
+/// carry their request id, so their order is free. One thread at a time
+/// writes a connection's lines: one that finds another writing leaves its
+/// lines to it and moves on.
 ///
 /// The unit stream opens with the first job line, or earlier with an
 /// optional `evaluate_units` opener that may carry a trace context; an
@@ -561,7 +594,7 @@ struct Unit {
 /// peer that outruns the daemon blocks in the kernel's TCP window instead
 /// of growing an unbounded queue. A unit stays in flight until its result
 /// line is written. A line not written within [`WRITE_DEADLINE`] of being
-/// ready kills the connection, so a peer that reads slowly or not at all
+/// let go kills the connection, so a peer that reads slowly or not at all
 /// holds at most one thread, and only until one of its lines is that late.
 /// On client half-close every unit finishes, then one
 /// `{"kind":"summary","mode":"units",...}` line ends an opened stream (a
@@ -580,8 +613,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
     let conn = Arc::new(Conn {
         stream,
         writing: Mutex::new(()),
-        queue: Mutex::new(Vec::new()),
-        outstanding: AtomicUsize::new(0),
+        lines: Mutex::new(Lines::default()),
         died: AtomicBool::new(false),
         executed: AtomicUsize::new(0),
         failed: AtomicUsize::new(0),
@@ -600,7 +632,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
         if burst.is_empty() {
             return;
         }
-        conn.outstanding.fetch_add(burst.len(), Ordering::AcqRel);
+        conn.enqueue(burst.len());
         state.engine.execute(burst.drain(..).map(|unit| {
             let (state, conn, tracer) = (Arc::clone(state), Arc::clone(&conn), Arc::clone(tracer));
             let finished = Arc::new(Finished(done_tx.clone()));
@@ -714,10 +746,10 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
     conn.flush()
 }
 
-/// One unit in an execution slot: (chaos-)execute, queue the result line,
-/// count it, and — for the connection's last outstanding unit — give the
-/// slot back and write the queue. A unit of a dead connection returns
-/// without executing; a job that panics answers with an error result.
+/// One unit in an execution slot: (chaos-)execute, hand the result line to
+/// the connection, count it, and — when lines are let go — give the slot
+/// back and write them. A unit of a dead connection returns without
+/// executing; a job that panics answers with an error result.
 fn run_unit(
     state: &ServerState,
     conn: &Conn,
@@ -727,6 +759,7 @@ fn run_unit(
     slot: &mut Slot<'_>,
 ) {
     let Unit { id, spec, span, queued_ns } = unit;
+    conn.start();
     let line = (!conn.died.load(Ordering::SeqCst)).then(|| {
         let parent = span.as_ref().map(|s| s.id);
         if parent.is_some() {
@@ -758,16 +791,14 @@ fn run_unit(
         tracer.end(span);
         line
     });
-    let ran = line.is_some();
-    let last = conn.finish(line, finished);
     let mut chaos = false;
-    if ran {
+    if line.is_some() {
         state.units_served.inc();
         conn.executed.fetch_add(1, Ordering::Relaxed);
         let served = state.units_served.get() as usize;
         chaos = state.config.chaos_die_after_units.is_some_and(|limit| served >= limit);
     }
-    if !last && !chaos {
+    if !conn.finish(line, finished, chaos) {
         return;
     }
     slot.release();

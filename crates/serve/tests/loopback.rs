@@ -617,7 +617,8 @@ fn a_one_worker_daemon_answers_a_two_unit_burst() {
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let reader = BufReader::new(stream.try_clone().unwrap());
     // One write, so both lines reach the daemon as one burst.
-    write!(&stream, "{}\n{}\n", unit_line(0), unit_line(1)).unwrap();
+    let burst = format!("{}\n{}\n", unit_line(0), unit_line(1));
+    (&stream).write_all(burst.as_bytes()).unwrap();
     stream.shutdown(Shutdown::Write).unwrap();
     let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
     assert_eq!(lines.len(), 3, "{lines:?}");
@@ -809,5 +810,58 @@ fn a_panicking_unit_answers_with_an_error_result() {
     assert!(fine.contains("\"power\""), "{fine}");
     assert_eq!(stat(&lines[2], "jobs"), 2, "{lines:?}");
     assert_eq!(stat(&lines[2], "failed"), 1, "{lines:?}");
+    daemon.shutdown();
+}
+
+/// A cache that sleeps on every lookup of one grid size: a unit that runs
+/// as long as the test likes.
+#[derive(Debug)]
+struct SleepsAtNpsd(psdacc_engine::EvaluatorCache, usize, Duration);
+
+impl psdacc_engine::PreprocessCache for SleepsAtNpsd {
+    fn get_or_build_traced(
+        &self,
+        scenario: &psdacc_engine::Scenario,
+        npsd: usize,
+    ) -> Result<(std::sync::Arc<psdacc_core::AccuracyEvaluator>, bool), psdacc_engine::EngineError>
+    {
+        if npsd == self.1 {
+            std::thread::sleep(self.2);
+        }
+        self.0.get_or_build_traced(scenario, npsd)
+    }
+
+    fn stats(&self) -> psdacc_engine::CacheStats {
+        self.0.stats()
+    }
+}
+
+/// A one-worker daemon with units that sleep `slow` at npsd 128.
+fn spawn_sleepy_daemon(slow: Duration) -> ServerHandle {
+    let cache = SleepsAtNpsd(psdacc_engine::EvaluatorCache::new(), 128, slow);
+    let engine = Engine::with_shared_cache(1, std::sync::Arc::new(cache));
+    Server::bind("127.0.0.1:0", engine).unwrap().spawn().unwrap()
+}
+
+/// A cheap unit's line, held while the slow unit of its burst runs longer
+/// than the write deadline, is still written: its deadline starts when the
+/// line is let go, not when its unit finished.
+#[test]
+fn a_held_line_outlives_a_burst_sibling_slower_than_the_write_deadline() {
+    let daemon = spawn_sleepy_daemon(WRITE_DEADLINE + Duration::from_millis(500));
+    let stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream.set_read_timeout(Some(WRITE_DEADLINE + Duration::from_secs(30))).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    let slow = unit_line(1).replace("\"npsd\":64", "\"npsd\":128");
+    // One write, so both lines reach the daemon as one burst.
+    (&stream).write_all(format!("{}\n{slow}\n", unit_line(0)).as_bytes()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let lines: Vec<String> = reader.lines().map(|l| l.unwrap()).collect();
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    let mut ids: Vec<u64> = lines[..2].iter().map(|l| stat(l, "job")).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, [0, 1], "{lines:?}");
+    assert!(lines[..2].iter().all(|l| l.contains("\"power\"")), "{lines:?}");
+    assert_eq!(stat(&lines[2], "jobs"), 2, "{lines:?}");
     daemon.shutdown();
 }
