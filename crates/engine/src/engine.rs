@@ -17,12 +17,12 @@ use crate::pool::{Pool, Slot};
 /// the in-memory [`EvaluatorCache`], and `psdacc-store` provides a
 /// disk-persistent one that survives process restarts.
 ///
-/// Each engine owns one executor: `threads` execution slots over one FIFO,
-/// and `threads` workers started with the engine, which exit once it drops
-/// and their queue is empty. At most `threads` tasks run at once. A
-/// one-thread engine runs the work a thread hands it ([`Engine::run`],
-/// [`Engine::execute`]) on that thread; with more threads the workers run
-/// it.
+/// Each engine owns one of two executors, chosen by `threads`; at most
+/// `threads` tasks run at once. A one-thread engine starts no thread: the
+/// threads that hand it work ([`Engine::run`], [`Engine::execute`]) run it
+/// themselves, taking turns in arrival order. With more threads the engine
+/// starts that many workers over one FIFO, which run the work and exit once
+/// the engine drops and their queue is empty.
 #[derive(Debug)]
 pub struct Engine {
     cache: Arc<dyn PreprocessCache>,
@@ -77,7 +77,7 @@ impl BatchReport {
 }
 
 impl Engine {
-    /// Engine with `threads` workers and a fresh cache.
+    /// Engine with `threads` execution slots and a fresh cache.
     pub fn new(threads: usize) -> Self {
         Self::with_shared_cache(threads, Arc::new(EvaluatorCache::new()))
     }
@@ -94,7 +94,7 @@ impl Engine {
         Engine { cache, pool: Pool::new(threads) }
     }
 
-    /// Worker count.
+    /// Execution slots: 1, or the worker count.
     pub fn threads(&self) -> usize {
         self.pool.threads()
     }
@@ -105,24 +105,16 @@ impl Engine {
     }
 
     /// Runs `tasks` on the engine's slots, behind earlier work. A one-thread
-    /// engine runs them on this thread, in order, and returns once all have
-    /// been taken; with more threads the workers run them and this returns
-    /// at once. It never runs a task queued before them. A task that panics
-    /// loses only itself; one that must block on anything but computation
-    /// releases its [`Slot`] first.
+    /// engine runs them on this thread, in order, during its turns, and
+    /// returns once all have run; this thread never runs another's tasks.
+    /// With more threads the workers run them and this returns at once. A
+    /// task that panics loses only itself; one that must block on anything
+    /// but computation releases its [`Slot`] first, ending the turn.
     pub fn execute<T>(&self, tasks: impl IntoIterator<Item = T>)
     where
         T: FnOnce(&mut Slot<'_>) + Send + 'static,
     {
         self.pool.execute(tasks.into_iter().map(|task| Box::new(task) as _).collect());
-    }
-
-    /// Queues `task` for the engine's workers, behind every task and batch
-    /// job queued before it; the calling thread does not run it. A task
-    /// that panics loses only itself.
-    #[cfg(test)]
-    pub(crate) fn submit(&self, task: impl FnOnce() + Send + 'static) {
-        self.pool.submit(task);
     }
 
     /// Runs a batch to completion and reports results in job order.
@@ -136,9 +128,9 @@ impl Engine {
 
     /// Like [`Engine::run`], invoking `on_result` on the calling thread for
     /// each job in completion order ([`JobResult::job`] carries the batch
-    /// index). A one-thread engine runs the jobs on the caller, which then
-    /// streams their results; with more threads the caller streams results
-    /// as the workers complete them.
+    /// index). A one-thread engine runs the jobs on the caller during its
+    /// turn, then streams their results; with more threads the caller
+    /// streams results as the workers complete them.
     ///
     /// # Panics
     ///
@@ -312,7 +304,7 @@ mod tests {
         let payload = caught.expect_err("the job's panic reaches the caller");
         let message = payload.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(message.contains("1 of 3 jobs panicked"), "{message}");
-        // The engine's only worker survived and serves the next batch.
+        // The engine survived and serves the next batch on its caller.
         let report = engine.run(vec![job(32), job(64)]);
         assert_eq!(report.results.len(), 2);
         assert_eq!(report.failures().count(), 0);
@@ -320,17 +312,17 @@ mod tests {
 
     #[test]
     fn the_last_owner_may_drop_the_engine_inside_its_own_task() {
-        let engine = Arc::new(Engine::new(1));
+        let engine = Arc::new(Engine::new(2));
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let (done_tx, done_rx) = mpsc::channel();
         let last = Arc::clone(&engine);
-        engine.submit(move || {
+        engine.execute([move |_: &mut Slot<'_>| {
             release_rx.recv().expect("the test releases the task");
-            // The final owner: the engine and its pool drop on their own
-            // (only) worker.
+            // The final owner: the engine and its pool drop on one of
+            // their own workers.
             drop(last);
             done_tx.send(()).expect("the test waits");
-        });
+        }]);
         drop(engine);
         release_tx.send(()).expect("the task waits");
         let done = done_rx.recv_timeout(std::time::Duration::from_secs(30));

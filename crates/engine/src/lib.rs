@@ -18,15 +18,15 @@
 //!   ([`ScenarioRegistry::define_graph`] — the serve `define_scenario`
 //!   verb), identified everywhere by the content hash of its canonical
 //!   JSON;
-//! * a **persistent executor** owned by each [`Engine`]: `threads`
-//!   execution slots over one shared FIFO, and as many workers started
-//!   once, so no call pays a thread spawn and whoever holds a free slot
-//!   takes the next job — job costs are wildly non-uniform (a cache miss
-//!   pays a whole preprocessing pass, a hit pays microseconds). A
-//!   one-thread engine runs the work a thread hands it on that thread,
-//!   with no hand-off; with more threads the workers run it
-//!   ([`Engine::execute`]). The `psdacc-serve` daemon hands it each
-//!   connection's units;
+//! * an **executor** owned by each [`Engine`], one of two by its
+//!   `threads` execution slots ([`Engine::execute`]). A one-thread
+//!   engine starts no thread: the threads that hand it work run it
+//!   themselves, with no hand-off, taking turns in arrival order. With
+//!   more threads, as many workers started once take jobs from one
+//!   FIFO, so no call pays a thread spawn and an idle worker takes the
+//!   next job — job costs are wildly non-uniform (a cache miss pays a
+//!   whole preprocessing pass, a hit pays microseconds). The
+//!   `psdacc-serve` daemon hands it each connection's units;
 //! * a **shared preprocessing cache** ([`cache`]) keyed by
 //!   `(scenario, npsd)` behind `Arc`, guaranteeing exactly one
 //!   `AccuracyEvaluator::new` per key no matter how many workers race.

@@ -1,31 +1,25 @@
-//! The engine's executor: `threads` execution slots over one FIFO of boxed
-//! tasks, served by `threads` persistent workers and, on a one-slot pool,
-//! by the threads that hand it work.
+//! The engine's executor, chosen by its slot count. A slot is the right to
+//! run one task: at most `threads` tasks run at once.
 //!
-//! A slot is the right to run one task; at most `threads` tasks run at once,
-//! whichever threads run them. On a one-slot pool a caller that hands over a
-//! batch ([`Pool::execute`]) runs its own tasks itself, in queue order,
-//! whenever the slot is free, and returns once every one of them has been
-//! taken: the batch never leaves the calling thread, and no other slot
-//! could run a task while it does. On a pool with more slots the workers
-//! run the batch and the caller returns at once: a caller busy running a
-//! task could not do its own work meanwhile (a daemon's connection thread
-//! reads the next units), and the other slots would go without it. A caller
-//! never runs a task queued before its batch (another caller's): that
-//! task's owner or a worker runs it, so whatever a task blocks on holds
-//! only its own caller. A thread that finishes a task keeps its slot for
-//! the next task it may run, so a busy pool hands no slot between threads;
-//! a task that must block on something other than computation (a socket
-//! write) gives its slot back first ([`Slot::release`]).
+//! **One slot** starts no thread. A caller that hands over a batch
+//! ([`Pool::execute`]) runs it itself, in order, during its turn, and
+//! callers take turns in arrival order (a ticket lock). A caller only ever
+//! runs its own tasks, so whatever a task blocks on holds only its own
+//! caller. A task that must block on something other than computation (a
+//! socket write) ends the turn first ([`Slot::release`]), so another caller
+//! may run meanwhile; the next task of its batch then takes a new turn.
 //!
-//! One queue balances load by itself: a free slot goes to the next task
-//! whatever the cost of the ones still running, so a cache miss that pays a
-//! whole preprocessing pass never strands cheap jobs behind it. The workers
-//! outlive every call, so no call pays for a thread spawn.
+//! **More slots** are as many persistent workers over one FIFO of boxed
+//! tasks. The caller queues its batch and returns at once: a caller busy
+//! running a task could not do its own work meanwhile (a daemon's
+//! connection thread reads the next units). One queue balances load by
+//! itself: an idle worker takes the next task whatever the cost of the ones
+//! still running, so a cache miss that pays a whole preprocessing pass
+//! never strands cheap jobs behind it. The workers outlive every call, so
+//! no call pays for a thread spawn.
 
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 
 /// One unit of work for the pool, run while holding a slot.
@@ -35,234 +29,127 @@ type Task = Box<dyn FnOnce(&mut Slot<'_>) + Send + 'static>;
 /// give it back before they block on anything but computation.
 #[derive(Debug)]
 pub struct Slot<'a> {
-    shared: &'a Shared,
-    held: bool,
+    /// The one-slot turn, until released; a worker's slot is its thread,
+    /// and has nothing to give back.
+    turn: Option<&'a Turns>,
 }
 
 impl Slot<'_> {
     /// Gives the slot back before the task ends, so another task may run
     /// while this one writes to a socket. Idempotent.
     pub fn release(&mut self) {
-        if std::mem::take(&mut self.held) {
-            self.shared.give_back(&mut self.shared.lock());
+        if let Some(turns) = self.turn.take() {
+            turns.end();
         }
     }
 }
 
-/// What every thread of the pool shares.
-pub(crate) struct Shared {
-    state: Mutex<State>,
-    /// Signalled when a slot frees while tasks wait, or a task arrives while
-    /// a slot is free; workers wait here, and any one of them can take it.
-    work: Condvar,
-    /// Signalled to every waiting caller when a task is taken or a slot
-    /// frees: a caller's next task may have reached the front, or its last
-    /// been taken.
-    turn: Condvar,
+/// Runs `task` in `slot`. A panicking task costs only itself: the panic
+/// hook has already reported it, and whoever waits on the task sees its
+/// channel sender dropped unsent.
+fn run(task: Task, slot: &mut Slot<'_>) {
+    let _ = panic::catch_unwind(AssertUnwindSafe(|| task(slot)));
 }
 
-struct State {
-    queue: VecDeque<Task>,
-    /// Slots no task holds.
-    free: usize,
-    /// Tasks ever taken off the queue: a caller's tasks are all taken once
-    /// this passes the queue position of its last one.
-    taken: u64,
-    /// Callers blocked in [`Pool::execute`].
-    waiting: usize,
-    /// The pool was dropped: workers exit once the queue is empty.
-    closed: bool,
+/// A one-slot pool: turns on the calling threads, served in ticket order.
+#[derive(Debug, Default)]
+pub(crate) struct Turns {
+    /// Tickets handed out, and the ticket whose turn it is.
+    tickets: Mutex<(u64, u64)>,
+    next: Condvar,
 }
 
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared").finish_non_exhaustive()
-    }
-}
-
-impl Shared {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("no thread panics holding the pool state")
-    }
-
-    fn wait<'a>(&self, cv: &Condvar, s: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        cv.wait(s).expect("no thread panics holding the pool state")
-    }
-
-    /// Wakes every caller waiting in [`Pool::execute`].
-    fn tell_callers(&self, s: &State) {
-        if s.waiting > 0 {
-            self.turn.notify_all();
+impl Turns {
+    /// Waits for a turn behind every caller that arrived before.
+    fn take(&self) {
+        let mut tickets = self.tickets.lock().expect("no thread panics holding the tickets");
+        let mine = tickets.0;
+        tickets.0 += 1;
+        while tickets.1 != mine {
+            tickets = self.next.wait(tickets).expect("no thread panics holding the tickets");
         }
     }
 
-    /// Takes the front task for a thread that holds a slot. A waiting
-    /// caller may now have its next task at the front, or all taken.
-    fn pop(&self, s: &mut State) -> Option<Task> {
-        let task = s.queue.pop_front()?;
-        s.taken += 1;
-        self.tell_callers(s);
-        Some(task)
+    /// Hands the turn to the next ticket.
+    fn end(&self) {
+        self.tickets.lock().expect("no thread panics holding the tickets").1 += 1;
+        self.next.notify_all();
     }
 
-    /// Takes the front task into a free slot.
-    fn claim(&self, s: &mut State) -> Option<Task> {
-        if s.free == 0 {
-            return None;
-        }
-        let task = self.pop(s)?;
-        s.free -= 1;
-        Some(task)
-    }
-
-    /// Frees a slot, waking a worker (and the waiting callers, one of which
-    /// may own the front task) to fill it when a task waits.
-    fn give_back(&self, s: &mut State) {
-        s.free += 1;
-        if !s.queue.is_empty() {
-            self.work.notify_one();
-            self.tell_callers(s);
-        }
-    }
-
-    /// Runs `task` in the slot it was claimed into, then the tasks at the
-    /// front of the queue in the same slot until `done` holds or the queue
-    /// runs dry (a caller's `done` holds once the front task is not its
-    /// own). A task that released its slot needs a free one to go on.
-    /// Gives back the slot it ends with and returns with the state locked.
-    fn run_from(&self, task: Task, done: impl Fn(&State) -> bool) -> MutexGuard<'_, State> {
-        let mut task = task;
-        loop {
-            let mut slot = Slot { shared: self, held: true };
-            // A panicking task costs only itself: the panic hook has already
-            // reported it, and whoever waits on the task sees its channel
-            // sender dropped unsent.
-            let _ = panic::catch_unwind(AssertUnwindSafe(|| task(&mut slot)));
-            let mut s = self.lock();
-            if !slot.held {
-                if s.free == 0 {
-                    return s;
-                }
-                s.free -= 1;
+    /// Runs `tasks` on this thread, in order, taking a turn whenever it
+    /// holds none.
+    fn execute(&self, tasks: Vec<Task>) {
+        let mut slot = Slot { turn: None };
+        for task in tasks {
+            if slot.turn.is_none() {
+                self.take();
+                slot.turn = Some(self);
             }
-            match if done(&s) { None } else { self.pop(&mut s) } {
-                Some(next) => task = next,
-                None => {
-                    self.give_back(&mut s);
-                    return s;
-                }
-            }
+            run(task, &mut slot);
         }
+        slot.release();
     }
 }
 
-/// A persistent pool of `threads` execution slots and as many workers.
+/// The executor of an engine: one slot's turns, or a pool of workers.
 ///
-/// Dropping the pool closes it, and each worker exits once the queue is
-/// empty. The workers are detached, never joined: the last owner of a
-/// daemon's engine can be one of the engine's own tasks, and a thread
+/// Dropping a worker pool closes its feed, and each worker exits once the
+/// queue is empty. The workers are detached, never joined: the last owner
+/// of a daemon's engine can be one of the engine's own tasks, and a thread
 /// cannot join itself.
 #[derive(Debug)]
-pub(crate) struct Pool {
-    shared: Arc<Shared>,
-    threads: usize,
+pub(crate) enum Pool {
+    One(Turns),
+    Workers { feed: mpsc::Sender<Task>, threads: usize },
 }
 
 impl Pool {
-    /// Starts `threads` slots and workers (at least one).
+    /// One slot's turns for `threads <= 1`, else `threads` workers.
     pub(crate) fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                free: threads,
-                taken: 0,
-                waiting: 0,
-                closed: false,
-            }),
-            work: Condvar::new(),
-            turn: Condvar::new(),
-        });
+        if threads <= 1 {
+            return Pool::One(Turns::default());
+        }
+        let (feed, rx) = mpsc::channel::<Task>();
+        let rx = Arc::new(Mutex::new(rx));
         for _ in 0..threads {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || worker(&shared));
+            let rx = Arc::clone(&rx);
+            thread::spawn(move || worker(&rx));
         }
-        Pool { shared, threads }
+        Pool::Workers { feed, threads }
     }
 
-    /// Slot (and worker) count.
+    /// Slot count.
     pub(crate) fn threads(&self) -> usize {
-        self.threads
+        match self {
+            Pool::One(_) => 1,
+            Pool::Workers { threads, .. } => *threads,
+        }
     }
 
-    /// Queues `tasks` behind every task queued before them. With more than
-    /// one slot, wakes a worker for each free slot and returns. With one,
-    /// runs them on this thread, in order, whenever the slot is free, and
-    /// returns once every one has been taken (a worker takes those left
-    /// while one of them blocks without its slot); tasks queued before them
-    /// are left to their own callers and the worker.
+    /// With one slot, runs `tasks` on this thread, in order, during its
+    /// turns, and returns once all have run. With more, queues them behind
+    /// every task queued before them for the workers and returns at once.
     pub(crate) fn execute(&self, tasks: Vec<Task>) {
-        if tasks.is_empty() {
-            return;
-        }
-        let shared = &*self.shared;
-        let mut s = shared.lock();
-        let start = s.taken + s.queue.len() as u64;
-        s.queue.extend(tasks);
-        if self.threads > 1 {
-            for _ in 0..s.free.min(s.queue.len()) {
-                shared.work.notify_one();
+        match self {
+            Pool::One(turns) => turns.execute(tasks),
+            Pool::Workers { feed, .. } => {
+                for task in tasks {
+                    feed.send(task).expect("workers hold the receiver as long as the feed is open");
+                }
             }
-            return;
-        }
-        let end = s.taken + s.queue.len() as u64;
-        while s.taken < end {
-            let task = if s.taken >= start { shared.claim(&mut s) } else { None };
-            s = match task {
-                Some(task) => {
-                    drop(s);
-                    shared.run_from(task, |s| s.taken >= end)
-                }
-                None => {
-                    s.waiting += 1;
-                    let mut s = shared.wait(&shared.turn, s);
-                    s.waiting -= 1;
-                    s
-                }
-            };
-        }
-    }
-
-    /// Queues `task` behind every task queued before it, for a worker: the
-    /// caller does not run it.
-    #[cfg(test)]
-    pub(crate) fn submit(&self, task: impl FnOnce() + Send + 'static) {
-        let mut s = self.shared.lock();
-        s.queue.push_back(Box::new(move |_: &mut Slot<'_>| task()));
-        if s.free > 0 {
-            self.shared.work.notify_one();
         }
     }
 }
 
-impl Drop for Pool {
-    fn drop(&mut self) {
-        self.shared.lock().closed = true;
-        self.shared.work.notify_all();
-    }
-}
-
-fn worker(shared: &Shared) {
-    let mut s = shared.lock();
+fn worker(rx: &Mutex<mpsc::Receiver<Task>>) {
     loop {
-        s = match shared.claim(&mut s) {
-            Some(task) => {
-                drop(s);
-                shared.run_from(task, |_| false)
-            }
-            None if s.closed && s.queue.is_empty() => return,
-            None => shared.wait(&shared.work, s),
-        };
+        // Holding the lock across the blocking recv is deliberate: exactly
+        // one idle worker waits in recv at a time, takes the task,
+        // releases, and executes while the next idle worker moves into
+        // recv, so execution still overlaps across all workers.
+        let task = rx.lock().expect("no worker panics holding the feed").recv();
+        let Ok(task) = task else { return };
+        run(task, &mut Slot { turn: None });
     }
 }
 
@@ -276,7 +163,8 @@ mod tests {
     use psdacc_fixed::RoundingMode;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     /// `n` cheap jobs over one cached scenario, with distinct answers.
     fn jobs(n: usize) -> Vec<JobSpec> {
@@ -288,6 +176,31 @@ mod tests {
                 kind: JobKind::Estimate { method: Method::Flat, frac_bits: 4 + (i % 20) as i32 },
             })
             .collect()
+    }
+
+    /// Starts a caller of `engine`'s one slot on its own thread and returns
+    /// once it is about to call [`Engine::execute`] with `tasks`, so the
+    /// next caller arrives after it. The caller returns its thread's id.
+    fn arrive<'s, T>(
+        scope: &'s thread::Scope<'s, '_>,
+        engine: &'s Engine,
+        tasks: Vec<T>,
+    ) -> thread::ScopedJoinHandle<'s, thread::ThreadId>
+    where
+        T: FnOnce(&mut Slot<'_>) + Send + 'static,
+    {
+        let (arrived_tx, arrived_rx) = mpsc::channel();
+        let caller = scope.spawn(move || {
+            arrived_tx.send(()).expect("the test listens");
+            engine.execute(tasks);
+            thread::current().id()
+        });
+        arrived_rx.recv().expect("the caller arrives");
+        // Between its signal and its ticket the caller runs a few
+        // instructions. No public call shows the ticket taken, so a grace
+        // period orders the arrivals.
+        thread::sleep(Duration::from_millis(100));
+        caller
     }
 
     #[test]
@@ -302,16 +215,16 @@ mod tests {
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let pool = Pool::new(7);
+        let engine = Engine::new(7);
         let count = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
-        for j in 0..1000usize {
+        engine.execute((0..1000usize).map(|j| {
             let (count, tx) = (Arc::clone(&count), tx.clone());
-            pool.submit(move || {
+            move |_: &mut Slot<'_>| {
                 count.fetch_add(1, Ordering::Relaxed);
                 tx.send(j).expect("test holds the receiver");
-            });
-        }
+            }
+        }));
         drop(tx);
         let mut seen: Vec<usize> = rx.iter().collect();
         seen.sort_unstable();
@@ -332,16 +245,16 @@ mod tests {
 
     #[test]
     fn single_worker_degenerates_to_sequential() {
-        let pool = Pool::new(1);
+        let engine = Engine::new(1);
         let order = Arc::new(Mutex::new(Vec::new()));
         let (tx, rx) = mpsc::channel::<()>();
-        for i in 0..50usize {
+        engine.execute((0..50usize).map(|i| {
             let (order, tx) = (Arc::clone(&order), tx.clone());
-            pool.submit(move || {
+            move |_: &mut Slot<'_>| {
                 order.lock().expect("test lock").push(i);
                 drop(tx);
-            });
-        }
+            }
+        }));
         drop(tx);
         assert!(rx.recv().is_err(), "every task ran and dropped its sender");
         assert_eq!(*order.lock().expect("test lock"), (0..50).collect::<Vec<usize>>(), "FIFO");
@@ -356,17 +269,17 @@ mod tests {
 
     #[test]
     fn workers_persist_across_rounds() {
-        let pool = Pool::new(3);
+        let engine = Engine::new(3);
         let ids = Arc::new(Mutex::new(HashSet::new()));
         for _round in 0..2 {
             let (tx, rx) = mpsc::channel::<()>();
-            for _ in 0..40 {
+            engine.execute((0..40).map(|_| {
                 let (ids, tx) = (Arc::clone(&ids), tx.clone());
-                pool.submit(move || {
+                move |_: &mut Slot<'_>| {
                     ids.lock().expect("test lock").insert(thread::current().id());
                     drop(tx);
-                });
-            }
+                }
+            }));
             drop(tx);
             assert!(rx.recv().is_err(), "the round finished");
         }
@@ -376,26 +289,53 @@ mod tests {
 
     #[test]
     fn a_panicking_task_keeps_its_worker() {
-        let pool = Pool::new(1);
-        pool.submit(|| panic!("deliberate task panic"));
+        let engine = Engine::new(2);
+        engine.execute((0..2).map(|_| |_: &mut Slot<'_>| panic!("deliberate task panic")));
+        // Two tasks that each wait for the other need both workers.
         let (tx, rx) = mpsc::channel();
-        pool.submit(move || tx.send(7).expect("test holds the receiver"));
-        assert_eq!(rx.recv(), Ok(7), "the only worker survived the panic");
+        let both = Arc::new(Barrier::new(2));
+        engine.execute((0..2).map(|_| {
+            let (both, tx) = (Arc::clone(&both), tx.clone());
+            move |_: &mut Slot<'_>| {
+                both.wait();
+                tx.send(7).expect("test holds the receiver");
+            }
+        }));
+        for _ in 0..2 {
+            let got = rx.recv_timeout(Duration::from_secs(30));
+            assert_eq!(got, Ok(7), "both workers survived the panics");
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_leaves_its_caller_running_the_next_one() {
+        let engine = Engine::new(1);
+        let (tx, rx) = mpsc::channel();
+        engine.execute((0..2).map(|i| {
+            let tx = tx.clone();
+            move |_: &mut Slot<'_>| {
+                assert_ne!(i, 0, "deliberate task panic");
+                tx.send(thread::current().id()).expect("test holds the receiver");
+            }
+        }));
+        drop(tx);
+        let ran: Vec<_> = rx.iter().collect();
+        assert_eq!(ran, [thread::current().id()], "the caller ran the task after the panic");
     }
 
     #[test]
     fn dropping_the_pool_lets_queued_tasks_finish() {
-        let pool = Pool::new(2);
+        let engine = Engine::new(2);
         let count = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel::<()>();
-        for _ in 0..100 {
+        engine.execute((0..100).map(|_| {
             let (count, tx) = (Arc::clone(&count), tx.clone());
-            pool.submit(move || {
+            move |_: &mut Slot<'_>| {
                 count.fetch_add(1, Ordering::Relaxed);
                 drop(tx);
-            });
-        }
-        drop((pool, tx));
+            }
+        }));
+        drop((engine, tx));
         assert!(rx.recv().is_err(), "every queued task ran and dropped its sender");
         assert_eq!(count.load(Ordering::Relaxed), 100);
     }
@@ -458,60 +398,107 @@ mod tests {
         assert!(ids.iter().all(|&id| id != thread::current().id()), "a task ran on its caller");
     }
 
-    /// Queues `task` for a worker, as [`Pool::submit`] does, with its slot.
-    fn submit_with_slot(pool: &Pool, task: impl FnOnce(&mut Slot<'_>) + Send + 'static) {
-        pool.shared.lock().queue.push_back(Box::new(task));
-        pool.shared.work.notify_one();
+    #[test]
+    fn a_many_slot_execute_returns_before_its_batch_finishes() {
+        let engine = Engine::new(2);
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        engine.execute([move |_: &mut Slot<'_>| {
+            // Only a caller that returned can let the task go.
+            let got = go_rx.recv_timeout(Duration::from_secs(30));
+            done_tx.send(got).expect("the test listens");
+        }]);
+        go_tx.send(()).expect("the task waits");
+        assert_eq!(done_rx.recv(), Ok(Ok(())), "execute waited for its batch");
+    }
+
+    #[test]
+    fn callers_take_turns_in_arrival_order() {
+        type Boxed = Box<dyn FnOnce(&mut Slot<'_>) + Send>;
+        let engine = Engine::new(1);
+        let (ran_tx, ran_rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        thread::scope(|scope| {
+            // The first caller holds the turn until the test lets it go,
+            // then ends it: its next task queues behind later arrivals.
+            let (first, last) = (ran_tx.clone(), ran_tx.clone());
+            let tasks: Vec<Boxed> = vec![
+                Box::new(move |slot| {
+                    first.send((0, thread::current().id())).expect("the test listens");
+                    go_rx.recv().expect("the test lets the task go");
+                    slot.release();
+                }),
+                Box::new(move |_| {
+                    last.send((0, thread::current().id())).expect("the test listens")
+                }),
+            ];
+            let mut callers = vec![arrive(scope, &engine, tasks)];
+            assert_eq!(ran_rx.recv().expect("the first caller runs").0, 0);
+            for caller in 1..3 {
+                let tasks: Vec<_> = (0..3)
+                    .map(|_| {
+                        let ran = ran_tx.clone();
+                        move |_: &mut Slot<'_>| {
+                            ran.send((caller, thread::current().id())).expect("the test listens")
+                        }
+                    })
+                    .collect();
+                callers.push(arrive(scope, &engine, tasks));
+            }
+            drop(ran_tx);
+            go_tx.send(()).expect("the first task waits");
+            let ids: Vec<_> = callers.into_iter().map(|c| c.join().unwrap()).collect();
+            let ran: Vec<(usize, thread::ThreadId)> = ran_rx.iter().collect();
+            let order: Vec<usize> = ran.iter().map(|&(caller, _)| caller).collect();
+            assert_eq!(order, [1, 1, 1, 2, 2, 2, 0], "batches ran out of arrival order");
+            for (caller, id) in ran {
+                assert_eq!(id, ids[caller], "caller {caller}'s task ran on another thread");
+            }
+            assert_eq!(ids.iter().collect::<HashSet<_>>().len(), 3, "{ids:?}");
+        });
     }
 
     #[test]
     fn a_caller_never_runs_a_task_queued_before_its_batch() {
-        let pool = Pool::new(1);
+        let engine = Engine::new(1);
         let (ran_tx, ran_rx) = mpsc::channel();
-        let (worker_go, worker_wait) = mpsc::channel::<()>();
         let (slot_go, slot_wait) = mpsc::channel::<()>();
-        // The only worker parks in a task that gave its slot back.
-        let parked = ran_tx.clone();
-        submit_with_slot(&pool, move |slot| {
-            slot.release();
-            parked.send(("parked", thread::current().id())).expect("the test listens");
-            worker_wait.recv().expect("the test lets the worker go");
-        });
-        assert_eq!(ran_rx.recv().expect("the worker parks").0, "parked");
         thread::scope(|scope| {
-            let pool = &pool;
             // A caller holds the only slot until the test lets it go.
             let blocker = ran_tx.clone();
-            scope.spawn(move || {
-                pool.execute(vec![Box::new(move |_: &mut Slot<'_>| {
+            arrive(
+                scope,
+                &engine,
+                vec![move |_: &mut Slot<'_>| {
                     blocker.send(("blocker", thread::current().id())).expect("the test listens");
                     slot_wait.recv().expect("the test lets the task go");
-                })]);
-            });
+                }],
+            );
             assert_eq!(ran_rx.recv().expect("the blocker runs").0, "blocker");
-            // A task queued before the next caller's batch.
+            // A task queued before the next caller's batch, by another caller.
             let before = ran_tx.clone();
-            pool.submit(move || {
-                before.send(("before", thread::current().id())).expect("the test listens");
-            });
+            let earlier = arrive(
+                scope,
+                &engine,
+                vec![move |_: &mut Slot<'_>| {
+                    before.send(("before", thread::current().id())).expect("the test listens");
+                }],
+            );
             let own = ran_tx.clone();
-            let caller = scope.spawn(move || {
-                pool.execute(vec![Box::new(move |_: &mut Slot<'_>| {
+            let caller = arrive(
+                scope,
+                &engine,
+                vec![move |_: &mut Slot<'_>| {
                     own.send(("own", thread::current().id())).expect("the test listens");
-                })]);
-                thread::current().id()
-            });
-            while pool.shared.lock().waiting == 0 {
-                thread::yield_now();
-            }
-            // The slot frees while only the caller can take it.
+                }],
+            );
+            // The slot frees while both callers wait for it.
             slot_go.send(()).expect("the blocker waits");
-            thread::sleep(std::time::Duration::from_millis(100));
-            worker_go.send(()).expect("the worker waits");
-            let caller = caller.join().unwrap();
+            let (earlier, caller) = (earlier.join().unwrap(), caller.join().unwrap());
             let ran: Vec<_> = ran_rx.iter().take(2).collect();
             let before = ran.iter().find(|(name, _)| *name == "before").expect("it ran");
             assert_ne!(before.1, caller, "the caller ran a task queued before its batch");
+            assert_eq!(before.1, earlier, "{ran:?}");
             assert!(ran.iter().any(|(name, _)| *name == "own"), "{ran:?}");
         });
     }

@@ -28,13 +28,13 @@
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::sync::{Barrier, Mutex, OnceLock};
 use std::time::Duration;
 
 use psdacc_engine::json::{self, Json, JsonWriter};
 use psdacc_engine::JobSpec;
-use psdacc_obs::{Histogram, MetricsRegistry, OpenSpan, Severity, SpanId, TraceEvent, Tracer};
-use psdacc_serve::latency::{verb_of, VERBS};
+use psdacc_obs::{Histogram, OpenSpan, Severity, SpanId, TraceEvent, Tracer};
+use psdacc_serve::latency::{verb_index, VERBS};
 use psdacc_serve::protocol::{
     define_request_line, evaluate_units_line, job_request_line, parse_define_ack,
     parse_trace_reply, read_capped_line, trace_request_line, TraceContext,
@@ -254,9 +254,8 @@ pub fn run_fleet(
     let units: Vec<Unit> = jobs
         .iter()
         .enumerate()
-        .map(|(id, spec)| Ok(Unit::new(id, job_request_line(id, spec)?, verb_of(&spec.kind))))
+        .map(|(id, spec)| Ok(Unit::new(id, job_request_line(id, spec)?, verb_index(&spec.kind))))
         .collect::<Result<_, SchedError>>()?;
-    let metrics = MetricsRegistry::new();
     let batch = Batch {
         daemons,
         config,
@@ -272,9 +271,7 @@ pub fn run_fleet(
             events: Vec::new(),
             on_line,
         }),
-        roundtrip: std::array::from_fn(|i| {
-            metrics.histogram(&format!("fleet_roundtrip_ns{{verb={}}}", VERBS[i]))
-        }),
+        roundtrip: Default::default(),
     };
     std::thread::scope(|scope| {
         let batch = &batch;
@@ -381,7 +378,8 @@ struct Batch<'a, F> {
     /// when one failed.
     run: OnceLock<Option<Run>>,
     merge: Mutex<Merge<F>>,
-    roundtrip: [Arc<Histogram>; VERBS.len()],
+    /// Roundtrip histograms, by [`VERBS`] index.
+    roundtrip: [Histogram; VERBS.len()],
 }
 
 /// What the links share once every handshake has succeeded.
@@ -559,8 +557,7 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
         let fresh = merge.lines[id].is_none();
         let completion = self.queue.complete(d, id, fresh);
         if let Some(done) = &completion {
-            let verb = VERBS.iter().position(|&v| v == done.verb).unwrap_or(0);
-            self.roundtrip[verb].record(done.roundtrip);
+            self.roundtrip[done.verb].record(done.roundtrip);
         }
         if !fresh {
             // The id is merged already: a daemon answered it twice.
@@ -581,7 +578,7 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
                 rt_ns,
                 vec![
                     ("daemon".to_string(), addr.clone()),
-                    ("verb".to_string(), done.verb.to_string()),
+                    ("verb".to_string(), VERBS[done.verb].to_string()),
                 ],
             );
         }

@@ -25,9 +25,10 @@ use std::time::{Duration, Instant};
 pub(crate) struct Unit {
     pub(crate) id: usize,
     pub(crate) line: String,
-    /// The unit's protocol verb (`evaluate`, `greedy`, ...), carried so
-    /// completions feed the coordinator's per-verb latency histograms.
-    pub(crate) verb: &'static str,
+    /// The unit's protocol verb, as its index in
+    /// [`VERBS`](psdacc_serve::latency::VERBS), carried so completions feed
+    /// the coordinator's per-verb latency histograms.
+    pub(crate) verb: usize,
     /// Dispatch attempts that ended with a dead daemon. A unit whose
     /// second dispatch also dies takes the whole batch down (fatal) —
     /// "retry once elsewhere", not an infinite crash loop.
@@ -38,7 +39,7 @@ pub(crate) struct Unit {
 }
 
 impl Unit {
-    pub(crate) fn new(id: usize, line: String, verb: &'static str) -> Unit {
+    pub(crate) fn new(id: usize, line: String, verb: usize) -> Unit {
         Unit { id, line, verb, attempts: 0, enqueued: Instant::now() }
     }
 }
@@ -70,7 +71,8 @@ pub(crate) enum Step {
 /// actually had in flight (absent for an answer to any other id).
 #[derive(Debug)]
 pub(crate) struct Completion {
-    pub(crate) verb: &'static str,
+    /// The unit's verb index.
+    pub(crate) verb: usize,
     /// Send-to-result wall time on this daemon's connection.
     pub(crate) roundtrip: Duration,
 }
@@ -282,7 +284,7 @@ mod tests {
     const WINDOW: usize = 8;
 
     fn unit(id: usize) -> Unit {
-        Unit::new(id, format!("line-{id}"), "evaluate")
+        Unit::new(id, format!("line-{id}"), 0)
     }
 
     fn queue(nunits: usize, daemons: usize) -> FleetQueue {
@@ -329,7 +331,7 @@ mod tests {
         assert!(matches!(q.next(0, 1), Step::Read));
         std::thread::sleep(std::time::Duration::from_millis(30));
         let done = q.complete(0, 0, true).expect("unit 0 was in flight");
-        assert_eq!(done.verb, "evaluate");
+        assert_eq!(psdacc_serve::latency::VERBS[done.verb], "evaluate");
         assert!(done.roundtrip >= std::time::Duration::from_millis(30));
         assert!(matches!(q.next(0, 1), Step::Send(ref u) if u.id == 1));
     }

@@ -44,11 +44,6 @@ impl LatencyRegistry {
         self.per_verb[verb_index(kind)].record(elapsed);
     }
 
-    /// The histogram for one verb (by [`VERBS`] index).
-    pub fn verb(&self, index: usize) -> &Histogram {
-        &self.per_verb[index]
-    }
-
     /// Renders the `latency` field value of the `stats` reply: one object
     /// per verb (all verbs always present, so clients can rely on the
     /// shape), each with `count`, `total_ns`, derived `p50_ns` / `p95_ns`
@@ -69,15 +64,10 @@ impl LatencyRegistry {
     }
 }
 
-/// The protocol verb a job kind records under — shared by the daemon's
-/// latency registry and the fleet coordinator's roundtrip histograms, so
-/// both layers bucket by the same names.
-pub fn verb_of(kind: &JobKind) -> &'static str {
-    VERBS[verb_index(kind)]
-}
-
-/// Maps a job kind to its verb's [`VERBS`] index.
-fn verb_index(kind: &JobKind) -> usize {
+/// Maps a job kind to its protocol verb's [`VERBS`] index — shared by the
+/// daemon's latency registry and the fleet coordinator's roundtrip
+/// histograms, so both layers bucket by the same names.
+pub fn verb_index(kind: &JobKind) -> usize {
     match kind {
         JobKind::Estimate { .. } => 0,
         JobKind::GreedyRefine { .. } => 1,

@@ -573,12 +573,13 @@ struct Unit {
 /// are read. Job lines are collected into a burst: every complete line
 /// already buffered from the socket, handed to the engine in one call
 /// ([`Engine::execute`]). A one-worker daemon runs the burst on the
-/// handler's own thread, whenever its one execution slot is free: no other
-/// slot could run a unit meanwhile, so no thread hand-off buys anything.
-/// With more workers the engine's workers run it and the handler goes back
-/// to reading, so the units that arrive meanwhile reach free slots. Slots
-/// are shared by every connection, so at most `workers` units execute at
-/// once daemon-wide, and a handler never runs another connection's unit.
+/// handler's own thread, during its turn on the one execution slot
+/// (handlers take turns in arrival order): no other slot could run a unit
+/// meanwhile, so no thread hand-off buys anything. With more workers the
+/// engine's worker pool runs it and the handler goes back to reading, so
+/// the units that arrive meanwhile reach free workers. Slots are shared by
+/// every connection, so at most `workers` units execute at once
+/// daemon-wide, and a handler never runs another connection's unit.
 ///
 /// A unit's result line is held while another unit of the connection is
 /// still queued (not started); whichever thread finishes a unit when none

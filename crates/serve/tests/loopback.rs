@@ -694,9 +694,12 @@ fn shutdown_while_a_unit_runs_still_delivers_result_and_summary() {
     let stream = TcpStream::connect(daemon.addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    writeln!(&stream, "{}", unit_line(0)).unwrap();
-    writeln!(&stream, "{{\"kind\":\"hello\"}}").unwrap();
-    // The hello reply proves the unit line was read and submitted first.
+    // One write: `writeln!` on a raw stream writes each piece on its own,
+    // and a daemon that has read the unit's line alone runs it before it
+    // reads the hello.
+    let both = format!("{}\n{{\"kind\":\"hello\"}}\n", unit_line(0));
+    (&stream).write_all(both.as_bytes()).unwrap();
+    // The hello reply proves the unit line was read first.
     let mut hello = String::new();
     reader.read_line(&mut hello).unwrap();
     assert!(hello.contains("\"hello\""), "{hello}");
