@@ -10,8 +10,7 @@
 //! `--daemons` the whole batch dispatches through the `psdacc-sched`
 //! coordinator across a daemon fleet instead — same numbers, any fleet.
 
-use psdacc_core::Method;
-use psdacc_engine::{JobKind, JobSpec, Scenario};
+use psdacc_engine::{EstimateMethod, JobKind, JobSpec, Scenario};
 use psdacc_fixed::RoundingMode;
 
 use crate::fleet::{backend_label, batch_powers};
@@ -45,7 +44,7 @@ fn point_jobs(args: &Args, d: i32, rounding: RoundingMode) -> Vec<JobSpec> {
             seed: args.seed,
             trials: 1,
         }));
-        jobs.push(job(JobKind::Estimate { method: Method::PsdMethod, frac_bits: d }));
+        jobs.push(job(JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: d }));
     }
     jobs
 }

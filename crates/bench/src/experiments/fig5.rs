@@ -10,8 +10,7 @@
 //! With `--daemons` the batch dispatches through the `psdacc-sched`
 //! coordinator across a daemon fleet.
 
-use psdacc_core::Method;
-use psdacc_engine::{JobKind, JobSpec, Scenario};
+use psdacc_engine::{EstimateMethod, JobKind, JobSpec, Scenario};
 use psdacc_fixed::RoundingMode;
 
 use crate::fleet::{backend_label, batch_powers};
@@ -49,7 +48,7 @@ fn system_jobs(args: &Args, scenario: &Scenario, d: i32, rounding: RoundingMode)
         },
     )];
     for &npsd in &NPSD_SWEEP {
-        jobs.push(job(npsd, JobKind::Estimate { method: Method::PsdMethod, frac_bits: d }));
+        jobs.push(job(npsd, JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: d }));
     }
     jobs
 }

@@ -54,9 +54,10 @@ pub fn sweep(args: &Args, d: i32) -> (f64, f64, Vec<TimingPoint>) {
         .map(|&npsd| {
             // Repeat the evaluation enough times to rise above timer noise.
             let reps = (200_000 / npsd).max(4);
+            let freq_model = freq_sys.preprocess(npsd); // tau_pp outside
             let (t_freq, _) = time(|| {
                 for _ in 0..reps {
-                    std::hint::black_box(freq_sys.model_psd_power(moments, npsd));
+                    std::hint::black_box(freq_model.power(moments));
                 }
             });
             let side = (npsd as f64).sqrt().round() as usize;

@@ -13,8 +13,8 @@
 //! and the Monte-Carlo reference afterwards reuses the very same cached
 //! evaluators, so preprocessing is paid once per filter for both sides.
 
-use psdacc_core::{metrics, Method, WordLengthPlan};
-use psdacc_engine::{Engine, JobKind, JobSpec, Scenario};
+use psdacc_core::{metrics, WordLengthPlan};
+use psdacc_engine::{Engine, EstimateMethod, JobKind, JobSpec, Scenario};
 use psdacc_fixed::RoundingMode;
 use psdacc_sim::SimulationPlan;
 
@@ -69,7 +69,7 @@ pub fn run_with_stride(args: &Args, stride: usize) -> (FamilyStats, FamilyStats)
     let mut jobs = Vec::with_capacity(indices.len() * 4);
     for &is_fir in &[true, false] {
         for &i in &indices {
-            for method in [Method::PsdMethod, Method::Flat] {
+            for method in [EstimateMethod::PsdMethod, EstimateMethod::Flat] {
                 jobs.push(JobSpec {
                     scenario: family_scenario(is_fir, i),
                     npsd: args.npsd,

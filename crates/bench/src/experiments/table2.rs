@@ -14,8 +14,7 @@
 //! `psdacc_systems::freq_filter` (exercised by `tests/benchmark_systems`
 //! and the `fig4` experiment).
 
-use psdacc_core::Method;
-use psdacc_engine::{Engine, JobKind, JobResult, JobSpec, Scenario};
+use psdacc_engine::{Engine, EstimateMethod, JobKind, JobResult, JobSpec, Scenario};
 use psdacc_fixed::RoundingMode;
 
 use crate::harness::{pct, Args, Table};
@@ -60,9 +59,9 @@ fn system_jobs(scenario: &Scenario, args: &Args, d: i32, rounding: RoundingMode)
                 trials: 1,
             },
         ),
-        job(NPSD_COARSE, JobKind::Estimate { method: Method::PsdMethod, frac_bits: d }),
-        job(NPSD_FINE, JobKind::Estimate { method: Method::PsdMethod, frac_bits: d }),
-        job(NPSD_FINE, JobKind::Estimate { method: Method::PsdAgnostic, frac_bits: d }),
+        job(NPSD_COARSE, JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: d }),
+        job(NPSD_FINE, JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: d }),
+        job(NPSD_FINE, JobKind::Estimate { method: EstimateMethod::PsdAgnostic, frac_bits: d }),
     ]
 }
 

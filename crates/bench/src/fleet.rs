@@ -87,7 +87,10 @@ mod tests {
                 scenario: Scenario::FreqFilter,
                 npsd: 64,
                 rounding: RoundingMode::Truncate,
-                kind: JobKind::Estimate { method: psdacc_core::Method::PsdMethod, frac_bits: bits },
+                kind: JobKind::Estimate {
+                    method: psdacc_engine::EstimateMethod::PsdMethod,
+                    frac_bits: bits,
+                },
             })
             .collect();
         let powers = batch_powers(&Args::default(), jobs.clone());

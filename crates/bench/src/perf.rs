@@ -1,9 +1,9 @@
 //! The performance baseline suite: `BENCH_psd.json`.
 //!
 //! Times the ROADMAP's hot paths — the paper's two cost centers
-//! (`tau_pp` preprocessing and `tau_eval` analytical estimation, both
-//! single-rate and multirate/DWT), the budget-attribution variant of
-//! the estimate, GraphSpec compile+hash, the store codec round-trip,
+//! (`tau_pp` preprocessing and `tau_eval` analytical estimation:
+//! single-rate FIR and IIR, and multirate/DWT), the budget-attribution
+//! variant of the estimate, GraphSpec compile+hash, the store codec round-trip,
 //! warm-vs-cold evaluator-cache lookups, one cached job through
 //! `Engine::run` (the fixed cost of a call), Welch estimation of a recorded
 //! trace plus a bit-true sigma-delta modulation pass (the measured-signal
@@ -36,10 +36,11 @@
 
 use std::time::Instant;
 
-use psdacc_core::{AccuracyEvaluator, Method, WordLengthPlan};
+use psdacc_core::{AccuracyEvaluator, WordLengthPlan};
 use psdacc_engine::json::{self, JsonWriter};
 use psdacc_engine::{
-    BatchSpec, Engine, EvaluatorCache, GraphScenario, JobKind, JobResult, JobSpec, Scenario,
+    BatchSpec, Engine, EstimateMethod, EvaluatorCache, GraphScenario, JobKind, JobResult, JobSpec,
+    Scenario,
 };
 use psdacc_fft::{Complex, Direction, Radix2Fft};
 use psdacc_fixed::RoundingMode;
@@ -316,6 +317,19 @@ pub fn run_baseline_profiled(
     });
     dump("tau_eval");
 
+    // The same estimate on an IIR cascade: each IIR node's source carries
+    // its 1/A(z) shaping in the preprocessed kernel, so this should cost
+    // about what the FIR estimate above does.
+    let iir = Scenario::IirCascade { stages: 2, order: 4, cutoff: 0.2 }
+        .build()
+        .expect("iir scenario builds");
+    let iir_evaluator = AccuracyEvaluator::new(&iir, npsd).expect("iir preprocess");
+    clear();
+    let tau_eval_iir = measure("tau_eval_iir", iters, 1, || {
+        std::hint::black_box(iir_evaluator.estimate_psd(&plan).power);
+    });
+    dump("tau_eval_iir");
+
     // The same evaluation keeping the per-node attribution ledger — what
     // a budget job pays over a plain estimate (row assembly + the
     // bit-exact residue fold).
@@ -364,7 +378,7 @@ pub fn run_baseline_profiled(
         scenario: scenario.clone(),
         npsd,
         rounding: RoundingMode::Truncate,
-        kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: 12 },
+        kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 12 },
     };
     engine.run(vec![job.clone()]);
     clear();
@@ -483,6 +497,7 @@ pub fn run_baseline_profiled(
         preprocess,
         preprocess_multirate,
         tau_eval,
+        tau_eval_iir,
         budget,
         graphspec_compile,
         store_roundtrip,
@@ -539,6 +554,7 @@ mod tests {
                 "preprocess",
                 "preprocess_multirate",
                 "tau_eval",
+                "tau_eval_iir",
                 "budget",
                 "graphspec_compile",
                 "store_roundtrip",

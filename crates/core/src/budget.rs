@@ -135,9 +135,10 @@ impl NoiseBudget {
 }
 
 /// Assembles the budget from the per-source contributions, accumulating
-/// the total in the exact `add_assign` sequence `evaluate_with_responses`
-/// / `evaluate_with_multirate` use — which is what makes `power` (and
-/// `mean`, `variance`) bit-identical to the evaluate path.
+/// the total in the exact `add_assign` sequence `estimate_psd` uses
+/// (`evaluate_with_kernels`, then the measured sources) — which is what
+/// makes `power` (and `mean`, `variance`) bit-identical to the evaluate
+/// path.
 pub(crate) fn assemble(
     sfg: &Sfg,
     plan: &WordLengthPlan,

@@ -8,7 +8,7 @@ use psdacc_sim::{measure_quantization_error, SimulationPlan};
 
 use crate::agnostic::evaluate_agnostic;
 use crate::flat::evaluate_flat;
-use crate::psd_method::{evaluate_with_multirate, evaluate_with_responses};
+use crate::psd_method::{contribution, evaluate_with_kernels, measured_contribution};
 use crate::report::{Comparison, Estimate, Method};
 use crate::wordlength::WordLengthPlan;
 
@@ -71,8 +71,8 @@ impl AccuracyEvaluator {
     ///
     /// [`SfgError::NoOutput`] when the graph has no designated output;
     /// [`SfgError::ResponseShape`] when `preprocessed` does not cover
-    /// exactly the nodes of `sfg` or its form does not match the graph's
-    /// rate structure.
+    /// exactly the nodes of `sfg` or its kernels are not as wide as the
+    /// output node's rate grid.
     pub fn from_cached(
         sfg: &Sfg,
         preprocessed: Preprocessed,
@@ -88,14 +88,15 @@ impl AccuracyEvaluator {
                 ),
             });
         }
-        let multirate_graph = psdacc_sfg::is_multirate(sfg);
-        let multirate_data = preprocessed.as_multirate().is_some();
-        if multirate_graph != multirate_data {
+        let grid = psdacc_sfg::node_rates(sfg)
+            .ok()
+            .and_then(|rates| rates[output.0].grid(preprocessed.npsd()));
+        if grid != Some(preprocessed.npsd_out()) {
             return Err(SfgError::ResponseShape {
                 detail: format!(
-                    "graph is {} but the cached preprocessing is {}",
-                    if multirate_graph { "multirate" } else { "single-rate" },
-                    if multirate_data { "multirate" } else { "single-rate" },
+                    "kernels are {} bins wide, but the output's grid at npsd {} is {grid:?}",
+                    preprocessed.npsd_out(),
+                    preprocessed.npsd()
                 ),
             });
         }
@@ -122,7 +123,7 @@ impl AccuracyEvaluator {
         self.preprocess_seconds
     }
 
-    /// Cached preprocessing (exact responses or multirate kernels).
+    /// Cached preprocessing (one output-referred kernel per node).
     pub fn preprocessed(&self) -> &Preprocessed {
         &self.preprocessed
     }
@@ -142,26 +143,13 @@ impl AccuracyEvaluator {
         let t0 = Instant::now();
         let est = {
             let _frame = psdacc_obs::profile::frame("tau_eval");
-            match &self.preprocessed {
-                Preprocessed::SingleRate(responses) => {
-                    let mut est = evaluate_with_responses(responses, &sources);
-                    for (node, src) in &measured {
-                        let c = crate::psd_method::measured_contribution_single_rate(
-                            responses, *node, src,
-                        );
-                        est.per_source.push((*node, c.power()));
-                        est.psd.add_assign(&c);
-                    }
-                    est
-                }
-                Preprocessed::Multirate(kernels) => {
-                    debug_assert!(
-                        measured.is_empty(),
-                        "multirate preprocessing rejects measured sources"
-                    );
-                    evaluate_with_multirate(kernels, &sources)
-                }
+            let mut est = evaluate_with_kernels(&self.preprocessed, &sources);
+            for (node, src) in &measured {
+                let c = measured_contribution(&self.preprocessed, *node, src);
+                est.per_source.push((*node, c.power()));
+                est.psd.add_assign(&c);
             }
+            est
         };
         let elapsed = t0.elapsed();
         Estimate {
@@ -181,34 +169,14 @@ impl AccuracyEvaluator {
     pub fn evaluate_budget(&self, plan: &WordLengthPlan) -> crate::budget::NoiseBudget {
         let sources = plan.noise_sources(&self.sfg);
         let _frame = psdacc_obs::profile::frame("budget_eval");
-        let (contributions, measured): (Vec<crate::NoisePsd>, Vec<(NodeId, crate::NoisePsd)>) =
-            match &self.preprocessed {
-                Preprocessed::SingleRate(responses) => (
-                    sources
-                        .iter()
-                        .map(|s| crate::psd_method::contribution_single_rate(responses, s))
-                        .collect(),
-                    self.sfg
-                        .measured_sources()
-                        .iter()
-                        .map(|(node, src)| {
-                            (
-                                *node,
-                                crate::psd_method::measured_contribution_single_rate(
-                                    responses, *node, src,
-                                ),
-                            )
-                        })
-                        .collect(),
-                ),
-                Preprocessed::Multirate(kernels) => (
-                    sources
-                        .iter()
-                        .map(|s| crate::psd_method::contribution_multirate(kernels, s))
-                        .collect(),
-                    Vec::new(),
-                ),
-            };
+        let contributions: Vec<crate::NoisePsd> =
+            sources.iter().map(|s| contribution(&self.preprocessed, s)).collect();
+        let measured: Vec<(NodeId, crate::NoisePsd)> = self
+            .sfg
+            .measured_sources()
+            .iter()
+            .map(|(node, src)| (*node, measured_contribution(&self.preprocessed, *node, src)))
+            .collect();
         crate::budget::assemble(&self.sfg, plan, &sources, &contributions, &measured)
     }
 
@@ -383,13 +351,12 @@ mod tests {
 
     #[test]
     fn from_cached_reproduces_estimates_bit_identically() {
-        use psdacc_sfg::NodeResponses;
         let g = fir_system();
         let eval = AccuracyEvaluator::new(&g, 256).unwrap();
-        let rows = eval.preprocessed().as_single_rate().unwrap().rows().to_vec();
+        let pre = eval.preprocessed();
         let rebuilt = AccuracyEvaluator::from_cached(
             &g,
-            Preprocessed::SingleRate(NodeResponses::from_rows(rows, 256).unwrap()),
+            Preprocessed::new(pre.kernels().to_vec(), 256, 256, pre.white_bins()).unwrap(),
             eval.preprocess_seconds(),
         )
         .unwrap();
@@ -401,14 +368,13 @@ mod tests {
 
     #[test]
     fn from_cached_rejects_mismatched_shapes() {
-        use psdacc_sfg::NodeResponses;
         let g = fir_system();
         let eval = AccuracyEvaluator::new(&g, 64).unwrap();
-        let mut rows = eval.preprocessed().as_single_rate().unwrap().rows().to_vec();
-        rows.pop();
-        let short = NodeResponses::from_rows(rows, 64).unwrap();
+        let mut kernels = eval.preprocessed().kernels().to_vec();
+        kernels.pop();
+        let short = Preprocessed::new(kernels, 64, 64, 64).unwrap();
         assert!(matches!(
-            AccuracyEvaluator::from_cached(&g, Preprocessed::SingleRate(short), 0.0),
+            AccuracyEvaluator::from_cached(&g, short, 0.0),
             Err(SfgError::ResponseShape { .. })
         ));
     }

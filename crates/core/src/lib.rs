@@ -40,9 +40,7 @@ pub use flat::{evaluate_flat, FlatEstimate};
 pub use metrics::{ed, equivalent_bit_deviation, is_sub_one_bit, sqnr_db};
 pub use noise_psd::NoisePsd;
 pub use propagate::{downsample_psd, through_magnitude, through_response, upsample_psd};
-pub use psd_method::{
-    evaluate_psd_method, evaluate_with_multirate, evaluate_with_responses, PsdEstimate,
-};
+pub use psd_method::{evaluate_psd_method, evaluate_with_kernels, PsdEstimate};
 pub use refine::{
     greedy_refinement, greedy_refinement_from, greedy_refinement_observed,
     minimum_uniform_wordlength, minimum_uniform_wordlength_from, RefineStep, RefinementResult,

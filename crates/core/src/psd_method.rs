@@ -1,23 +1,27 @@
 //! The proposed PSD-based accuracy evaluation (paper Section III).
 //!
-//! For a single-rate LTI graph the engine:
+//! The engine works in two stages:
 //!
-//! 1. samples every block transfer function on the `N_PSD` grid and solves
-//!    the graph per frequency ([`psdacc_sfg::node_responses`]) — the
-//!    preprocessing stage `tau_pp`, independent of word-lengths;
-//! 2. models each quantization source as a white PSD with the PQN moments
-//!    (Eq. 10) and accumulates
-//!    `S_out[k] += |G_i(F_k)|^2 * sigma_i^2 / N_PSD` plus the mean path
-//!    through the DC gains — the evaluation stage `tau_eval`, O(Ne * N_PSD)
-//!    per word-length configuration.
+//! 1. `tau_pp`, independent of word-lengths ([`psdacc_sfg::preprocess`]):
+//!    on a single-rate graph it samples every block transfer function on
+//!    the `N_PSD` grid, solves the graph per frequency, and reduces each
+//!    node's complex source-to-output response `G_i` (times the `1/A(z)`
+//!    shaping of an IIR node's own source) to a real kernel row
+//!    `|G_i(F_k)|^2` plus its DC path. Multirate graphs fold and image
+//!    into the same kernel form;
+//! 2. `tau_eval`, per word-length configuration ([`evaluate_with_kernels`]):
+//!    each quantization source is a white PSD with the PQN moments
+//!    (Eq. 10), and the output accumulates
+//!    `S_out[k] += sigma_i^2 / N_PSD * |G_i(F_k)|^2` plus the mean through
+//!    the DC paths: one scale-and-add per source, O(Ne * N_PSD), on every
+//!    graph.
 //!
 //! Because `G_i` is the *complex* source-to-output response of the resolved
 //! graph, reconvergent paths of the same source interfere with correct
 //! phase: Eq. 12's cross-spectra are accounted for exactly inside the LTI
 //! region, which is precisely what the PSD-agnostic baseline cannot do.
 
-use psdacc_fft::Complex;
-use psdacc_sfg::{node_responses, MultirateResponses, NodeId, NodeResponses, Sfg, SfgError};
+use psdacc_sfg::{single_rate_kernels, NodeId, Preprocessed, Sfg, SfgError};
 
 use crate::noise_psd::NoisePsd;
 use crate::wordlength::NoiseSource;
@@ -38,118 +42,74 @@ impl PsdEstimate {
     }
 }
 
-/// One-shot evaluation: solve the graph, then accumulate the sources.
+/// One-shot evaluation on a single-rate graph: solve it, reduce the
+/// responses to kernels shaped as the given sources say (an IIR source's
+/// `internal_feedback`), then accumulate the sources.
 ///
 /// # Errors
 ///
 /// Propagates [`SfgError`] from the per-frequency solve (unknown output,
-/// delay-free cycles).
+/// delay-free cycles, rate changers).
 pub fn evaluate_psd_method(
     sfg: &Sfg,
     output: NodeId,
     sources: &[NoiseSource],
     npsd: usize,
 ) -> Result<PsdEstimate, SfgError> {
-    let responses = node_responses(sfg, output, npsd)?;
-    Ok(evaluate_with_responses(&responses, sources))
+    let mut feedback = vec![None; sfg.len()];
+    for src in sources {
+        feedback[src.node.0] = src.internal_feedback.as_deref();
+    }
+    let kernels = single_rate_kernels(sfg, output, npsd, &feedback)?;
+    Ok(evaluate_with_kernels(&kernels, sources))
 }
 
 /// Evaluation stage only (`tau_eval`), reusing cached preprocessing. This is
 /// what gets re-run for every word-length configuration during refinement.
-pub fn evaluate_with_responses(responses: &NodeResponses, sources: &[NoiseSource]) -> PsdEstimate {
-    let npsd = responses.npsd();
-    let mut total = NoisePsd::zero(npsd);
+pub fn evaluate_with_kernels(kernels: &Preprocessed, sources: &[NoiseSource]) -> PsdEstimate {
+    let mut total = NoisePsd::zero(kernels.npsd_out());
     let mut per_source = Vec::with_capacity(sources.len());
     for src in sources {
-        let contribution = contribution_single_rate(responses, src);
+        let contribution = contribution(kernels, src);
         per_source.push((src.node, contribution.power()));
         total.add_assign(&contribution);
     }
     PsdEstimate { psd: total, per_source }
 }
 
-/// One source's output-referred PSD on the single-rate path — the term
-/// `evaluate_with_responses` accumulates, shared with the noise-budget
-/// attribution so the two views are the same computation by construction.
-pub(crate) fn contribution_single_rate(responses: &NodeResponses, src: &NoiseSource) -> NoisePsd {
-    let npsd = responses.npsd();
-    let g = responses.of(src.node);
-    match &src.internal_feedback {
-        None => source_contribution(src, g, npsd),
-        Some(_) => {
-            let shape = src.shaping(npsd);
-            let combined: Vec<Complex> = g.iter().zip(&shape).map(|(a, b)| *a * *b).collect();
-            source_contribution(src, &combined, npsd)
-        }
-    }
+/// One source's output-referred PSD — the term `evaluate_with_kernels`
+/// accumulates, shared with the noise-budget attribution so the two views
+/// are the same computation by construction: the white bin
+/// `sigma^2 / white_bins` times the variance row, plus `mu^2` times the
+/// mean-image row where one exists, with the mean riding the DC path.
+pub(crate) fn contribution(kernels: &Preprocessed, src: &NoiseSource) -> NoisePsd {
+    let kernel = kernels.kernel(src.node);
+    let white_bin = src.moments.variance / kernels.white_bins() as f64;
+    let mu = src.moments.mean;
+    let variance = kernel.variance.iter();
+    let bins = if kernel.mean_sq.is_empty() {
+        variance.map(|&v| white_bin * v).collect()
+    } else {
+        variance.zip(&kernel.mean_sq).map(|(&v, &m)| white_bin * v + mu * mu * m).collect()
+    };
+    NoisePsd::from_parts(bins, mu * kernel.dc)
 }
 
-fn source_contribution(src: &NoiseSource, g: &[Complex], npsd: usize) -> NoisePsd {
-    let white = NoisePsd::white(src.moments, npsd);
-    crate::propagate::through_response(&white, g)
-}
-
-/// One measured source's output-referred PSD on the single-rate path: the
-/// estimated spectrum rebinned onto the evaluation grid (power-preserving;
-/// bit-exact when the grids match) and shaped by the node's
-/// source-to-output response, with the sample mean riding the DC path.
-/// Unlike quantization sources the spectrum is colored and word-length
-/// independent — a noise floor every plan shares. Multirate graphs reject
-/// measured sources at preprocessing, so no multirate twin exists.
-pub(crate) fn measured_contribution_single_rate(
-    responses: &NodeResponses,
+/// One measured source's output-referred PSD: the estimated spectrum
+/// rebinned onto the evaluation grid (power-preserving; bit-exact when the
+/// grids match) times the node's kernel row, with the sample mean riding
+/// the DC path. Unlike quantization sources the spectrum is colored and
+/// word-length independent — a noise floor every plan shares. Multirate
+/// preprocessing rejects measured sources, so the rows read here are
+/// always single-rate `|G|^2`.
+pub(crate) fn measured_contribution(
+    kernels: &Preprocessed,
     node: NodeId,
     src: &psdacc_sfg::MeasuredSource,
 ) -> NoisePsd {
-    let npsd = responses.npsd();
-    let psd = NoisePsd::from_parts(src.bins_at(npsd), src.mean);
-    crate::propagate::through_response(&psd, responses.of(node))
-}
-
-/// Evaluation stage (`tau_eval`) over **multirate** preprocessing: each
-/// source's white PSD is already folded/imaged into an output-referred
-/// kernel, so evaluating a word-length plan is one scale-and-accumulate
-/// per source — `sigma^2` times the variance kernel plus `mu^2` times the
-/// mean-image kernel, with the mean riding the scalar DC path.
-///
-/// Multirate graphs carry no IIR blocks (rejected during preprocessing),
-/// so no source needs internal `1/A(z)` shaping here.
-pub fn evaluate_with_multirate(
-    responses: &MultirateResponses,
-    sources: &[NoiseSource],
-) -> PsdEstimate {
-    let n = responses.npsd_out();
-    let mut total = NoisePsd::zero(n);
-    let mut per_source = Vec::with_capacity(sources.len());
-    for src in sources {
-        let contribution = contribution_multirate(responses, src);
-        per_source.push((src.node, contribution.power()));
-        total.add_assign(&contribution);
-    }
-    PsdEstimate { psd: total, per_source }
-}
-
-/// One source's output-referred PSD on the multirate path (see
-/// [`contribution_single_rate`]): `sigma^2` times the variance kernel
-/// plus `mu^2` times the mean-image kernel, mean riding the scalar DC.
-pub(crate) fn contribution_multirate(
-    responses: &MultirateResponses,
-    src: &NoiseSource,
-) -> NoisePsd {
-    debug_assert!(
-        src.internal_feedback.is_none(),
-        "multirate graphs reject IIR blocks at preprocessing"
-    );
-    let kernel = responses.kernel(src.node);
-    let sigma2 = src.moments.variance;
-    let mu = src.moments.mean;
-    let bins: Vec<f64> = kernel
-        .variance
-        .iter()
-        .zip(&kernel.mean_sq)
-        .map(|(&v, &m)| sigma2 * v + mu * mu * m)
-        .collect();
-    NoisePsd::from_parts(bins, mu * kernel.dc)
+    let kernel = kernels.kernel(node);
+    let bins = src.bins_at(kernels.npsd()).into_iter().zip(&kernel.variance).map(|(s, v)| s * v);
+    NoisePsd::from_parts(bins.collect(), src.mean * kernel.dc)
 }
 
 #[cfg(test)]

@@ -15,7 +15,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use psdacc_fft::Complex;
 use psdacc_fixed::{NoiseMoments, Quantizer, RoundingMode};
 use psdacc_sfg::{Block, NodeId, Sfg};
 
@@ -32,15 +31,6 @@ pub struct NoiseSource {
 }
 
 impl NoiseSource {
-    /// Samples the internal shaping `1/A(z)` on an `n`-point grid (all-ones
-    /// when the source has no feedback shaping).
-    pub fn shaping(&self, n: usize) -> Vec<Complex> {
-        match &self.internal_feedback {
-            None => vec![Complex::ONE; n],
-            Some(a) => psdacc_dsp::iir_frequency_response(&[1.0], a, n),
-        }
-    }
-
     /// Impulse response of the internal shaping (delta when none).
     pub fn shaping_impulse(&self, max_len: usize, tol: f64) -> Vec<f64> {
         match &self.internal_feedback {
@@ -250,10 +240,7 @@ mod tests {
         let plan = WordLengthPlan::uniform(8, RoundingMode::RoundNearest);
         let sources = plan.noise_sources(&g);
         let iir_src = sources.iter().find(|s| s.node == iir).unwrap();
-        assert!(iir_src.internal_feedback.is_some());
-        let shaping = iir_src.shaping(8);
-        // 1/(1 - 0.5 z^-1) at DC = 2.
-        assert!((shaping[0].re - 2.0).abs() < 1e-12);
+        assert_eq!(iir_src.internal_feedback.as_deref(), Some(&[1.0, -0.5][..]));
         let ir = iir_src.shaping_impulse(64, 1e-12);
         assert!((ir[1] - 0.5).abs() < 1e-12);
     }

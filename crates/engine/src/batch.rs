@@ -38,10 +38,10 @@
 
 use std::collections::BTreeMap;
 
-use psdacc_core::Method;
 use psdacc_fixed::RoundingMode;
 
 use crate::error::EngineError;
+use crate::job::EstimateMethod;
 use crate::provider::{self, ScenarioRegistry};
 use crate::scenario::Scenario;
 use crate::units::{DirectiveKind, JobDirective};
@@ -435,15 +435,15 @@ fn parse_bits_list(text: &str) -> Result<Vec<i32>, EngineError> {
         .collect()
 }
 
-fn parse_methods(text: &str) -> Result<Vec<Method>, EngineError> {
+fn parse_methods(text: &str) -> Result<Vec<EstimateMethod>, EngineError> {
     text.split(',')
-        .map(|tok| match tok.trim() {
-            "psd" => Ok(Method::PsdMethod),
-            "agnostic" => Ok(Method::PsdAgnostic),
-            "flat" => Ok(Method::Flat),
-            other => Err(EngineError::Spec(format!(
-                "unknown method `{other}` (known: psd, agnostic, flat)"
-            ))),
+        .map(|tok| {
+            EstimateMethod::from_name(tok.trim()).ok_or_else(|| {
+                EngineError::Spec(format!(
+                    "unknown method `{}` (known: psd, agnostic, flat)",
+                    tok.trim()
+                ))
+            })
         })
         .collect()
 }

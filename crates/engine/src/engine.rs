@@ -167,9 +167,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobKind;
+    use crate::job::{EstimateMethod, JobKind};
     use crate::scenario::Scenario;
-    use psdacc_core::Method;
     use psdacc_fixed::RoundingMode;
 
     #[test]
@@ -181,7 +180,7 @@ mod tests {
                 scenario: scenario.clone(),
                 npsd: 128,
                 rounding: RoundingMode::Truncate,
-                kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: bits },
+                kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: bits },
             })
             .collect();
         let report = engine.run(jobs);
@@ -207,7 +206,7 @@ mod tests {
             scenario,
             npsd: 128,
             rounding: RoundingMode::Truncate,
-            kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: 12 },
+            kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 12 },
         };
         let first = engine.run(vec![job.clone()]);
         assert_eq!(first.cache.builds, 1);
@@ -226,7 +225,7 @@ mod tests {
                 scenario: scenario.clone(),
                 npsd: 128,
                 rounding: RoundingMode::Truncate,
-                kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: bits },
+                kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: bits },
             })
             .collect();
         let mut streamed: Vec<(usize, Option<f64>)> = Vec::new();
@@ -247,7 +246,7 @@ mod tests {
                 scenario: scenario.clone(),
                 npsd: 64,
                 rounding: RoundingMode::Truncate,
-                kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: 10 },
+                kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 10 },
             },
             JobSpec {
                 scenario,
@@ -264,7 +263,7 @@ mod tests {
             scenario: Scenario::FirBank { index: 9999 },
             npsd: 64,
             rounding: RoundingMode::Truncate,
-            kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: 10 },
+            kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 10 },
         }]);
         assert_eq!(bad.failures().count(), 1);
         assert!(bad.powers().is_err());
@@ -296,7 +295,7 @@ mod tests {
             scenario: Scenario::FirCascade { stages: 1, taps: 9, cutoff: 0.3 },
             npsd,
             rounding: RoundingMode::Truncate,
-            kind: JobKind::Estimate { method: Method::Flat, frac_bits: 10 },
+            kind: JobKind::Estimate { method: EstimateMethod::Flat, frac_bits: 10 },
         };
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             engine.run(vec![job(32), job(13), job(32)])
@@ -336,7 +335,7 @@ mod tests {
             scenario: Scenario::FirCascade { stages: 1, taps: 9, cutoff: 0.3 },
             npsd: 64,
             rounding: RoundingMode::Truncate,
-            kind: JobKind::Estimate { method: Method::Flat, frac_bits: 10 },
+            kind: JobKind::Estimate { method: EstimateMethod::Flat, frac_bits: 10 },
         }]);
         let s = report.summary();
         assert!(s.contains("1 jobs"), "{s}");

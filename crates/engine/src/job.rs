@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use psdacc_core::{greedy_refinement_observed, minimum_uniform_wordlength_from};
-use psdacc_core::{metrics, AccuracyEvaluator, Method, NoiseBudget, WordLengthPlan};
+use psdacc_core::{metrics, AccuracyEvaluator, NoiseBudget, WordLengthPlan};
 use psdacc_fixed::RoundingMode;
 use psdacc_sim::SimulationPlan;
 
@@ -19,13 +19,49 @@ use crate::error::EngineError;
 use crate::json::JsonWriter;
 use crate::scenario::Scenario;
 
+/// The analytical methods an estimate job runs. Simulation is a job kind
+/// of its own ([`JobKind::Simulate`]), so it has no variant here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EstimateMethod {
+    /// The proposed PSD method.
+    PsdMethod,
+    /// The PSD-agnostic hierarchical baseline.
+    PsdAgnostic,
+    /// The classical flat method.
+    Flat,
+}
+
+impl EstimateMethod {
+    /// The method's name in batch specs, wire requests and result records.
+    pub fn name(self) -> &'static str {
+        match self {
+            EstimateMethod::PsdMethod => "psd",
+            EstimateMethod::PsdAgnostic => "agnostic",
+            EstimateMethod::Flat => "flat",
+        }
+    }
+
+    /// The method named `name` (see [`EstimateMethod::name`]).
+    pub fn from_name(name: &str) -> Option<Self> {
+        [EstimateMethod::PsdMethod, EstimateMethod::PsdAgnostic, EstimateMethod::Flat]
+            .into_iter()
+            .find(|m| m.name() == name)
+    }
+}
+
+impl std::fmt::Display for EstimateMethod {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// What a job computes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobKind {
     /// One analytical estimate of one uniform word-length plan.
     Estimate {
-        /// The analytical method (`Simulation` is not an engine job).
-        method: Method,
+        /// The analytical method.
+        method: EstimateMethod,
         /// Uniform fractional bits.
         frac_bits: i32,
     },
@@ -75,10 +111,7 @@ impl JobKind {
     /// Short label used in result records.
     pub fn label(&self) -> &'static str {
         match self {
-            JobKind::Estimate { method: Method::PsdMethod, .. } => "psd",
-            JobKind::Estimate { method: Method::PsdAgnostic, .. } => "agnostic",
-            JobKind::Estimate { method: Method::Flat, .. } => "flat",
-            JobKind::Estimate { method: Method::Simulation, .. } => "simulation",
+            JobKind::Estimate { method, .. } => method.name(),
             JobKind::GreedyRefine { .. } => "greedy-refine",
             JobKind::MinUniform { .. } => "min-uniform",
             JobKind::Budget { .. } => "budget",
@@ -340,15 +373,11 @@ fn execute_kind(
             out.frac_bits = Some(frac_bits);
             let plan = spec.plan(frac_bits);
             let estimate = match method {
-                Method::PsdMethod => Ok(evaluator.estimate_psd(&plan)),
-                Method::PsdAgnostic => {
-                    evaluator.estimate_agnostic(&plan).map_err(EngineError::from)
-                }
-                Method::Flat => evaluator.estimate_flat(&plan).map_err(EngineError::from),
-                Method::Simulation => Err(EngineError::Spec(
-                    "simulation is not an engine job; use psdacc-sim directly".to_string(),
-                )),
-            };
+                EstimateMethod::PsdMethod => Ok(evaluator.estimate_psd(&plan)),
+                EstimateMethod::PsdAgnostic => evaluator.estimate_agnostic(&plan),
+                EstimateMethod::Flat => evaluator.estimate_flat(&plan),
+            }
+            .map_err(EngineError::from);
             match estimate {
                 Ok(est) => {
                     out.tau_eval_seconds = est.elapsed.as_secs_f64();
@@ -502,8 +531,8 @@ fn budget_rows_json(budget: &NoiseBudget) -> String {
 }
 
 /// Output-referred power of a unit-power white input — the signal side of
-/// the reported SQNR. `Preprocessed::energy` covers both the single-rate
-/// and the multirate (folded/imaged) path gain.
+/// the reported SQNR: the sum of the inputs' kernel energies
+/// (`Preprocessed::energy`), whatever the graph's rate structure.
 fn signal_power(evaluator: &Arc<AccuracyEvaluator>) -> f64 {
     evaluator.sfg().inputs().iter().map(|&input| evaluator.preprocessed().energy(input)).sum()
 }
@@ -525,7 +554,7 @@ mod tests {
     #[test]
     fn estimate_job_matches_direct_evaluator_call() {
         let cache = EvaluatorCache::new();
-        let s = spec(JobKind::Estimate { method: Method::PsdMethod, frac_bits: 12 });
+        let s = spec(JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 12 });
         let result = run_job(&cache, 0, &s);
         assert!(result.error.is_none(), "{:?}", result.error);
         let sfg = s.scenario.build().unwrap();
@@ -541,7 +570,7 @@ mod tests {
         let probe = run_job(
             &cache,
             0,
-            &spec(JobKind::Estimate { method: Method::PsdMethod, frac_bits: 12 }),
+            &spec(JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 12 }),
         );
         let budget = probe.power.unwrap() * 1.05;
         let greedy = run_job(
@@ -574,8 +603,11 @@ mod tests {
     #[test]
     fn json_lines_are_well_formed() {
         let cache = EvaluatorCache::new();
-        let r =
-            run_job(&cache, 3, &spec(JobKind::Estimate { method: Method::Flat, frac_bits: 10 }));
+        let r = run_job(
+            &cache,
+            3,
+            &spec(JobKind::Estimate { method: EstimateMethod::Flat, frac_bits: 10 }),
+        );
         let line = r.to_json_line();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"job\":3"));
@@ -595,7 +627,7 @@ mod tests {
         assert_eq!(r.trials, Some(2));
 
         // Reproduce sequentially with the same derived seeds.
-        let s = spec(JobKind::Estimate { method: Method::PsdMethod, frac_bits: 10 });
+        let s = spec(JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 10 });
         let sfg = s.scenario.build().unwrap();
         let eval = AccuracyEvaluator::new(&sfg, 128).unwrap();
         let plan = WordLengthPlan::uniform(10, RoundingMode::Truncate);
@@ -637,7 +669,7 @@ mod tests {
         let est = run_job(
             &cache,
             0,
-            &spec(JobKind::Estimate { method: Method::PsdMethod, frac_bits: 10 }),
+            &spec(JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 10 }),
         );
         let bud = run_job(&cache, 1, &spec(JobKind::Budget { frac_bits: 10 }));
         assert!(bud.error.is_none(), "{:?}", bud.error);
@@ -662,7 +694,7 @@ mod tests {
         let probe = run_job(
             &cache,
             0,
-            &spec(JobKind::Estimate { method: Method::PsdMethod, frac_bits: 12 }),
+            &spec(JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 12 }),
         );
         let budget = probe.power.unwrap() * 4.0;
         let kind = JobKind::GreedyRefine { budget, start_bits: 12, min_bits: 4 };
@@ -698,8 +730,11 @@ mod tests {
     #[test]
     fn require_power_reports_absence_with_context() {
         let cache = EvaluatorCache::new();
-        let ok =
-            run_job(&cache, 0, &spec(JobKind::Estimate { method: Method::Flat, frac_bits: 9 }));
+        let ok = run_job(
+            &cache,
+            0,
+            &spec(JobKind::Estimate { method: EstimateMethod::Flat, frac_bits: 9 }),
+        );
         assert_eq!(ok.require_power().unwrap(), ok.power.unwrap());
         let mu = run_job(
             &cache,

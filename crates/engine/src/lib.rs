@@ -83,7 +83,7 @@ pub use cache::{CacheStats, EvaluatorCache, FillSource, PreprocessCache, Scenari
 pub use engine::{BatchReport, Engine};
 pub use error::EngineError;
 pub use graphspec::{canonical_json, graph_spec_from_str, resolve_trace_refs, GraphScenario};
-pub use job::{run_job, run_job_traced, JobKind, JobResult, JobSpec, UnitTrace};
+pub use job::{run_job, run_job_traced, EstimateMethod, JobKind, JobResult, JobSpec, UnitTrace};
 pub use pool::Slot;
 pub use provider::{
     BuiltinProvider, FamilyInfo, GraphProvider, ParamSpec, ScenarioProvider, ScenarioRegistry,

@@ -157,9 +157,8 @@ fn worker(rx: &Mutex<mpsc::Receiver<Task>>) {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::job::{JobKind, JobSpec};
+    use crate::job::{EstimateMethod, JobKind, JobSpec};
     use crate::scenario::Scenario;
-    use psdacc_core::Method;
     use psdacc_fixed::RoundingMode;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -173,7 +172,10 @@ mod tests {
                 scenario: Scenario::FirCascade { stages: 1, taps: 9, cutoff: 0.3 },
                 npsd: 32,
                 rounding: RoundingMode::Truncate,
-                kind: JobKind::Estimate { method: Method::Flat, frac_bits: 4 + (i % 20) as i32 },
+                kind: JobKind::Estimate {
+                    method: EstimateMethod::Flat,
+                    frac_bits: 4 + (i % 20) as i32,
+                },
             })
             .collect()
     }

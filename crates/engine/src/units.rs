@@ -16,7 +16,6 @@
 //! sweep never materializes more than one `JobSpec` at a time unless the
 //! caller collects it.
 
-use psdacc_core::Method;
 use psdacc_fixed::RoundingMode;
 
 use crate::batch::BatchSpec;
@@ -45,7 +44,7 @@ pub(crate) enum DirectiveKind {
         /// Word-length sweep.
         bits: Vec<i32>,
         /// Analytical methods.
-        methods: Vec<Method>,
+        methods: Vec<crate::job::EstimateMethod>,
     },
     /// `refine`: one greedy descent per scenario.
     Refine {

@@ -10,12 +10,20 @@
 //! `ScenarioRegistry` / `BuiltinProvider`) and demands equality on every
 //! stable field — powers, means, variances, and SQNRs compared as exact
 //! `f64` values, error strings verbatim.
+//!
+//! `golden/families.jsonl` extends that proof past the 64-bin grid: all 12
+//! families (the 9 above plus the three measured-source families) at
+//! npsd 64, 96, 256 and 1000 over word-lengths 6..24, plus noise budgets
+//! and a min-uniform search — 948 rows, captured from `golden/families.spec`
+//! before the preprocessing was reduced to per-source kernels.
 
 use psdacc_engine::json::{self, Json};
 use psdacc_engine::{BatchSpec, Engine, Scenario, ScenarioRegistry};
 
 const GOLDEN_SPEC: &str = include_str!("golden/builtins.spec");
 const GOLDEN_ROWS: &str = include_str!("golden/builtins.jsonl");
+const FAMILIES_SPEC: &str = include_str!("golden/families.spec");
+const FAMILIES_ROWS: &str = include_str!("golden/families.jsonl");
 
 /// Drops the run-dependent fields (timings, cache flags), keeping
 /// everything the redesign must preserve.
@@ -29,22 +37,33 @@ fn stable_fields(line: &str) -> Vec<(String, Json)> {
         .collect()
 }
 
-#[test]
-fn all_builtin_families_match_pre_redesign_golden_outputs() {
-    let spec = BatchSpec::parse(GOLDEN_SPEC).expect("golden spec parses through the registry");
-    assert_eq!(spec.scenarios.len(), 9, "one scenario per builtin family");
+/// Runs `spec` through the engine and demands every result line equal its
+/// golden line on the stable fields.
+fn assert_matches_golden(spec: &str, rows: &str, families: usize) {
+    let spec = BatchSpec::parse(spec).expect("golden spec parses through the registry");
+    assert_eq!(spec.scenarios.len(), families, "one scenario per family");
     let report = Engine::new(4).run(spec.jobs());
-    let golden: Vec<&str> = GOLDEN_ROWS.lines().filter(|l| !l.trim().is_empty()).collect();
+    let golden: Vec<&str> = rows.lines().filter(|l| !l.trim().is_empty()).collect();
     assert_eq!(report.results.len(), golden.len(), "same job count as the golden capture");
     for (result, golden_line) in report.results.iter().zip(&golden) {
         let ours = stable_fields(&result.to_json_line());
         let theirs = stable_fields(golden_line);
         assert_eq!(
             ours, theirs,
-            "job {} ({} on {}) diverged from the pre-redesign capture",
+            "job {} ({} on {}) diverged from the golden capture",
             result.job, result.kind, result.scenario
         );
     }
+}
+
+#[test]
+fn all_builtin_families_match_pre_redesign_golden_outputs() {
+    assert_matches_golden(GOLDEN_SPEC, GOLDEN_ROWS, 9);
+}
+
+#[test]
+fn all_families_match_the_pre_kernel_golden_at_every_grid() {
+    assert_matches_golden(FAMILIES_SPEC, FAMILIES_ROWS, 12);
 }
 
 #[test]

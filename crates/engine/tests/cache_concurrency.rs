@@ -4,8 +4,7 @@
 
 use std::sync::Arc;
 
-use psdacc_core::Method;
-use psdacc_engine::{Engine, EvaluatorCache, JobKind, JobSpec, Scenario};
+use psdacc_engine::{Engine, EstimateMethod, EvaluatorCache, JobKind, JobSpec, Scenario};
 use psdacc_fixed::RoundingMode;
 
 #[test]
@@ -58,9 +57,9 @@ fn engine_batch_hammering_one_key_still_builds_once() {
             rounding: RoundingMode::Truncate,
             kind: JobKind::Estimate {
                 method: match i % 3 {
-                    0 => Method::PsdMethod,
-                    1 => Method::PsdAgnostic,
-                    _ => Method::Flat,
+                    0 => EstimateMethod::PsdMethod,
+                    1 => EstimateMethod::PsdAgnostic,
+                    _ => EstimateMethod::Flat,
                 },
                 frac_bits: 6 + (i % 12),
             },
@@ -83,7 +82,7 @@ fn shared_cache_across_engines() {
         scenario: scenario.clone(),
         npsd: 128,
         rounding: RoundingMode::Truncate,
-        kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: bits },
+        kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: bits },
     };
     let a = Engine::with_cache(2, Arc::clone(&cache));
     let b = Engine::with_cache(2, Arc::clone(&cache));

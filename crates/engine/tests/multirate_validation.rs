@@ -12,8 +12,7 @@
 //!    bit-true multirate simulator measuring the very graphs the kernels
 //!    describe, across a (family, depth, word-length) parameter sweep.
 
-use psdacc_core::Method;
-use psdacc_engine::{Engine, EvaluatorCache, JobKind, JobSpec, Scenario};
+use psdacc_engine::{Engine, EstimateMethod, EvaluatorCache, JobKind, JobSpec, Scenario};
 use psdacc_fixed::{NoiseMoments, RoundingMode};
 use psdacc_wavelet::AliasExactModel;
 
@@ -87,7 +86,7 @@ fn decimated_families_match_monte_carlo_across_sweep() {
                 scenario: scenario.clone(),
                 npsd,
                 rounding,
-                kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits },
+                kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits },
             });
             jobs.push(JobSpec {
                 scenario: scenario.clone(),
@@ -137,7 +136,7 @@ fn refinement_jobs_run_on_multirate_scenarios() {
         scenario: scenario.clone(),
         npsd: 64,
         rounding: RoundingMode::RoundNearest,
-        kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: 12 },
+        kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 12 },
     };
     let budget = engine.run(vec![probe.clone()]).results[0].power.unwrap() * 1.1;
     let report = engine.run(vec![
@@ -155,7 +154,7 @@ fn refinement_jobs_run_on_multirate_scenarios() {
     assert!(report.results[1].min_frac_bits.unwrap() <= 12);
     // Flat jobs refuse deterministically instead of probing one phase.
     let flat = engine.run(vec![JobSpec {
-        kind: JobKind::Estimate { method: Method::Flat, frac_bits: 12 },
+        kind: JobKind::Estimate { method: EstimateMethod::Flat, frac_bits: 12 },
         ..probe
     }]);
     assert_eq!(flat.failures().count(), 1);
@@ -175,7 +174,7 @@ fn indivisible_npsd_is_a_job_error() {
         scenario: Scenario::DwtDecimated { levels: 3 },
         npsd: 100, // not divisible by 8
         rounding: RoundingMode::Truncate,
-        kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: 10 },
+        kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 10 },
     }]);
     assert_eq!(report.failures().count(), 1);
     let err = report.results[0].error.as_deref().unwrap();

@@ -2,8 +2,8 @@
 //! direct `AccuracyEvaluator` calls for every method and scenario — the
 //! engine may reorder and parallelize work, never change the numbers.
 
-use psdacc_core::{AccuracyEvaluator, Method, WordLengthPlan};
-use psdacc_engine::{Engine, JobKind, JobSpec, Scenario};
+use psdacc_core::{AccuracyEvaluator, WordLengthPlan};
+use psdacc_engine::{Engine, EstimateMethod, JobKind, JobSpec, Scenario};
 use psdacc_fixed::RoundingMode;
 
 const NPSD: usize = 256;
@@ -21,7 +21,7 @@ fn scenarios() -> Vec<Scenario> {
 
 #[test]
 fn batch_results_bit_identical_to_sequential_for_all_methods() {
-    let methods = [Method::PsdMethod, Method::PsdAgnostic, Method::Flat];
+    let methods = [EstimateMethod::PsdMethod, EstimateMethod::PsdAgnostic, EstimateMethod::Flat];
     let bits = [8, 12, 16];
     let mut jobs = Vec::new();
     for scenario in scenarios() {
@@ -49,10 +49,9 @@ fn batch_results_bit_identical_to_sequential_for_all_methods() {
         let evaluator = AccuracyEvaluator::new(&sfg, NPSD).expect("preprocessing succeeds");
         let plan = WordLengthPlan::uniform(frac_bits, RoundingMode::Truncate);
         let expected = match method {
-            Method::PsdMethod => evaluator.estimate_psd(&plan),
-            Method::PsdAgnostic => evaluator.estimate_agnostic(&plan).unwrap(),
-            Method::Flat => evaluator.estimate_flat(&plan).unwrap(),
-            Method::Simulation => unreachable!(),
+            EstimateMethod::PsdMethod => evaluator.estimate_psd(&plan),
+            EstimateMethod::PsdAgnostic => evaluator.estimate_agnostic(&plan).unwrap(),
+            EstimateMethod::Flat => evaluator.estimate_flat(&plan).unwrap(),
         };
         assert_eq!(
             result.power,
@@ -130,10 +129,9 @@ fn demo_batch_acceptance() {
         let evaluator = AccuracyEvaluator::new(&sfg, spec.npsd).unwrap();
         let plan = WordLengthPlan::uniform(frac_bits, spec.rounding);
         let expected = match method {
-            Method::PsdMethod => evaluator.estimate_psd(&plan).power,
-            Method::PsdAgnostic => evaluator.estimate_agnostic(&plan).unwrap().power,
-            Method::Flat => evaluator.estimate_flat(&plan).unwrap().power,
-            Method::Simulation => unreachable!(),
+            EstimateMethod::PsdMethod => evaluator.estimate_psd(&plan).power,
+            EstimateMethod::PsdAgnostic => evaluator.estimate_agnostic(&plan).unwrap().power,
+            EstimateMethod::Flat => evaluator.estimate_flat(&plan).unwrap().power,
         };
         assert_eq!(result.power, Some(expected), "job {}", result.job);
     }

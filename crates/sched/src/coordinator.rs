@@ -249,13 +249,11 @@ pub fn run_fleet(
     if jobs.is_empty() {
         return Err(SchedError::Protocol("empty job list".to_string()));
     }
-    // Render every request line up front: an unshippable job is a setup
-    // error, not a mid-batch surprise.
     let units: Vec<Unit> = jobs
         .iter()
         .enumerate()
-        .map(|(id, spec)| Ok(Unit::new(id, job_request_line(id, spec)?, verb_index(&spec.kind))))
-        .collect::<Result<_, SchedError>>()?;
+        .map(|(id, spec)| Unit::new(id, job_request_line(id, spec), verb_index(&spec.kind)))
+        .collect();
     let batch = Batch {
         daemons,
         config,

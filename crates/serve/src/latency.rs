@@ -87,7 +87,7 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let reg = LatencyRegistry::new(&metrics);
         reg.record(
-            &JobKind::Estimate { method: psdacc_core::Method::PsdMethod, frac_bits: 12 },
+            &JobKind::Estimate { method: psdacc_engine::EstimateMethod::PsdMethod, frac_bits: 12 },
             Duration::from_micros(40),
         );
         reg.record(
@@ -125,7 +125,7 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let reg = LatencyRegistry::new(&metrics);
         reg.record(
-            &JobKind::Estimate { method: psdacc_core::Method::PsdMethod, frac_bits: 12 },
+            &JobKind::Estimate { method: psdacc_engine::EstimateMethod::PsdMethod, frac_bits: 12 },
             Duration::from_nanos(100),
         );
         assert_eq!(metrics.histogram("serve_latency_ns{verb=evaluate}").count(), 1);

@@ -70,7 +70,7 @@
 
 use psdacc_engine::graphspec::parse_graph_spec;
 use psdacc_engine::json::{self, Json, JsonWriter};
-use psdacc_engine::{JobKind, JobSpec, ScenarioRegistry};
+use psdacc_engine::{EstimateMethod, JobKind, JobSpec, ScenarioRegistry};
 use psdacc_fixed::RoundingMode;
 use psdacc_obs::{SpanId, TraceEvent};
 use psdacc_sfg::GraphSpec;
@@ -301,11 +301,10 @@ fn parse_job_spec(
     let kind = match kind {
         "evaluate" => {
             let method = match value.get("method").map(|v| v.as_str()) {
-                None | Some(Some("psd")) => psdacc_core::Method::PsdMethod,
-                Some(Some("agnostic")) => psdacc_core::Method::PsdAgnostic,
-                Some(Some("flat")) => psdacc_core::Method::Flat,
-                _ => return Err("`method` must be \"psd\", \"agnostic\", or \"flat\"".to_string()),
-            };
+                None => Some(EstimateMethod::PsdMethod),
+                Some(name) => name.and_then(EstimateMethod::from_name),
+            }
+            .ok_or("`method` must be \"psd\", \"agnostic\", or \"flat\"")?;
             JobKind::Estimate { method, frac_bits: req_i32(value, "bits")? }
         }
         "greedy" => JobKind::GreedyRefine {
@@ -388,20 +387,9 @@ fn opt_seed(value: &Json) -> Result<u64, String> {
 }
 
 /// Renders a [`JobSpec`] as the request line the daemon will parse back
-/// into an identical spec — the client side of the unit stream.
-///
-/// # Errors
-///
-/// [`ServeError::Protocol`] for the one spec the wire cannot carry
-/// faithfully: `Estimate { method: Simulation }` (use
-/// [`JobKind::Simulate`] instead — silently shipping a different
-/// estimator would be a wrong-answer bug, not a convenience).
-pub fn job_request_line(id: usize, spec: &JobSpec) -> Result<String, ServeError> {
-    if matches!(spec.kind, JobKind::Estimate { method: psdacc_core::Method::Simulation, .. }) {
-        return Err(ServeError::Protocol(
-            "Estimate { method: Simulation } has no wire form; use JobKind::Simulate".to_string(),
-        ));
-    }
+/// into an identical spec — the client side of the unit stream. Every
+/// spec has a wire form.
+pub fn job_request_line(id: usize, spec: &JobSpec) -> String {
     let mut w = JsonWriter::new();
     w.field_usize("id", id);
     let kind = match &spec.kind {
@@ -429,15 +417,7 @@ pub fn job_request_line(id: usize, spec: &JobSpec) -> Result<String, ServeError>
     );
     match &spec.kind {
         JobKind::Estimate { method, frac_bits } => {
-            w.field_str(
-                "method",
-                match method {
-                    psdacc_core::Method::PsdMethod => "psd",
-                    psdacc_core::Method::PsdAgnostic => "agnostic",
-                    psdacc_core::Method::Flat => "flat",
-                    psdacc_core::Method::Simulation => unreachable!("rejected above"),
-                },
-            );
+            w.field_str("method", method.name());
             w.field_i64("bits", *frac_bits as i64);
         }
         JobKind::GreedyRefine { budget, start_bits, min_bits } => {
@@ -461,7 +441,7 @@ pub fn job_request_line(id: usize, spec: &JobSpec) -> Result<String, ServeError>
             w.field_usize("trials", *trials);
         }
     }
-    Ok(w.finish())
+    w.finish()
 }
 
 /// Renders the `define_scenario` request line for a named graph
@@ -554,7 +534,6 @@ pub fn parse_trace_reply(line: &str) -> Result<Vec<TraceEvent>, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psdacc_core::Method;
     use psdacc_engine::Scenario;
 
     fn reg() -> ScenarioRegistry {
@@ -572,7 +551,7 @@ mod tests {
                 scenario: scenario.clone(),
                 npsd: 128,
                 rounding: RoundingMode::Truncate,
-                kind: JobKind::Estimate { method: Method::PsdAgnostic, frac_bits: -3 },
+                kind: JobKind::Estimate { method: EstimateMethod::PsdAgnostic, frac_bits: -3 },
             },
             JobSpec {
                 scenario: Scenario::FirBank { index: 9 },
@@ -608,20 +587,9 @@ mod tests {
     }
 
     #[test]
-    fn unshippable_simulation_method_is_rejected_not_swapped() {
-        let spec = JobSpec {
-            scenario: Scenario::FreqFilter,
-            npsd: 128,
-            rounding: RoundingMode::Truncate,
-            kind: JobKind::Estimate { method: Method::Simulation, frac_bits: 10 },
-        };
-        assert!(job_request_line(0, &spec).is_err());
-    }
-
-    #[test]
     fn every_job_kind_round_trips_exactly() {
         for (i, spec) in specs().into_iter().enumerate() {
-            let line = job_request_line(40 + i, &spec).unwrap();
+            let line = job_request_line(40 + i, &spec);
             match parse_request(&line, 0, &reg()).unwrap_or_else(|e| panic!("{line}: {e}")) {
                 Request::Job { id, spec: back } => {
                     assert_eq!(id, 40 + i);
@@ -672,9 +640,9 @@ mod tests {
             scenario: Scenario::Graph(defined.clone()),
             npsd: 64,
             rounding: RoundingMode::Truncate,
-            kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: 9 },
+            kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 9 },
         };
-        let line = job_request_line(3, &spec).unwrap();
+        let line = job_request_line(3, &spec);
         assert!(line.contains("\"scenario\":\"my-codec\""), "{line}");
         match parse_request(&line, 0, &registry).unwrap() {
             Request::Job { id, spec: back } => {
@@ -700,7 +668,7 @@ mod tests {
             ),
             ..spec.clone()
         };
-        let line = job_request_line(4, &anon).unwrap();
+        let line = job_request_line(4, &anon);
         assert!(line.contains("graph={"), "{line}");
         match parse_request(&line, 0, &reg()).unwrap() {
             Request::Job { spec: back, .. } => assert_eq!(back, anon),
@@ -717,9 +685,9 @@ mod tests {
             ),
             npsd: 64,
             rounding: RoundingMode::Truncate,
-            kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: 9 },
+            kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 9 },
         };
-        let line = job_request_line(0, &anon).unwrap();
+        let line = job_request_line(0, &anon);
         // Twice: the second parse is served by the registry's memo.
         for _ in 0..2 {
             assert!(matches!(parse_request(&line, 0, &registry), Ok(Request::Job { .. })));
@@ -823,7 +791,7 @@ mod tests {
                 assert_eq!(spec.rounding, RoundingMode::Truncate);
                 assert_eq!(
                     spec.kind,
-                    JobKind::Estimate { method: Method::PsdMethod, frac_bits: 12 }
+                    JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 12 }
                 );
             }
             other => panic!("{other:?}"),

@@ -893,7 +893,7 @@ mod tests {
         state.units_served.add(4);
         state.latency.record(
             &psdacc_engine::JobKind::Estimate {
-                method: psdacc_core::Method::PsdMethod,
+                method: psdacc_engine::EstimateMethod::PsdMethod,
                 frac_bits: 8,
             },
             Duration::from_micros(50),
@@ -985,7 +985,10 @@ mod tests {
             scenario: scenario.clone(),
             npsd: 32,
             rounding: RoundingMode::Truncate,
-            kind: JobKind::Estimate { method: psdacc_core::Method::PsdMethod, frac_bits: bits },
+            kind: JobKind::Estimate {
+                method: psdacc_engine::EstimateMethod::PsdMethod,
+                frac_bits: bits,
+            },
         };
         state.engine.run(vec![job(8), job(10), job(12)]);
         // The engine ran directly (not through a connection), so feed the

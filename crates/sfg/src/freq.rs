@@ -1,4 +1,5 @@
-//! Per-frequency resolution of the signal-flow graph.
+//! Per-frequency resolution of the signal-flow graph, and the kernel form
+//! every preprocessing pass produces.
 //!
 //! At one normalized frequency `F`, every node output satisfies
 //! `Y_n = T_n(F) * sum_{m in inputs(n)} Y_m + U_n`, where `T_n` is the
@@ -13,155 +14,161 @@
 //! "detect and break cycles" step and, because responses from reconvergent
 //! paths add *as complex amplitudes*, it preserves exactly the intra-source
 //! correlations that PSD-agnostic methods destroy.
+//!
+//! `tau_eval` never reads the complex responses themselves, so
+//! [`single_rate_kernels`] reduces them to one real [`SourceKernel`] per
+//! node: the row `|G_n * S_n|^2` and the DC path `(G_n * S_n)[0].re`, where
+//! `S_n = 1/A(z)` shapes the quantization source inside an IIR node and is
+//! 1 everywhere else. The word-length independent shaping is thus paid
+//! once, in `tau_pp`. Multirate graphs produce the same [`Preprocessed`]
+//! kernel set ([`crate::multirate`]), so one scale-and-add per source
+//! evaluates every graph.
 
 use psdacc_fft::Complex;
 
+use crate::block::Block;
 use crate::error::SfgError;
 use crate::graph::{NodeId, Sfg};
 
 /// Complex responses from every node's output to one designated output,
-/// sampled on the `N_PSD` grid.
+/// sampled on the `N_PSD` grid: the per-bin solve's output, which
+/// [`single_rate_kernels`] reduces to a [`Preprocessed`] kernel set.
 #[derive(Debug, Clone)]
 pub struct NodeResponses {
     /// `responses[s][k]` = transfer from an injection at node `s`'s output
     /// to the target output, at bin `k` (`F_k = k / npsd`).
     responses: Vec<Vec<Complex>>,
-    npsd: usize,
 }
 
 impl NodeResponses {
-    /// Reassembles responses from raw rows (`rows[s][k]` = response of
-    /// source `s` at bin `k`) — the deserialization entry point for
-    /// persistence layers that cache preprocessing across processes.
-    ///
-    /// # Errors
-    ///
-    /// [`SfgError::ResponseShape`] when `npsd == 0` or any row's length
-    /// differs from `npsd`.
-    pub fn from_rows(rows: Vec<Vec<Complex>>, npsd: usize) -> Result<Self, SfgError> {
-        if npsd == 0 {
-            return Err(SfgError::ResponseShape { detail: "npsd must be >= 1".to_string() });
-        }
-        for (s, row) in rows.iter().enumerate() {
-            if row.len() != npsd {
-                return Err(SfgError::ResponseShape {
-                    detail: format!("row {s} has {} bins, expected {npsd}", row.len()),
-                });
-            }
-        }
-        Ok(NodeResponses { responses: rows, npsd })
-    }
-
     /// The response vector of one source node.
     pub fn of(&self, node: NodeId) -> &[Complex] {
         &self.responses[node.0]
     }
+}
 
-    /// All rows in node order (`rows()[s][k]`) — the serialization view
-    /// matching [`NodeResponses::from_rows`].
-    pub fn rows(&self) -> &[Vec<Complex>] {
-        &self.responses
-    }
-
-    /// Grid size.
-    pub fn npsd(&self) -> usize {
-        self.npsd
-    }
-
-    /// Number of source nodes covered.
-    pub fn len(&self) -> usize {
-        self.responses.len()
-    }
-
-    /// `true` when no nodes are covered.
-    pub fn is_empty(&self) -> bool {
-        self.responses.is_empty()
-    }
-
-    /// `|G_s(F_k)|^2` for one source — the PSD shaping factor of Eq. 11.
-    pub fn magnitude_squared(&self, node: NodeId) -> Vec<f64> {
-        self.responses[node.0].iter().map(|v| v.norm_sqr()).collect()
-    }
-
-    /// DC gain (real part of bin 0) for one source.
-    pub fn dc_gain(&self, node: NodeId) -> f64 {
-        self.responses[node.0][0].re
-    }
-
-    /// Energy (mean of `|G|^2` over bins) — the white-noise power gain of
-    /// the path, i.e. the `K_i` of Eq. 5 evaluated spectrally.
-    pub fn energy(&self, node: NodeId) -> f64 {
-        let m = self.magnitude_squared(node);
-        m.iter().sum::<f64>() / m.len() as f64
-    }
+/// Output-referred noise kernels of one source node (see [`Preprocessed`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SourceKernel {
+    /// Output PSD per white bin: a white source of variance `sigma^2` at
+    /// the node's output adds `sigma^2 / white_bins * variance[k]` to
+    /// output bin `k` (see [`Preprocessed::white_bins`]).
+    pub variance: Vec<f64>,
+    /// Output PSD bin masses produced by a **unit-mean deterministic**
+    /// source (upsampler image lines; scale by `mu^2`). Empty when the
+    /// mean reaches the output only through `dc`, as in every single-rate
+    /// kernel.
+    pub mean_sq: Vec<f64>,
+    /// Output mean per unit source mean (the DC path).
+    pub dc: f64,
 }
 
 /// Preprocessing (`tau_pp`) result for one `(graph, output, npsd)` triple:
-/// the exact per-frequency solve for single-rate graphs, or per-source
-/// fold/image kernels for graphs with effective rate changers.
+/// one [`SourceKernel`] per node on the output node's frequency grid, which
+/// is everything `tau_eval` reads, for single-rate and multirate graphs
+/// alike.
 ///
 /// Produced by [`preprocess`], consumed by `psdacc-core`'s evaluator and
 /// persisted by `psdacc-store`.
 #[derive(Debug, Clone)]
-pub enum Preprocessed {
-    /// Exact complex source-to-output responses (single-rate LTI graphs).
-    SingleRate(NodeResponses),
-    /// Per-source PSD kernels across rate regions (multirate graphs).
-    Multirate(crate::multirate::MultirateResponses),
+pub struct Preprocessed {
+    pub(crate) kernels: Vec<SourceKernel>,
+    pub(crate) npsd: usize,
+    pub(crate) npsd_out: usize,
+    pub(crate) white_bins: usize,
 }
 
 impl Preprocessed {
+    /// Reassembles a kernel set from its parts: the deserialization entry
+    /// point for persistence layers that cache preprocessing across
+    /// processes.
+    ///
+    /// # Errors
+    ///
+    /// [`SfgError::ResponseShape`] when a grid size or `white_bins` is
+    /// zero, a `variance` row is not `npsd_out` cells long, or the
+    /// `mean_sq` rows are not all empty or all `npsd_out` cells long.
+    pub fn new(
+        kernels: Vec<SourceKernel>,
+        npsd: usize,
+        npsd_out: usize,
+        white_bins: usize,
+    ) -> Result<Self, SfgError> {
+        if npsd == 0 || npsd_out == 0 || white_bins == 0 {
+            return Err(SfgError::ResponseShape {
+                detail: format!(
+                    "npsd {npsd}, npsd_out {npsd_out} and white_bins {white_bins} must be >= 1"
+                ),
+            });
+        }
+        let images = kernels.first().map_or(0, |k| k.mean_sq.len());
+        let fits = |k: &SourceKernel| k.variance.len() == npsd_out && k.mean_sq.len() == images;
+        if (images != 0 && images != npsd_out) || !kernels.iter().all(fits) {
+            return Err(SfgError::ResponseShape {
+                detail: format!(
+                    "every kernel needs {npsd_out} variance cells and the same number (0 or \
+                     {npsd_out}) of mean-image cells"
+                ),
+            });
+        }
+        Ok(Preprocessed { kernels, npsd, npsd_out, white_bins })
+    }
+
     /// Input-rate grid size (the `npsd` the preprocessing was requested
     /// with — the cache-key component).
     pub fn npsd(&self) -> usize {
-        match self {
-            Preprocessed::SingleRate(r) => r.npsd(),
-            Preprocessed::Multirate(m) => m.npsd(),
-        }
+        self.npsd
+    }
+
+    /// Grid size of the output node's rate region (cell count of every
+    /// kernel row).
+    pub fn npsd_out(&self) -> usize {
+        self.npsd_out
+    }
+
+    /// How many bins a white source's variance is spread over before a
+    /// kernel row scales it: `npsd` for single-rate kernels, whose
+    /// `variance` rows hold `|G * S|^2`, and 1 for multirate kernels, whose
+    /// rows already hold the bin masses of a unit-variance source.
+    /// `sigma^2 / white_bins` is then exactly the white bin each path
+    /// multiplies its rows by.
+    pub fn white_bins(&self) -> usize {
+        self.white_bins
     }
 
     /// Number of source nodes covered.
     pub fn len(&self) -> usize {
-        match self {
-            Preprocessed::SingleRate(r) => r.len(),
-            Preprocessed::Multirate(m) => m.len(),
-        }
+        self.kernels.len()
     }
 
     /// `true` when no nodes are covered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.kernels.is_empty()
     }
 
-    /// White-noise power gain from a node's output to the graph output.
+    /// The kernel of one source node.
+    pub fn kernel(&self, node: NodeId) -> &SourceKernel {
+        &self.kernels[node.0]
+    }
+
+    /// Every kernel in node order.
+    pub fn kernels(&self) -> &[SourceKernel] {
+        &self.kernels
+    }
+
+    /// White-noise power gain from a node's output to the graph output —
+    /// the `K_i` of Eq. 5 evaluated spectrally, including an IIR node's
+    /// internal `1/A(z)` shaping.
     pub fn energy(&self, node: NodeId) -> f64 {
-        match self {
-            Preprocessed::SingleRate(r) => r.energy(node),
-            Preprocessed::Multirate(m) => m.energy(node),
-        }
-    }
-
-    /// The exact single-rate responses, when this is the single-rate form.
-    pub fn as_single_rate(&self) -> Option<&NodeResponses> {
-        match self {
-            Preprocessed::SingleRate(r) => Some(r),
-            Preprocessed::Multirate(_) => None,
-        }
-    }
-
-    /// The multirate kernels, when this is the multirate form.
-    pub fn as_multirate(&self) -> Option<&crate::multirate::MultirateResponses> {
-        match self {
-            Preprocessed::SingleRate(_) => None,
-            Preprocessed::Multirate(m) => Some(m),
-        }
+        self.kernels[node.0].variance.iter().sum::<f64>() / self.white_bins as f64
     }
 }
 
 /// The `tau_pp` entry point: dispatches between the exact single-rate
-/// per-frequency solve ([`node_responses`]) and the multirate fold/image
-/// propagation ([`crate::multirate::multirate_responses`]), which solves
-/// each rate region on its own frequency grid.
+/// per-frequency solve ([`single_rate_kernels`], shaping each IIR node's
+/// source by its `1/A(z)`) and the multirate fold/image propagation
+/// ([`crate::multirate::multirate_responses`]), which solves each rate
+/// region on its own frequency grid.
 ///
 /// # Errors
 ///
@@ -170,10 +177,58 @@ impl Preprocessed {
 pub fn preprocess(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<Preprocessed, SfgError> {
     let _frame = psdacc_obs::profile::frame("preprocess");
     if crate::multirate::is_multirate(sfg) {
-        crate::multirate::multirate_responses(sfg, output, npsd).map(Preprocessed::Multirate)
-    } else {
-        node_responses(sfg, output, npsd).map(Preprocessed::SingleRate)
+        return crate::multirate::multirate_responses(sfg, output, npsd);
     }
+    let feedback: Vec<Option<&[f64]>> = sfg
+        .nodes()
+        .iter()
+        .map(|node| match &node.block {
+            Block::Iir(iir) => Some(iir.a()),
+            _ => None,
+        })
+        .collect();
+    single_rate_kernels(sfg, output, npsd, &feedback)
+}
+
+/// Single-rate kernels: the per-bin solve ([`node_responses`]) reduced to
+/// one [`SourceKernel`] per node. `feedback[n]` is the denominator `a` of
+/// the recursion a source at node `n` passes through before reaching the
+/// node's output (`S_n = 1/A(z)`), or `None` for a source injected at the
+/// output itself (as is every node past the end of `feedback`).
+/// [`preprocess`] takes it from the graph's IIR blocks; a caller that
+/// models its sources otherwise passes its own.
+///
+/// # Errors
+///
+/// Whatever [`node_responses`] reports.
+pub fn single_rate_kernels(
+    sfg: &Sfg,
+    output: NodeId,
+    npsd: usize,
+    feedback: &[Option<&[f64]>],
+) -> Result<Preprocessed, SfgError> {
+    let responses = node_responses(sfg, output, npsd)?;
+    let _frame = psdacc_obs::profile::frame("kernels");
+    let kernels = responses
+        .responses
+        .into_iter()
+        .enumerate()
+        .map(|(s, g)| {
+            let h = match feedback.get(s).copied().flatten() {
+                None => g,
+                Some(a) => {
+                    let shape = psdacc_dsp::iir_frequency_response(&[1.0], a, npsd);
+                    g.iter().zip(&shape).map(|(g, s)| *g * *s).collect()
+                }
+            };
+            SourceKernel {
+                variance: h.iter().map(|v| v.norm_sqr()).collect(),
+                mean_sq: Vec::new(),
+                dc: h[0].re,
+            }
+        })
+        .collect();
+    Ok(Preprocessed { kernels, npsd, npsd_out: npsd, white_bins: npsd })
 }
 
 /// How many `bins[a..b]` profile frames the per-bin solve loop splits
@@ -260,7 +315,7 @@ pub fn node_responses(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<NodeResp
             }
         }
     }
-    Ok(NodeResponses { responses, npsd })
+    Ok(NodeResponses { responses })
 }
 
 /// Gaussian elimination with partial pivoting on a row-major `n x n` system.
@@ -375,8 +430,7 @@ mod tests {
         }
         // At some frequencies the paths cancel below either branch's gain —
         // the interference PSD-agnostic methods cannot represent.
-        let mags = resp.magnitude_squared(x);
-        let min = mags.iter().cloned().fold(f64::MAX, f64::min);
+        let min = resp.of(x).iter().map(|v| v.norm_sqr()).fold(f64::MAX, f64::min);
         assert!(min < 0.25, "destructive interference expected, min |G|^2 = {min}");
     }
 
@@ -419,15 +473,15 @@ mod tests {
 
     #[test]
     fn preprocess_dispatches_on_rate_structure() {
-        // Single-rate graph: the exact solve.
+        // Single-rate graph: the exact solve, reduced to |G|^2 rows.
         let mut g = Sfg::new();
         let x = g.add_input();
         let f = g.add_block(Block::Fir(Fir::new(vec![0.5, 0.5])), &[x]).unwrap();
         g.mark_output(f);
         let pre = preprocess(&g, f, 16).unwrap();
-        assert!(pre.as_single_rate().is_some());
-        assert_eq!(pre.npsd(), 16);
+        assert_eq!((pre.npsd(), pre.npsd_out(), pre.white_bins()), (16, 16, 16));
         assert_eq!(pre.len(), 2);
+        assert!(pre.kernel(x).mean_sq.is_empty(), "single-rate kernels have no image row");
         assert!((pre.energy(x) - 0.5).abs() < 1e-12);
 
         // Multirate graph: kernels, and the LTI solver refuses.
@@ -437,8 +491,8 @@ mod tests {
         m.mark_output(d);
         assert!(matches!(node_responses(&m, d, 16), Err(SfgError::Multirate { .. })));
         let pre = preprocess(&m, d, 16).unwrap();
-        assert!(pre.as_multirate().is_some());
-        assert!(pre.as_single_rate().is_none());
+        assert_eq!((pre.npsd(), pre.npsd_out(), pre.white_bins()), (16, 8, 1));
+        assert_eq!(pre.kernel(x).mean_sq.len(), 8);
         assert!((pre.energy(x) - 1.0).abs() < 1e-12, "decimation preserves noise power");
     }
 
@@ -448,10 +502,59 @@ mod tests {
         let x = g.add_input();
         let a = g.add_block(Block::Gain(2.0), &[x]).unwrap();
         g.mark_output(a);
-        let resp = node_responses(&g, a, 16).unwrap();
-        assert!((resp.dc_gain(x) - 2.0).abs() < 1e-12);
-        assert!((resp.energy(x) - 4.0).abs() < 1e-12);
-        assert_eq!(resp.npsd(), 16);
-        assert_eq!(resp.len(), 2);
+        let pre = preprocess(&g, a, 16).unwrap();
+        assert!((pre.kernel(x).dc - 2.0).abs() < 1e-12);
+        assert!((pre.energy(x) - 4.0).abs() < 1e-12);
+        assert_eq!(pre.npsd(), 16);
+        assert_eq!(pre.len(), 2);
+    }
+
+    /// An IIR node's own source is shaped by `1/A(z)` once, at
+    /// preprocessing: its row is `|G * S|^2` with the complex product taken
+    /// first, and its DC path is `(G * S)[0].re`. The node's input is not.
+    #[test]
+    fn iir_node_kernel_carries_the_recursive_shaping() {
+        let iir = Iir::new(vec![0.2, 0.1], vec![1.0, -0.9, 0.3]).unwrap();
+        let mut g = Sfg::new();
+        let x = g.add_input();
+        let f = g.add_block(Block::Iir(iir.clone()), &[x]).unwrap();
+        let out = g.add_block(Block::Gain(0.7), &[f]).unwrap();
+        g.mark_output(out);
+        let npsd = 64;
+        let resp = node_responses(&g, out, npsd).unwrap();
+        let shape = psdacc_dsp::iir_frequency_response(&[1.0], iir.a(), npsd);
+        let pre = preprocess(&g, out, npsd).unwrap();
+        let kernel = pre.kernel(f);
+        for k in 0..npsd {
+            let h = resp.of(f)[k] * shape[k];
+            assert_eq!(kernel.variance[k], h.norm_sqr(), "bin {k}");
+            assert_eq!(pre.kernel(x).variance[k], resp.of(x)[k].norm_sqr(), "bin {k}");
+        }
+        assert_eq!(kernel.dc, (resp.of(f)[0] * shape[0]).re);
+        // A caller modelling the source without the recursion gets the
+        // plain response.
+        let plain = single_rate_kernels(&g, out, npsd, &[]).unwrap();
+        assert_eq!(plain.kernel(f).dc, resp.of(f)[0].re);
+    }
+
+    #[test]
+    fn kernel_sets_are_shape_checked() {
+        let k = |n: usize, m: usize| SourceKernel {
+            variance: vec![1.0; n],
+            mean_sq: vec![0.0; m],
+            dc: 1.0,
+        };
+        assert!(Preprocessed::new(vec![k(4, 0), k(4, 0)], 4, 4, 4).is_ok());
+        assert!(Preprocessed::new(vec![k(4, 4)], 8, 4, 1).is_ok());
+        assert!(Preprocessed::new(vec![], 8, 4, 1).is_ok(), "zero nodes keep their grid");
+        for bad in [
+            Preprocessed::new(vec![k(4, 0), k(3, 0)], 4, 4, 4),
+            Preprocessed::new(vec![k(4, 4), k(4, 0)], 4, 4, 1),
+            Preprocessed::new(vec![k(4, 2)], 4, 4, 1),
+            Preprocessed::new(vec![k(4, 0)], 4, 4, 0),
+            Preprocessed::new(vec![], 0, 4, 1),
+        ] {
+            assert!(matches!(bad, Err(SfgError::ResponseShape { .. })));
+        }
     }
 }

@@ -15,12 +15,15 @@
 //!   output in one linear solve per bin. Feedback loops need no textual
 //!   breaking, and reconvergent paths of the same noise source interfere
 //!   with correct phase (the correlation information PSD-agnostic methods
-//!   lose);
+//!   lose). The responses are reduced to one real [`SourceKernel`] per
+//!   node, collected in the [`Preprocessed`] kernel set every evaluation
+//!   reads;
 //! * [`multirate`] — rational per-node sample rates for graphs containing
 //!   [`Block::Downsample`] / [`Block::Upsample`], and the analytical PSD
 //!   propagation (fold at decimators, image at expanders, Eq. 14 addition
-//!   at junctions) that replaces the linear solve on such graphs. The
-//!   [`freq::preprocess`] entry point dispatches between the two paths;
+//!   at junctions) that replaces the linear solve on such graphs and
+//!   yields the same kernel set. The [`freq::preprocess`] entry point
+//!   dispatches between the two paths;
 //! * [`spec`] — declarative [`GraphSpec`] descriptions (systems as data:
 //!   named nodes, block parameters, probed outputs, word-length-plan
 //!   roles) that compile into fully validated graphs, with every defect a
@@ -39,8 +42,10 @@ pub mod topo;
 pub use block::{Block, MeasuredSource};
 pub use dot::to_dot;
 pub use error::SfgError;
-pub use freq::{node_responses, preprocess, NodeResponses, Preprocessed};
+pub use freq::{
+    node_responses, preprocess, single_rate_kernels, NodeResponses, Preprocessed, SourceKernel,
+};
 pub use graph::{Node, NodeId, Sfg};
-pub use multirate::{is_multirate, multirate_responses, node_rates, MultirateResponses, Rate};
+pub use multirate::{is_multirate, multirate_responses, node_rates, Rate};
 pub use spec::{BlockSpec, GraphSpec, GraphSpecError, NodeRole, NodeSpec};
 pub use topo::{check_realizable, execution_order, is_acyclic, strongly_connected_components};

@@ -32,15 +32,17 @@
 //!   that rely on coherent same-rate cancellation should stay single-rate
 //!   or lower the cancelling region into a single `Fir` block.
 //!
-//! The result of the preprocessing pass ([`multirate_responses`]) is one
-//! [`SourceKernel`] per node: the output-referred PSD of a unit-variance
-//! white source, the output-referred PSD of a unit-mean deterministic
-//! source (its upsampling image lines), and the mean's scalar DC path. An
-//! evaluation for concrete noise moments is then `O(Ne * N_PSD)`, exactly
-//! like the single-rate `tau_eval`.
+//! The result of the preprocessing pass ([`multirate_responses`]) is the
+//! same [`Preprocessed`] kernel set the single-rate solve produces: one
+//! [`SourceKernel`] per node holding the output-referred PSD of a
+//! unit-variance white source, the output-referred PSD of a unit-mean
+//! deterministic source (its upsampling image lines), and the mean's
+//! scalar DC path. Evaluating concrete noise moments is then one
+//! `O(Ne * N_PSD)` scale-and-add for every graph.
 
 use crate::block::Block;
 use crate::error::SfgError;
+use crate::freq::{Preprocessed, SourceKernel};
 use crate::graph::{NodeId, Sfg};
 
 /// A node's sample rate relative to the external input, as a reduced
@@ -184,118 +186,6 @@ pub fn node_rates(sfg: &Sfg) -> Result<Vec<Rate>, SfgError> {
     Ok(rates.into_iter().map(|r| r.unwrap_or_else(Rate::unit)).collect())
 }
 
-/// Output-referred noise kernels of one source node (see
-/// [`MultirateResponses`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SourceKernel {
-    /// Output PSD bin masses produced by a **unit-variance white** source at
-    /// the node's output (scale by `sigma^2` to evaluate).
-    pub variance: Vec<f64>,
-    /// Output PSD bin masses produced by a **unit-mean deterministic**
-    /// source (upsampler image lines; scale by `mu^2` to evaluate).
-    pub mean_sq: Vec<f64>,
-    /// Output mean per unit source mean (the DC-line path).
-    pub dc: f64,
-}
-
-/// Multirate preprocessing result: per-source noise kernels on the output
-/// node's frequency grid — the multirate counterpart of
-/// [`crate::freq::NodeResponses`].
-#[derive(Debug, Clone)]
-pub struct MultirateResponses {
-    kernels: Vec<SourceKernel>,
-    npsd: usize,
-    npsd_out: usize,
-}
-
-impl MultirateResponses {
-    /// Input-rate grid size (the `npsd` the preprocessing was requested
-    /// with — the cache-key component).
-    pub fn npsd(&self) -> usize {
-        self.npsd
-    }
-
-    /// Grid size of the output node's rate region (bin count of every
-    /// kernel).
-    pub fn npsd_out(&self) -> usize {
-        self.npsd_out
-    }
-
-    /// Number of source nodes covered.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// `true` when no nodes are covered.
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
-    }
-
-    /// The kernel of one source node.
-    pub fn kernel(&self, node: NodeId) -> &SourceKernel {
-        &self.kernels[node.0]
-    }
-
-    /// White-noise power gain from the node's output to the graph output
-    /// (the multirate analog of path energy).
-    pub fn energy(&self, node: NodeId) -> f64 {
-        self.kernels[node.0].variance.iter().sum()
-    }
-
-    /// Serialization view for persistence layers: one complex row per
-    /// source of `npsd_out + 1` cells — `(variance[k], mean_sq[k])` pairs
-    /// followed by `(dc, 0)`. Round-trips bit-exactly through
-    /// [`MultirateResponses::from_rows`].
-    pub fn to_rows(&self) -> Vec<Vec<psdacc_fft::Complex>> {
-        self.kernels
-            .iter()
-            .map(|k| {
-                let mut row: Vec<psdacc_fft::Complex> = k
-                    .variance
-                    .iter()
-                    .zip(&k.mean_sq)
-                    .map(|(&v, &m)| psdacc_fft::Complex::new(v, m))
-                    .collect();
-                row.push(psdacc_fft::Complex::new(k.dc, 0.0));
-                row
-            })
-            .collect()
-    }
-
-    /// Reassembles kernels from the [`MultirateResponses::to_rows`] layout.
-    ///
-    /// # Errors
-    ///
-    /// [`SfgError::ResponseShape`] when the rows are empty, ragged, or too
-    /// short to carry at least one bin plus the DC cell.
-    pub fn from_rows(rows: Vec<Vec<psdacc_fft::Complex>>, npsd: usize) -> Result<Self, SfgError> {
-        if npsd == 0 {
-            return Err(SfgError::ResponseShape { detail: "npsd must be >= 1".to_string() });
-        }
-        let width = rows.first().map(Vec::len).ok_or_else(|| SfgError::ResponseShape {
-            detail: "multirate responses need at least one source row".to_string(),
-        })?;
-        if width < 2 {
-            return Err(SfgError::ResponseShape {
-                detail: format!("row width {width} cannot carry bins plus the DC cell"),
-            });
-        }
-        let npsd_out = width - 1;
-        let mut kernels = Vec::with_capacity(rows.len());
-        for (s, row) in rows.into_iter().enumerate() {
-            if row.len() != width {
-                return Err(SfgError::ResponseShape {
-                    detail: format!("row {s} has {} cells, expected {width}", row.len()),
-                });
-            }
-            let dc = row[npsd_out].re;
-            let (variance, mean_sq) = row[..npsd_out].iter().map(|c| (c.re, c.im)).unzip();
-            kernels.push(SourceKernel { variance, mean_sq, dc });
-        }
-        Ok(MultirateResponses { kernels, npsd, npsd_out })
-    }
-}
-
 /// One propagating noise state: PSD bin masses on the local grid plus the
 /// deterministic mean.
 #[derive(Debug, Clone)]
@@ -304,9 +194,10 @@ struct NoiseState {
     mean: f64,
 }
 
-/// Computes [`MultirateResponses`] from every node to `output`, with the
-/// input-rate grid holding `npsd` bins and every other rate region scaled
-/// accordingly.
+/// Computes the multirate [`Preprocessed`] kernels from every node to
+/// `output`, with the input-rate grid holding `npsd` bins and every other
+/// rate region scaled accordingly. Each `variance` row holds the output bin
+/// masses of a unit-variance white source, so the set's `white_bins` is 1.
 ///
 /// # Errors
 ///
@@ -320,7 +211,7 @@ pub fn multirate_responses(
     sfg: &Sfg,
     output: NodeId,
     npsd: usize,
-) -> Result<MultirateResponses, SfgError> {
+) -> Result<Preprocessed, SfgError> {
     if output.0 >= sfg.len() {
         return Err(SfgError::UnknownNode { node: output });
     }
@@ -404,7 +295,7 @@ pub fn multirate_responses(
             })
             .collect()
     };
-    Ok(MultirateResponses { kernels, npsd, npsd_out })
+    Ok(Preprocessed { kernels, npsd, npsd_out, white_bins: 1 })
 }
 
 /// Forward Eq. 14 propagation of one injected state from `source`'s output
@@ -543,7 +434,7 @@ fn full_topological_order(sfg: &Sfg) -> Result<Vec<NodeId>, SfgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::freq::node_responses;
+    use crate::freq::preprocess;
     use psdacc_filters::Fir;
 
     /// x -> Fir(h0) -> D2 -> U2 -> Fir(g0): one decimated branch.
@@ -613,12 +504,12 @@ mod tests {
         let c = g.add_block(Block::Delay(2), &[b]).unwrap();
         g.mark_output(c);
         let npsd = 32;
-        let exact = node_responses(&g, c, npsd).unwrap();
+        let exact = preprocess(&g, c, npsd).unwrap();
         let multi = multirate_responses(&g, c, npsd).unwrap();
         assert_eq!(multi.npsd_out(), npsd);
         for s in [x, a, b, c] {
             let kernel = multi.kernel(s);
-            let mag = exact.magnitude_squared(s);
+            let mag = &exact.kernel(s).variance;
             for k in 0..npsd {
                 let expect = mag[k] / npsd as f64;
                 assert!(
@@ -628,7 +519,7 @@ mod tests {
                 );
                 assert_eq!(kernel.mean_sq[k], 0.0, "LTI paths deposit no image lines");
             }
-            assert!((kernel.dc - exact.dc_gain(s)).abs() < 1e-12);
+            assert!((kernel.dc - exact.kernel(s).dc).abs() < 1e-12);
             assert!((multi.energy(s) - exact.energy(s)).abs() < 1e-12);
         }
     }
@@ -645,10 +536,10 @@ mod tests {
         let npsd = 16;
         assert!(!is_multirate(&g), "factor 1 stays on the single-rate path");
         let multi = multirate_responses(&g, u1, npsd).unwrap();
-        let exact = node_responses(&g, u1, npsd).unwrap();
+        let exact = preprocess(&g, u1, npsd).unwrap();
         for s in [x, d1, f, u1] {
             let kernel = multi.kernel(s);
-            let mag = exact.magnitude_squared(s);
+            let mag = &exact.kernel(s).variance;
             for k in 0..npsd {
                 assert!((kernel.variance[k] - mag[k] / npsd as f64).abs() < 1e-12);
             }
@@ -717,7 +608,7 @@ mod tests {
         let n = lti.add_block(Block::Gain(-1.0), &[x]).unwrap();
         let add = lti.add_block(Block::Add, &[p, n]).unwrap();
         lti.mark_output(add);
-        let exact = node_responses(&lti, add, 32).unwrap();
+        let exact = preprocess(&lti, add, 32).unwrap();
         assert!(exact.energy(x) < 1e-24, "coherent cancellation, single-rate path");
     }
 
@@ -762,18 +653,22 @@ mod tests {
     fn rows_round_trip_bit_exactly() {
         let (g, ..) = branch_graph();
         let multi = multirate_responses(&g, g.outputs()[0], 64).unwrap();
-        let rows = multi.to_rows();
-        assert_eq!(rows[0].len(), multi.npsd_out() + 1);
-        let back = MultirateResponses::from_rows(rows, multi.npsd()).unwrap();
-        assert_eq!(back.npsd(), multi.npsd());
-        assert_eq!(back.npsd_out(), multi.npsd_out());
+        assert_eq!(multi.kernel(NodeId(0)).mean_sq.len(), multi.npsd_out());
+        let back = Preprocessed::new(
+            multi.kernels().to_vec(),
+            multi.npsd(),
+            multi.npsd_out(),
+            multi.white_bins(),
+        )
+        .unwrap();
+        assert_eq!((back.npsd(), back.npsd_out(), back.white_bins()), (64, 64, 1));
         for s in 0..multi.len() {
             assert_eq!(back.kernel(NodeId(s)), multi.kernel(NodeId(s)));
         }
         // Malformed rows are rejected.
-        assert!(MultirateResponses::from_rows(vec![], 8).is_err());
-        assert!(MultirateResponses::from_rows(vec![vec![psdacc_fft::Complex::ONE]], 8).is_err());
-        let ragged = vec![vec![psdacc_fft::Complex::ONE; 3], vec![psdacc_fft::Complex::ONE; 4]];
-        assert!(MultirateResponses::from_rows(ragged, 8).is_err());
+        let mut ragged = multi.kernels().to_vec();
+        ragged[1].mean_sq.pop();
+        assert!(Preprocessed::new(ragged, 64, 32, 1).is_err());
+        assert!(Preprocessed::new(multi.kernels().to_vec(), 64, 32, 1).is_err());
     }
 }

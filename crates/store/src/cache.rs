@@ -75,14 +75,9 @@ impl PersistentCache {
         };
         // Rebuilding the graph is cheap (filter design), unlike the
         // per-bin solve or multirate kernel propagation the record spares
-        // us. `from_cached` verifies the record's flavor matches the
-        // graph's rate structure.
+        // us. `from_cached` verifies the kernels fit the graph.
         let sfg = scenario.build().ok()?;
-        let tau_pp = record.preprocess_seconds;
-        match record.into_preprocessed().and_then(|preprocessed| {
-            AccuracyEvaluator::from_cached(&sfg, preprocessed, tau_pp)
-                .map_err(|e| StoreError::Codec(e.to_string()))
-        }) {
+        match AccuracyEvaluator::from_cached(&sfg, record.kernels, record.preprocess_seconds) {
             Ok(evaluator) => Some(Arc::new(evaluator)),
             Err(e) => {
                 eprintln!("psdacc-store: record for {key}#{npsd} does not fit its graph: {e}");

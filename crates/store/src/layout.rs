@@ -112,10 +112,10 @@ impl Store {
             Err(e) => return Err(StoreError::Io(format!("read {}: {e}", path.display()))),
         };
         let record = Record::decode(&bytes)?;
-        if record.scenario_key != scenario_key || record.npsd != npsd {
+        if record.scenario_key != scenario_key || record.npsd() != npsd {
             return Err(StoreError::WrongKey {
                 expected: format!("{scenario_key}#{npsd}"),
-                found: format!("{}#{}", record.scenario_key, record.npsd),
+                found: format!("{}#{}", record.scenario_key, record.npsd()),
             });
         }
         // Touch the record so LRU eviction sees it as recently used
@@ -134,7 +134,7 @@ impl Store {
     ///
     /// [`StoreError::Io`] / [`StoreError::Codec`].
     pub fn save(&self, record: &Record) -> Result<(), StoreError> {
-        let path = self.path_for(&record.scenario_key, record.npsd);
+        let path = self.path_for(&record.scenario_key, record.npsd());
         let bytes = record.encode()?;
         let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
         // The tmp suffix comes last so a crash-leftover tmp file has a
@@ -241,7 +241,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psdacc_fft::Complex;
+    use psdacc_sfg::{Preprocessed, SourceKernel};
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir =
@@ -251,12 +251,11 @@ mod tests {
     }
 
     fn record(key: &str, npsd: usize) -> Record {
+        let kernel = SourceKernel { variance: vec![1.0; npsd], mean_sq: Vec::new(), dc: -2.0 };
         Record {
             scenario_key: key.to_string(),
-            npsd,
             preprocess_seconds: 0.5,
-            flavor: crate::codec::RecordFlavor::SingleRate,
-            rows: vec![vec![Complex::new(1.0, -2.0); npsd]; 2],
+            kernels: Preprocessed::new(vec![kernel; 2], npsd, npsd, npsd).unwrap(),
         }
     }
 

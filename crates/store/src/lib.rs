@@ -1,8 +1,8 @@
 //! # psdacc-store
 //!
 //! Disk persistence for the paper's expensive half. The PSD method's
-//! economics rest on paying `tau_pp` (the per-bin graph solve into
-//! [`psdacc_sfg::NodeResponses`]) once and amortizing it over thousands of
+//! economics rest on paying `tau_pp` (the per-bin graph solve, reduced to
+//! [`psdacc_sfg::Preprocessed`] kernels) once and amortizing it over thousands of
 //! cheap `tau_eval` queries — but an in-memory cache amortizes only within
 //! one process lifetime. This crate makes the amortization durable:
 //!
@@ -43,6 +43,6 @@ pub mod error;
 pub mod layout;
 
 pub use cache::PersistentCache;
-pub use codec::{Record, RecordFlavor};
+pub use codec::Record;
 pub use error::StoreError;
 pub use layout::Store;

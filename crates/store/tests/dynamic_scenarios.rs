@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use psdacc_engine::{
-    Engine, GraphScenario, JobKind, JobSpec, PreprocessCache, Scenario, ScenarioRegistry,
+    Engine, EstimateMethod, GraphScenario, JobKind, JobSpec, PreprocessCache, Scenario,
+    ScenarioRegistry,
 };
 use psdacc_fixed::RoundingMode;
 use psdacc_store::{PersistentCache, Store};
@@ -61,7 +62,7 @@ fn re_registered_identical_spec_warm_starts_with_zero_builds() {
         scenario: s,
         npsd: 64,
         rounding: RoundingMode::Truncate,
-        kind: JobKind::Estimate { method: psdacc_core::Method::PsdMethod, frac_bits: 10 },
+        kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 10 },
     };
 
     // Cold daemon: define the scenario (via one registry), evaluate, let
@@ -153,8 +154,9 @@ fn lru_eviction_treats_dynamic_entries_like_builtins() {
 #[test]
 fn multirate_dynamic_records_round_trip_the_codec() {
     // The demo graph is true multirate (downsample/upsample), so this also
-    // proves dynamic scenarios hit the format-02 multirate record flavor.
-    let dir = tmp_dir("flavor");
+    // proves dynamic scenarios persist multirate kernels (with their
+    // mean-image rows).
+    let dir = tmp_dir("multirate");
     let s = scenario(0.75);
     {
         let cache = PersistentCache::open(&dir).unwrap();

@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use psdacc_engine::{
-    Engine, GraphScenario, JobKind, JobSpec, PreprocessCache, Scenario, ScenarioRegistry,
+    Engine, EstimateMethod, GraphScenario, JobKind, JobSpec, PreprocessCache, Scenario,
+    ScenarioRegistry,
 };
 use psdacc_fixed::RoundingMode;
 use psdacc_store::{PersistentCache, Store};
@@ -35,7 +36,7 @@ fn job(s: Scenario) -> JobSpec {
         scenario: s,
         npsd: 128,
         rounding: RoundingMode::RoundNearest,
-        kind: JobKind::Estimate { method: psdacc_core::Method::PsdMethod, frac_bits: 12 },
+        kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: 12 },
     }
 }
 

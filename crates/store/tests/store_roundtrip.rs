@@ -5,9 +5,10 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use psdacc_core::{AccuracyEvaluator, Method};
-use psdacc_engine::{Engine, JobKind, JobSpec, PreprocessCache, Scenario};
+use psdacc_core::AccuracyEvaluator;
+use psdacc_engine::{Engine, EstimateMethod, JobKind, JobSpec, PreprocessCache, Scenario};
 use psdacc_fixed::RoundingMode;
+use psdacc_sfg::SourceKernel;
 use psdacc_store::{PersistentCache, Record, Store};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -16,8 +17,13 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every response of every node of a real preprocessing pass survives the
-/// encode → disk → decode cycle with identical bits.
+/// A kernel's cells in record order, as raw bits.
+fn cells(kernel: &SourceKernel) -> Vec<u64> {
+    kernel.variance.iter().chain(&kernel.mean_sq).chain([&kernel.dc]).map(|v| v.to_bits()).collect()
+}
+
+/// Every kernel cell of every node of a real preprocessing pass survives
+/// the encode → disk → decode cycle with identical bits.
 #[test]
 fn golden_round_trip_is_bit_identical() {
     let scenarios = [
@@ -42,15 +48,15 @@ fn golden_round_trip_is_bit_identical() {
         store.save(&original).unwrap();
         let record = store.load(&key, 128).unwrap().expect("saved record loads");
         assert_eq!(record.scenario_key, key);
-        assert_eq!(record.npsd, 128);
-        assert_eq!(record.flavor, original.flavor);
+        assert_eq!(record.npsd(), 128);
+        assert_eq!(record.kernels.white_bins(), original.kernels.white_bins());
         assert_eq!(record.preprocess_seconds.to_bits(), evaluator.preprocess_seconds().to_bits());
-        assert_eq!(record.rows.len(), original.rows.len(), "{key}: node count");
-        for (node, (got, want)) in record.rows.iter().zip(&original.rows).enumerate() {
-            assert_eq!(got.len(), want.len(), "{key} node {node}: row width");
-            for (bin, (g, w)) in got.iter().zip(want).enumerate() {
-                assert_eq!(g.re.to_bits(), w.re.to_bits(), "{key} node {node} bin {bin} re");
-                assert_eq!(g.im.to_bits(), w.im.to_bits(), "{key} node {node} bin {bin} im");
+        assert_eq!(record.kernels.len(), original.kernels.len(), "{key}: node count");
+        let pairs = record.kernels.kernels().iter().zip(original.kernels.kernels());
+        for (node, (got, want)) in pairs.enumerate() {
+            assert_eq!(cells(got).len(), cells(want).len(), "{key} node {node}: row width");
+            for (cell, (g, w)) in cells(got).iter().zip(&cells(want)).enumerate() {
+                assert_eq!(g, w, "{key} node {node} cell {cell}");
             }
         }
     }
@@ -107,7 +113,7 @@ fn warm_engine_serves_bit_identical_results_with_zero_builds() {
             scenario: scenario.clone(),
             npsd: 128,
             rounding: RoundingMode::Truncate,
-            kind: JobKind::Estimate { method: Method::PsdMethod, frac_bits: bits },
+            kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: bits },
         })
     })
     .collect();
@@ -155,7 +161,56 @@ fn concurrent_caches_share_one_store_safely() {
     // Whoever won the race, the surviving record is valid and loadable.
     let store = Store::open(&dir).unwrap();
     let record = store.load(&scenario.key(), 96).unwrap().expect("record exists");
-    assert_eq!(record.npsd, 96);
+    assert_eq!(record.npsd(), 96);
     assert_eq!(store.record_count().unwrap(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record in the previous format (`PSDRSP02`, whose single-rate records
+/// held complex responses) with a valid checksum is a miss, not an error:
+/// the cache rebuilds once, serves the powers a fresh engine computes, and
+/// leaves a current-format record behind.
+#[test]
+fn format_02_record_is_a_miss_not_an_error() {
+    let dir = tmp_dir("format02");
+    let scenario = Scenario::FirCascade { stages: 2, taps: 15, cutoff: 0.2 };
+    let (key, npsd) = (scenario.key(), 64usize);
+    let nodes = scenario.build().unwrap().len();
+    let mut bytes = b"PSDRSP02".to_vec();
+    bytes.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(key.as_bytes());
+    // npsd, flavor 0 (single-rate), node count, row width in complex cells.
+    for field in [npsd, 0, nodes, npsd] {
+        bytes.extend_from_slice(&(field as u32).to_le_bytes());
+    }
+    bytes.extend_from_slice(&0.25f64.to_le_bytes());
+    for _ in 0..nodes * npsd {
+        bytes.extend_from_slice(&1.0f64.to_le_bytes());
+        bytes.extend_from_slice(&0.0f64.to_le_bytes());
+    }
+    let checksum = psdacc_store::codec::fnv1a64(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    let store = Store::open(&dir).unwrap();
+    let path = store.path_for(&key, npsd);
+    std::fs::write(&path, &bytes).unwrap();
+
+    let jobs: Vec<JobSpec> = (8..12)
+        .map(|bits| JobSpec {
+            scenario: scenario.clone(),
+            npsd,
+            rounding: RoundingMode::Truncate,
+            kind: JobKind::Estimate { method: EstimateMethod::PsdMethod, frac_bits: bits },
+        })
+        .collect();
+    let cache = Arc::new(PersistentCache::open(&dir).unwrap());
+    let served = Engine::with_shared_cache(1, cache).run(jobs.clone());
+    assert_eq!(served.failures().count(), 0);
+    assert_eq!((served.cache.builds, served.cache.disk_hits), (1, 0), "the old record is a miss");
+    let fresh = Engine::new(1).run(jobs);
+    for (a, b) in served.results.iter().zip(&fresh.results) {
+        assert_eq!(a.power.map(f64::to_bits), b.power.map(f64::to_bits), "job {}", a.job);
+    }
+    assert_eq!(&std::fs::read(&path).unwrap()[..8], b"PSDRSP03");
+    assert!(store.load(&key, npsd).unwrap().is_some(), "the rebuilt record loads");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -114,10 +114,22 @@ impl FreqFilterSystem {
     }
 
     /// The proposed PSD-method estimate of the output error PSD (`npsd`
-    /// bins) for uniform word-length quantizers with the given PQN moments.
+    /// bins) for uniform word-length quantizers with the given PQN moments:
+    /// [`FreqFilterSystem::preprocess`] followed by
+    /// [`FreqFilterModel::psd`].
     pub fn model_psd(&self, moments: NoiseMoments, npsd: usize) -> psdacc_core::NoisePsd {
-        let sigma2 = moments.variance;
-        let mu = moments.mean;
+        self.preprocess(npsd).psd(moments)
+    }
+
+    /// Total power of the PSD-method estimate.
+    pub fn model_psd_power(&self, moments: NoiseMoments, npsd: usize) -> f64 {
+        self.model_psd(moments, npsd).power()
+    }
+
+    /// The word-length independent half of the PSD method (`tau_pp`): the
+    /// cascade and highpass `|H|^2` on an `npsd`-bin grid, the FFT-bin
+    /// `|Hlp[k]|^2` and its staircase on the grid, and the DC gains.
+    pub fn preprocess(&self, npsd: usize) -> FreqFilterModel {
         // Responses sampled on the PSD grid. An N_PSD-point PSD carries only
         // N_PSD autocorrelation lags, so impulse responses longer than the
         // grid alias (time-fold) — `fir_frequency_response` implements
@@ -125,71 +137,21 @@ impl FreqFilterSystem {
         // (paper Fig. 5) comes from: the 24-tap cascade folds on a 16-point
         // grid.
         let cascade = psdacc_dsp::convolve(self.prefilter.taps(), self.hlp.taps());
-        let cascade_mag =
-            psdacc_dsp::magnitude_squared(&psdacc_dsp::fir_frequency_response(&cascade, npsd));
-        let hlp_mag = psdacc_dsp::magnitude_squared(&psdacc_dsp::fir_frequency_response(
-            self.hlp.taps(),
-            npsd,
-        ));
-        let pre_dc = self.prefilter.dc_gain();
-        let hlp_dc = self.hlp.dc_gain(); // ~0: the highpass kills means
-        let mut bins = vec![0.0; npsd];
-        let mut mean = 0.0;
-        // S1: input quantization through both filters.
-        for k in 0..npsd {
-            bins[k] += sigma2 / npsd as f64 * cascade_mag[k];
+        let hlp_bin_mag: Vec<f64> = self.hlp_spectrum.iter().map(|h| h.norm_sqr()).collect();
+        FreqFilterModel {
+            cascade_mag: psdacc_dsp::magnitude_squared(&psdacc_dsp::fir_frequency_response(
+                &cascade, npsd,
+            )),
+            hlp_mag: psdacc_dsp::magnitude_squared(&psdacc_dsp::fir_frequency_response(
+                self.hlp.taps(),
+                npsd,
+            )),
+            hlp_stair: (0..npsd).map(|j| hlp_bin_mag[j * NFFT / npsd]).collect(),
+            hlp_bin_mag,
+            pre_dc: self.prefilter.dc_gain(),
+            hlp_dc: self.hlp.dc_gain(), // ~0: the highpass kills means
+            counts: noisy_value_counts(NFFT),
         }
-        mean += mu * pre_dc * hlp_dc;
-        // S2: prefilter output quantization through the highpass.
-        for k in 0..npsd {
-            bins[k] += sigma2 / npsd as f64 * hlp_mag[k];
-        }
-        mean += mu * hlp_dc;
-        // S3: FFT-internal noise. Complex per-value variance 2 sigma^2 per
-        // quantized stage value, doubling through each remaining stage;
-        // spread over the N bins; shaped by |Hlp[k]|^2 through the
-        // multiplier; attenuated by the 1/N IFFT scale; real part keeps
-        // half.
-        let counts = noisy_value_counts(NFFT);
-        let total_at_fft_out: f64 = counts
-            .iter()
-            .map(|&(vals, remaining)| vals as f64 * 2.0 * sigma2 * 2f64.powi(remaining as i32))
-            .sum();
-        let v_fft_per_bin = total_at_fft_out / NFFT as f64;
-        // Power: sum over the 16 actual FFT bins; shape: the |Hlp[k]|^2
-        // staircase resampled onto the PSD grid.
-        let p3_total: f64 =
-            self.hlp_spectrum.iter().map(|h| v_fft_per_bin * h.norm_sqr()).sum::<f64>()
-                / (2.0 * (NFFT * NFFT) as f64);
-        let hlp_stair: Vec<f64> =
-            (0..npsd).map(|j| self.hlp_spectrum[j * NFFT / npsd].norm_sqr()).collect();
-        distribute(&mut bins, &hlp_stair, p3_total);
-        // S4: multiplier outputs (2 sigma^2 per complex bin) through the
-        // IFFT: per real sample sigma^2/N, spectrally flat.
-        let p4_total = sigma2 / NFFT as f64;
-        for b in bins.iter_mut() {
-            *b += p4_total / npsd as f64;
-        }
-        // S5: IFFT-internal noise, scaled by 1/N^2, real half; flat.
-        let total_ifft: f64 = counts
-            .iter()
-            .map(|&(vals, remaining)| vals as f64 * 2.0 * sigma2 * 2f64.powi(remaining as i32))
-            .sum();
-        let p5_total = total_ifft / (2.0 * (NFFT * NFFT * NFFT) as f64);
-        for b in bins.iter_mut() {
-            *b += p5_total / npsd as f64;
-        }
-        // S6: final output quantization after the 1/N scale: white.
-        for b in bins.iter_mut() {
-            *b += sigma2 / npsd as f64;
-        }
-        mean += mu;
-        psdacc_core::NoisePsd::from_parts(bins, mean)
-    }
-
-    /// Total power of the PSD-method estimate.
-    pub fn model_psd_power(&self, moments: NoiseMoments, npsd: usize) -> f64 {
-        self.model_psd(moments, npsd).power()
     }
 
     /// The PSD-agnostic estimate: identical source inventory, but blocks
@@ -234,6 +196,80 @@ impl FreqFilterSystem {
         let power = err.iter().map(|v| v * v).sum::<f64>() / err.len() as f64;
         let psd = psdacc_dsp::welch(&err, nfft_psd, 0.5, Window::Hann);
         (power, psd)
+    }
+}
+
+/// The preprocessed PSD-method model of a [`FreqFilterSystem`] on one
+/// grid (see [`FreqFilterSystem::preprocess`]); [`FreqFilterModel::psd`]
+/// is the per-word-length evaluation (`tau_eval`).
+#[derive(Debug, Clone)]
+pub struct FreqFilterModel {
+    cascade_mag: Vec<f64>,
+    hlp_mag: Vec<f64>,
+    hlp_bin_mag: Vec<f64>,
+    hlp_stair: Vec<f64>,
+    pre_dc: f64,
+    hlp_dc: f64,
+    counts: Vec<(usize, usize)>,
+}
+
+impl FreqFilterModel {
+    /// The output error PSD for uniform word-length quantizers with the
+    /// given PQN moments.
+    pub fn psd(&self, moments: NoiseMoments) -> psdacc_core::NoisePsd {
+        let sigma2 = moments.variance;
+        let mu = moments.mean;
+        let npsd = self.cascade_mag.len();
+        let mut bins = vec![0.0; npsd];
+        let mut mean = 0.0;
+        // S1: input quantization through both filters.
+        for k in 0..npsd {
+            bins[k] += sigma2 / npsd as f64 * self.cascade_mag[k];
+        }
+        mean += mu * self.pre_dc * self.hlp_dc;
+        // S2: prefilter output quantization through the highpass.
+        for k in 0..npsd {
+            bins[k] += sigma2 / npsd as f64 * self.hlp_mag[k];
+        }
+        mean += mu * self.hlp_dc;
+        // S3: FFT-internal noise. Complex per-value variance 2 sigma^2 per
+        // quantized stage value, doubling through each remaining stage;
+        // spread over the N bins; shaped by |Hlp[k]|^2 through the
+        // multiplier; attenuated by the 1/N IFFT scale; real part keeps
+        // half.
+        let total_at_fft_out: f64 = self
+            .counts
+            .iter()
+            .map(|&(vals, remaining)| vals as f64 * 2.0 * sigma2 * 2f64.powi(remaining as i32))
+            .sum();
+        let v_fft_per_bin = total_at_fft_out / NFFT as f64;
+        // Power: sum over the 16 actual FFT bins; shape: the |Hlp[k]|^2
+        // staircase resampled onto the PSD grid.
+        let p3_total: f64 = self.hlp_bin_mag.iter().map(|m| v_fft_per_bin * m).sum::<f64>()
+            / (2.0 * (NFFT * NFFT) as f64);
+        distribute(&mut bins, &self.hlp_stair, p3_total);
+        // S4: multiplier outputs (2 sigma^2 per complex bin) through the
+        // IFFT: per real sample sigma^2/N, spectrally flat.
+        let p4_total = sigma2 / NFFT as f64;
+        for b in bins.iter_mut() {
+            *b += p4_total / npsd as f64;
+        }
+        // S5: IFFT-internal noise, scaled by 1/N^2, real half; flat.
+        let p5_total = total_at_fft_out / (2.0 * (NFFT * NFFT * NFFT) as f64);
+        for b in bins.iter_mut() {
+            *b += p5_total / npsd as f64;
+        }
+        // S6: final output quantization after the 1/N scale: white.
+        for b in bins.iter_mut() {
+            *b += sigma2 / npsd as f64;
+        }
+        mean += mu;
+        psdacc_core::NoisePsd::from_parts(bins, mean)
+    }
+
+    /// Total power of [`FreqFilterModel::psd`].
+    pub fn power(&self, moments: NoiseMoments) -> f64 {
+        self.psd(moments).power()
     }
 }
 

@@ -20,4 +20,4 @@ pub mod staged_fft;
 
 pub use dwt_system::DwtSystem;
 pub use filter_bank::{fir_entry, fir_system, iir_entry, iir_system, BankEntry};
-pub use freq_filter::FreqFilterSystem;
+pub use freq_filter::{FreqFilterModel, FreqFilterSystem};
