@@ -297,6 +297,17 @@ pub fn run_baseline_profiled(
     });
     dump("preprocess");
 
+    // The same pass on a 16-node random forward graph: every node is a
+    // noise source whose response the per-bin solve yields, the shape of
+    // the inline graphs a fleet request brings.
+    let random =
+        Scenario::RandomSfg { nodes: 16, seed: 7 }.build().expect("random scenario builds");
+    let preprocess_random = measure("preprocess_random", iters, 1, || {
+        let evaluator = AccuracyEvaluator::new(&random, npsd).expect("random preprocess");
+        std::hint::black_box(&evaluator);
+    });
+    dump("preprocess_random");
+
     // The same pass through the multirate/DWT path (per-level kernels
     // instead of flat responses) — the decimated structure the paper's
     // wavelet scenarios exercise.
@@ -495,6 +506,7 @@ pub fn run_baseline_profiled(
 
     let results = vec![
         preprocess,
+        preprocess_random,
         preprocess_multirate,
         tau_eval,
         tau_eval_iir,
@@ -552,6 +564,7 @@ mod tests {
             names,
             vec![
                 "preprocess",
+                "preprocess_random",
                 "preprocess_multirate",
                 "tau_eval",
                 "tau_eval_iir",

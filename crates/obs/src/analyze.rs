@@ -18,10 +18,12 @@
 //!   with the worst single span attributed to its unit.
 //! * **Wire time** — per unit, the coordinator's `fleet.unit` roundtrip
 //!   minus the daemon-side `serve.unit` span of the same unit on the
-//!   daemon it was dispatched to: what the sockets, the kernel and both
-//!   ends' hand-offs cost. Aggregated like a stage, and the batch
-//!   wall-clock is reconciled against the critical roundtrip, with the
-//!   residue reported as unattributed.
+//!   daemon it was dispatched to, and minus its `unit.held` span (the
+//!   daemon holding the finished line while another unit of the
+//!   connection is queued, a stage row of its own): what the sockets,
+//!   the kernel and both ends' hand-offs cost. Aggregated like a stage,
+//!   and the batch wall-clock is reconciled against the critical
+//!   roundtrip, with the residue reported as unattributed.
 //! * **Daemon utilization** — per-daemon busy time from `serve.unit`
 //!   spans against batch wall-clock, joined with dispatch and queue-wait
 //!   attribution from the coordinator's `fleet.dispatch` events.
@@ -147,8 +149,9 @@ pub struct TraceAnalysis {
     /// Per-stage totals, heaviest first.
     pub stages: Vec<StageTotal>,
     /// Per-unit wire time (`fleet.unit` roundtrip − matching
-    /// `serve.unit`, saturated at zero) aggregated like a stage, named
-    /// `wire`. Units without a daemon-side span are not counted.
+    /// `serve.unit` − matching `unit.held`, saturated at zero) aggregated
+    /// like a stage, named `wire`. Units without a `serve.unit` span are
+    /// not counted.
     pub wire: StageTotal,
     /// Wall-clock reconciliation along the critical unit.
     pub reconciliation: Reconciliation,
@@ -216,6 +219,7 @@ pub fn analyze(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
     let mut children: HashMap<SpanId, Vec<&TraceEvent>> = HashMap::new();
     let mut fleet_units: Vec<(&TraceEvent, u64)> = Vec::new();
     let mut serve_units: Vec<(&TraceEvent, u64)> = Vec::new();
+    let mut held_units: Vec<(&TraceEvent, u64)> = Vec::new();
     let mut stages: BTreeMap<&str, StageTotal> = BTreeMap::new();
     let mut daemons: BTreeMap<String, DaemonUtilization> = BTreeMap::new();
     let mut refinements: BTreeMap<Option<u64>, Vec<RefineStepView>> = BTreeMap::new();
@@ -246,6 +250,9 @@ pub fn analyze(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
             "fleet.unit" => fleet_units.push((ev, dur)),
             "serve.unit" => serve_units.push((ev, dur)),
             name if name.starts_with("unit.") => {
+                if name == "unit.held" {
+                    held_units.push((ev, dur));
+                }
                 stages.entry(&ev.name).or_insert_with(|| blank_total(name)).add(dur, ev.unit);
             }
             _ => {}
@@ -267,13 +274,18 @@ pub fn analyze(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
         d.busy_ns += dur.saturating_sub(queued);
     }
 
-    // Wire: each roundtrip minus the daemon-side span of the same unit on
+    // Wire: each roundtrip minus the daemon-side spans of the same unit on
     // the daemon it was dispatched to (a re-dispatched unit's loser ran
-    // elsewhere and must not match).
+    // elsewhere and must not match): the run, and the held line's wait.
     let mut serve_ns: HashMap<(Option<u64>, Option<&str>), u64> = HashMap::new();
     for &(ev, dur) in &serve_units {
         let slot = serve_ns.entry((ev.unit, ev.daemon.as_deref())).or_default();
         *slot = (*slot).max(dur);
+    }
+    for &(ev, dur) in &held_units {
+        if let Some(slot) = serve_ns.get_mut(&(ev.unit, ev.daemon.as_deref())) {
+            *slot += dur;
+        }
     }
     let mut wire = blank_total("wire");
     for &(ev, dur) in &fleet_units {
@@ -553,7 +565,10 @@ impl TraceAnalysis {
                 }
             }
         }
-        out.push_str("stage totals (all units, heaviest first; wire = roundtrip - serve.unit):\n");
+        out.push_str(concat!(
+            "stage totals (all units, heaviest first; ",
+            "wire = roundtrip - serve.unit - unit.held):\n"
+        ));
         for s in self.stages.iter().chain([&self.wire]) {
             out.push_str(&s.to_text_row());
         }
@@ -785,6 +800,27 @@ mod tests {
         events.push(span("serve.unit", 13, Some(1), 5, 95, Some(3), Some("a"), vec![]));
         let w = analyze(&events).unwrap().wire;
         assert_eq!((w.count, w.total_ns, w.max_ns, w.max_unit), (3, 100, 50, Some(0)));
+    }
+
+    /// A finished line the daemon holds while another unit of its
+    /// connection is queued is a `unit.held` span beside `serve.unit`:
+    /// its own stage row, neither wire nor busy time.
+    #[test]
+    fn held_line_wait_is_its_own_row_not_wire_or_busy() {
+        let mut events = fixture();
+        // Unit 0 on `a`: roundtrip 300 = serve 250 + held 30 + wire 20.
+        events.push(span("unit.held", 40, Some(1), 255, 30, Some(0), Some("a"), vec![]));
+        // A held span of unit 1 on the wrong daemon does not match.
+        events.push(span("unit.held", 41, Some(1), 455, 40, Some(1), Some("a"), vec![]));
+        let a = analyze(&events).unwrap();
+        let held = a.stages.iter().find(|s| s.name == "unit.held").unwrap();
+        assert_eq!((held.count, held.total_ns, held.max_ns, held.max_unit), (2, 70, 40, Some(1)));
+        let w = &a.wire;
+        assert_eq!((w.count, w.total_ns, w.max_ns, w.max_unit), (2, 70, 50, Some(1)));
+        let busy: Vec<(&str, u64)> =
+            a.daemons.iter().map(|d| (d.addr.as_str(), d.busy_ns)).collect();
+        assert_eq!(busy, vec![("a", 250), ("b", 450)], "a held line is not busy time");
+        assert!(a.to_text().contains("unit.held"), "{}", a.to_text());
     }
 
     #[test]

@@ -213,6 +213,13 @@ pub struct OpenSpan {
     start_ns: u64,
 }
 
+impl OpenSpan {
+    /// The span's parent.
+    pub fn parent(&self) -> Option<SpanId> {
+        self.parent
+    }
+}
+
 /// A per-batch trace collector. Disabled tracers make every call a cheap
 /// no-op (one branch), which is how observability stays out of the hot
 /// path when not requested.

@@ -57,8 +57,10 @@ fact and prints it as JSONL to stdout.
 
 `analyze` reads a merged fleet trace (the --trace PATH output) and
 reports where the time went: the critical path bounding wall-clock,
-per-stage totals (parse/cache_lookup/preprocess/tau_eval/serialize),
-and per-daemon utilization with dispatch/queue-wait attribution.
+per-stage totals (parse/queue/cache_lookup/preprocess/tau_eval/
+serialize, and held: a finished line waiting for a queued unit of its
+connection), wire time (roundtrip less the daemon's unit and held
+spans), and per-daemon utilization with dispatch/queue-wait attribution.
 Human text by default; --json emits the single-line machine report.
 ";
 

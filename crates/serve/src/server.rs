@@ -424,8 +424,9 @@ struct Conn {
 struct Lines {
     /// Units handed to the engine that have not started.
     queued: usize,
-    /// Finished units' lines, held while a unit is queued.
-    held: Vec<(String, Arc<Finished>)>,
+    /// Finished units' lines, held while a unit is queued, each with its
+    /// open `unit.held` span.
+    held: Vec<(String, Arc<Finished>, Option<OpenSpan>)>,
     /// Lines waiting for the peer.
     waiting: Vec<Line>,
 }
@@ -459,22 +460,35 @@ impl Conn {
         self.lines().queued -= 1;
     }
 
-    /// Takes a finished unit's line (`None` when the unit did not run) and
+    /// Takes a finished unit's line (`None` when the unit did not run),
+    /// with the `unit.held` span opened when the unit's own span ended, and
     /// says whether lines wait for the peer. The line is held while another
     /// unit of the connection is queued, so a burst's lines leave in one
     /// write; once none is, or on `release`, every held line is let go,
-    /// and its write deadline starts now.
-    fn finish(&self, text: Option<String>, unit: Arc<Finished>, release: bool) -> bool {
+    /// its span ends and its write deadline starts now. A line let go at
+    /// once was never held and records no span.
+    fn finish(
+        &self,
+        line: Option<(String, Option<OpenSpan>)>,
+        unit: Arc<Finished>,
+        release: bool,
+        tracer: &Tracer,
+    ) -> bool {
         let mut lines = self.lines();
-        if let Some(text) = text {
-            lines.held.push((text, unit));
+        if lines.queued > 0 && !release {
+            if let Some((text, wait)) = line {
+                lines.held.push((text, unit, wait));
+            }
+            return !lines.waiting.is_empty();
         }
-        if lines.queued == 0 || release {
-            let ready = Instant::now();
-            let held = std::mem::take(&mut lines.held);
-            let held = held.into_iter().map(|(text, unit)| Line { text, ready, _unit: Some(unit) });
-            lines.waiting.extend(held);
-        }
+        let ready = Instant::now();
+        let held = std::mem::take(&mut lines.held).into_iter().map(|(text, unit, wait)| {
+            tracer.end(wait);
+            (text, unit)
+        });
+        let own = line.map(|(text, _)| (text, unit));
+        let let_go = held.chain(own).map(|(text, unit)| Line { text, ready, _unit: Some(unit) });
+        lines.waiting.extend(let_go);
         !lines.waiting.is_empty()
     }
 
@@ -606,8 +620,11 @@ struct Unit {
 /// under the coordinator's root span, with `unit.parse` / `unit.queue` /
 /// `unit.cache_lookup` / `unit.preprocess` / `unit.tau_eval` /
 /// `unit.serialize` children — the per-unit timing breakdown the merged
-/// fleet trace is built from. Tracing never alters results: the tracer
-/// only ever *observes* timings around the identical execution path.
+/// fleet trace is built from. A line held while another unit of the
+/// connection is queued adds a `unit.held` span beside `serve.unit`, from
+/// the unit's end until the line is let go. Tracing never alters results:
+/// the tracer only ever *observes* timings around the identical execution
+/// path.
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), ServeError> {
     let max_in_flight = 3 * state.engine.threads();
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -787,10 +804,14 @@ fn run_unit(
         let line = result.to_json_line();
         // Close the spans before the line can reach the peer: the peer's
         // roundtrip ends when it reads the line, and the unit's span must
-        // fit inside it. The hand-off to the socket counts as wire time.
+        // fit inside it. A held line's wait is a span beside the unit's,
+        // ended when the line is let go; the hand-off to the socket after
+        // that counts as wire time.
         tracer.end(serialize);
+        let root = span.as_ref().map(OpenSpan::parent);
         tracer.end(span);
-        line
+        let wait = root.and_then(|root| tracer.start("unit.held", root, Some(id as u64)));
+        (line, wait)
     });
     let mut chaos = false;
     if line.is_some() {
@@ -799,7 +820,7 @@ fn run_unit(
         let served = state.units_served.get() as usize;
         chaos = state.config.chaos_die_after_units.is_some_and(|limit| served >= limit);
     }
-    if !conn.finish(line, finished, chaos) {
+    if !conn.finish(line, finished, chaos, tracer) {
         return;
     }
     slot.release();

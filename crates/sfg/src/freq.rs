@@ -15,12 +15,24 @@
 //! paths add *as complex amplitudes*, it preserves exactly the intra-source
 //! correlations that PSD-agnostic methods destroy.
 //!
+//! Which graphs are swept and which are solved: when every edge runs from
+//! a lower node id to a higher one (every graph built with `add_block`,
+//! every builtin family and `random-sfg`, every GraphSpec that lists its
+//! nodes in dependency order), the transposed system is unit
+//! upper-triangular in id order. A reverse-id sweep over each node's
+//! consumers then solves a bin in O(edges), with results bit-identical to
+//! the dense solve. A graph with any backward edge (an explicit feedback
+//! loop, or nodes listed out of dependency order) builds the dense `n x n`
+//! system and factorises it for every bin.
+//!
 //! `tau_eval` never reads the complex responses themselves, so
-//! [`single_rate_kernels`] reduces them to one real [`SourceKernel`] per
-//! node: the row `|G_n * S_n|^2` and the DC path `(G_n * S_n)[0].re`, where
-//! `S_n = 1/A(z)` shapes the quantization source inside an IIR node and is
-//! 1 everywhere else. The word-length independent shaping is thus paid
-//! once, in `tau_pp`. Multirate graphs produce the same [`Preprocessed`]
+//! [`single_rate_kernels`] reduces each bin, as it is solved, into one real
+//! [`SourceKernel`] row per node: `|G_n * S_n|^2` and the DC path
+//! `(G_n * S_n)[0].re`, where `S_n = 1/A(z)` shapes the quantization source
+//! inside an IIR node and is 1 everywhere else. The word-length independent
+//! shaping is thus paid once, in `tau_pp`, and the complex `nodes x npsd`
+//! response matrix is only built by [`node_responses`], for callers that
+//! want it. Multirate graphs produce the same [`Preprocessed`]
 //! kernel set ([`crate::multirate`]), so one scale-and-add per source
 //! evaluates every graph.
 
@@ -31,8 +43,9 @@ use crate::error::SfgError;
 use crate::graph::{NodeId, Sfg};
 
 /// Complex responses from every node's output to one designated output,
-/// sampled on the `N_PSD` grid: the per-bin solve's output, which
-/// [`single_rate_kernels`] reduces to a [`Preprocessed`] kernel set.
+/// sampled on the `N_PSD` grid: what [`node_responses`] collects from the
+/// per-bin solve, which [`single_rate_kernels`] instead reduces bin by bin
+/// into a [`Preprocessed`] kernel set.
 #[derive(Debug, Clone)]
 pub struct NodeResponses {
     /// `responses[s][k]` = transfer from an injection at node `s`'s output
@@ -163,7 +176,6 @@ impl Preprocessed {
         self.kernels[node.0].variance.iter().sum::<f64>() / self.white_bins as f64
     }
 }
-
 /// The `tau_pp` entry point: dispatches between the exact single-rate
 /// per-frequency solve ([`single_rate_kernels`], shaping each IIR node's
 /// source by its `1/A(z)`) and the multirate fold/image propagation
@@ -190,13 +202,14 @@ pub fn preprocess(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<Preprocessed
     single_rate_kernels(sfg, output, npsd, &feedback)
 }
 
-/// Single-rate kernels: the per-bin solve ([`node_responses`]) reduced to
-/// one [`SourceKernel`] per node. `feedback[n]` is the denominator `a` of
-/// the recursion a source at node `n` passes through before reaching the
-/// node's output (`S_n = 1/A(z)`), or `None` for a source injected at the
-/// output itself (as is every node past the end of `feedback`).
-/// [`preprocess`] takes it from the graph's IIR blocks; a caller that
-/// models its sources otherwise passes its own.
+/// Single-rate kernels: each bin's responses, as [`node_responses`] solves
+/// them, reduced straight into one [`SourceKernel`] row per node, so the
+/// complex `nodes x npsd` response matrix is never held. `feedback[n]` is
+/// the denominator `a` of the recursion a source at node `n` passes through
+/// before reaching the node's output (`S_n = 1/A(z)`), or `None` for a
+/// source injected at the output itself (as is every node past the end of
+/// `feedback`). [`preprocess`] takes it from the graph's IIR blocks; a
+/// caller that models its sources otherwise passes its own.
 ///
 /// # Errors
 ///
@@ -207,27 +220,39 @@ pub fn single_rate_kernels(
     npsd: usize,
     feedback: &[Option<&[f64]>],
 ) -> Result<Preprocessed, SfgError> {
-    let responses = node_responses(sfg, output, npsd)?;
-    let _frame = psdacc_obs::profile::frame("kernels");
-    let kernels = responses
-        .responses
-        .into_iter()
-        .enumerate()
-        .map(|(s, g)| {
-            let h = match feedback.get(s).copied().flatten() {
-                None => g,
-                Some(a) => {
-                    let shape = psdacc_dsp::iir_frequency_response(&[1.0], a, npsd);
-                    g.iter().zip(&shape).map(|(g, s)| *g * *s).collect()
-                }
-            };
-            SourceKernel {
-                variance: h.iter().map(|v| v.norm_sqr()).collect(),
-                mean_sq: Vec::new(),
-                dc: h[0].re,
-            }
+    let _frame = psdacc_obs::profile::frame("single_rate");
+    kernels_of(&BinSolver::new(sfg, output, npsd)?, feedback)
+}
+
+/// Reduces every bin `solver` solves into kernel rows: `|G * S|^2`, with
+/// the complex product taken before `norm_sqr`, and the bin-0 DC path.
+fn kernels_of(
+    solver: &BinSolver<'_>,
+    feedback: &[Option<&[f64]>],
+) -> Result<Preprocessed, SfgError> {
+    let (n, npsd) = (solver.sfg.len(), solver.npsd);
+    // The word-length independent source shaping, sampled once.
+    let shapes: Vec<Option<Vec<Complex>>> = (0..n)
+        .map(|s| {
+            let a = feedback.get(s).copied().flatten()?;
+            Some(psdacc_dsp::iir_frequency_response(&[1.0], a, npsd))
         })
         .collect();
+    let mut kernels: Vec<SourceKernel> = (0..n)
+        .map(|_| SourceKernel { variance: vec![0.0; npsd], mean_sq: Vec::new(), dc: 0.0 })
+        .collect();
+    solver.solve(|k, g| {
+        for ((kernel, shape), g) in kernels.iter_mut().zip(&shapes).zip(g) {
+            let h = match shape {
+                None => *g,
+                Some(shape) => *g * shape[k],
+            };
+            kernel.variance[k] = h.norm_sqr();
+            if k == 0 {
+                kernel.dc = h.re;
+            }
+        }
+    })?;
     Ok(Preprocessed { kernels, npsd, npsd_out: npsd, white_bins: npsd })
 }
 
@@ -237,7 +262,8 @@ pub fn single_rate_kernels(
 const SOLVE_PROFILE_CHUNKS: usize = 16;
 
 /// Computes [`NodeResponses`] from every node to `output` on an `npsd`-point
-/// grid.
+/// grid: a collector over the same per-bin solve [`single_rate_kernels`]
+/// reduces.
 ///
 /// # Errors
 ///
@@ -249,73 +275,181 @@ const SOLVE_PROFILE_CHUNKS: usize = 16;
 ///   front: a delay-free loop would make the frequency-domain system
 ///   singular at every bin).
 pub fn node_responses(sfg: &Sfg, output: NodeId, npsd: usize) -> Result<NodeResponses, SfgError> {
-    if output.0 >= sfg.len() {
-        return Err(SfgError::UnknownNode { node: output });
-    }
-    if npsd == 0 {
-        return Err(SfgError::NoOutput);
-    }
-    if crate::multirate::is_multirate(sfg) {
-        return Err(SfgError::Multirate {
-            detail: "the per-frequency linear solve only describes single-rate LTI graphs"
-                .to_string(),
-        });
-    }
-    crate::topo::check_realizable(sfg)?;
-    let _sr_frame = psdacc_obs::profile::frame("single_rate");
-    let n = sfg.len();
-    // Precompute block responses on the grid (the paper's tau_pp stage).
-    let block_resp: Vec<Vec<Complex>> = {
+    let _frame = psdacc_obs::profile::frame("single_rate");
+    let solver = BinSolver::new(sfg, output, npsd)?;
+    let mut responses = vec![vec![Complex::ZERO; npsd]; sfg.len()];
+    solver.solve(|k, g| {
+        for (row, g) in responses.iter_mut().zip(g) {
+            row[k] = *g;
+        }
+    })?;
+    Ok(NodeResponses { responses })
+}
+
+/// One node's transfer factor `T_n` on the grid: one value for a
+/// memoryless block, every bin for the others.
+enum Factor {
+    Constant(Complex),
+    Sampled(Vec<Complex>),
+}
+
+/// How each bin's transposed system `(I - D A)^T g = e_output` is solved.
+enum Order {
+    /// Every edge runs from a lower node id to a higher one, so the system
+    /// is unit upper-triangular in id order and a reverse-id sweep solves
+    /// it. Each node lists its consumers `(id, occurrences among the
+    /// consumer's inputs)` in increasing id order.
+    Sweep(Vec<Vec<(usize, usize)>>),
+    /// Some edge runs backward (a feedback loop, or nodes listed out of
+    /// dependency order): dense Gaussian elimination.
+    Dense,
+}
+
+/// The per-bin solve shared by [`node_responses`] and
+/// [`single_rate_kernels`]: a validated single-rate graph with its block
+/// factors sampled.
+struct BinSolver<'a> {
+    sfg: &'a Sfg,
+    output: NodeId,
+    npsd: usize,
+    factors: Vec<Factor>,
+    order: Order,
+}
+
+impl<'a> BinSolver<'a> {
+    /// Validates the graph (see [`node_responses`] for the errors) and
+    /// samples every block's response (the paper's tau_pp stage).
+    fn new(sfg: &'a Sfg, output: NodeId, npsd: usize) -> Result<Self, SfgError> {
+        if output.0 >= sfg.len() {
+            return Err(SfgError::UnknownNode { node: output });
+        }
+        if npsd == 0 {
+            return Err(SfgError::NoOutput);
+        }
+        if crate::multirate::is_multirate(sfg) {
+            return Err(SfgError::Multirate {
+                detail: "the per-frequency linear solve only describes single-rate LTI graphs"
+                    .to_string(),
+            });
+        }
+        crate::topo::check_realizable(sfg)?;
         let _frame = psdacc_obs::profile::frame("block_response");
-        sfg.nodes()
+        let factors = sfg
+            .nodes()
             .iter()
             .enumerate()
             .map(|(i, node)| {
                 let _frame = psdacc_obs::profile::frame_with(|| format!("node[{i}]"));
-                node.block.frequency_response(npsd)
-            })
-            .collect()
-    };
-    let _solve_frame = psdacc_obs::profile::frame("solve");
-    let mut responses = vec![vec![Complex::ZERO; npsd]; n];
-    // Reusable buffers.
-    let mut m = vec![Complex::ZERO; n * n];
-    let mut rhs = vec![Complex::ZERO; n];
-    // Bins are solved in chunks so the profiler can attribute solve time
-    // to bin ranges; the iteration order is identical with or without a
-    // profiler installed.
-    let chunk = npsd.div_ceil(SOLVE_PROFILE_CHUNKS).max(1);
-    for k0 in (0..npsd).step_by(chunk) {
-        let k1 = (k0 + chunk).min(npsd);
-        let _chunk_frame = psdacc_obs::profile::frame_with(|| format!("bins[{k0}..{k1}]"));
-        for k in k0..k1 {
-            // Build M^T = (I - D A)^T: M[i][j] = delta_ij - T_i * A[i][j];
-            // transposed entry (j, i).
-            for v in m.iter_mut() {
-                *v = Complex::ZERO;
-            }
-            for i in 0..n {
-                m[i * n + i] = Complex::ONE;
-            }
-            for (i, node) in sfg.iter() {
-                let t = block_resp[i.0][k];
-                for &p in &node.inputs {
-                    // M[i][p] -= T_i  =>  transposed: m[p][i] -= T_i.
-                    m[p.0 * n + i.0] -= t;
+                match node.block {
+                    Block::Input
+                    | Block::Add
+                    | Block::Gain(_)
+                    | Block::Measured(_)
+                    | Block::Downsample(_)
+                    | Block::Upsample(_) => Factor::Constant(node.block.frequency_response(1)[0]),
+                    _ => Factor::Sampled(node.block.frequency_response(npsd)),
                 }
+            })
+            .collect();
+        let order = sweep_order(sfg).map_or(Order::Dense, Order::Sweep);
+        Ok(BinSolver { sfg, output, npsd, factors, order })
+    }
+
+    /// Solves the bins in increasing order and hands `visit(k, g)` the
+    /// response `g[s]` from every node `s` to the output at bin `k`.
+    fn solve(&self, mut visit: impl FnMut(usize, &[Complex])) -> Result<(), SfgError> {
+        let _frame = psdacc_obs::profile::frame("solve");
+        let n = self.sfg.len();
+        // Reusable buffers: this bin's factors, the right-hand side that
+        // becomes the responses, and the dense system.
+        let mut t = vec![Complex::ZERO; n];
+        let mut g = vec![Complex::ZERO; n];
+        let mut m = match self.order {
+            Order::Sweep(_) => Vec::new(),
+            Order::Dense => vec![Complex::ZERO; n * n],
+        };
+        // Bins are solved in chunks so the profiler can attribute solve time
+        // to bin ranges; the iteration order is identical with or without a
+        // profiler installed.
+        let chunk = self.npsd.div_ceil(SOLVE_PROFILE_CHUNKS).max(1);
+        for k0 in (0..self.npsd).step_by(chunk) {
+            let k1 = (k0 + chunk).min(self.npsd);
+            let _chunk_frame = psdacc_obs::profile::frame_with(|| format!("bins[{k0}..{k1}]"));
+            for k in k0..k1 {
+                for (t, factor) in t.iter_mut().zip(&self.factors) {
+                    *t = match factor {
+                        Factor::Constant(c) => *c,
+                        Factor::Sampled(bins) => bins[k],
+                    };
+                }
+                g.fill(Complex::ZERO);
+                g[self.output.0] = Complex::ONE;
+                match &self.order {
+                    Order::Sweep(consumers) => sweep(consumers, &t, &mut g),
+                    Order::Dense => {
+                        // M^T = (I - D A)^T: M[i][p] = delta_ip - T_i for
+                        // each input p of node i, stored transposed.
+                        m.fill(Complex::ZERO);
+                        for i in 0..n {
+                            m[i * n + i] = Complex::ONE;
+                        }
+                        for (i, node) in self.sfg.iter() {
+                            for &p in &node.inputs {
+                                m[p.0 * n + i.0] -= t[i.0];
+                            }
+                        }
+                        solve_in_place(&mut m, &mut g, n)
+                            .map_err(|_| SfgError::DelayFreeCycle { nodes: vec![self.output] })?;
+                    }
+                }
+                visit(k, &g);
             }
-            for v in rhs.iter_mut() {
-                *v = Complex::ZERO;
+        }
+        Ok(())
+    }
+}
+
+/// Each node's consumers for [`Order::Sweep`], or `None` when some node
+/// reads its own output or that of a node with a higher id.
+fn sweep_order(sfg: &Sfg) -> Option<Vec<Vec<(usize, usize)>>> {
+    let mut consumers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); sfg.len()];
+    for (i, node) in sfg.iter() {
+        for &p in &node.inputs {
+            if p.0 >= i.0 {
+                return None;
             }
-            rhs[output.0] = Complex::ONE;
-            solve_in_place(&mut m, &mut rhs, n)
-                .map_err(|_| SfgError::DelayFreeCycle { nodes: vec![output] })?;
-            for s in 0..n {
-                responses[s][k] = rhs[s];
+            match consumers[p.0].last_mut() {
+                Some((j, uses)) if *j == i.0 => *uses += 1,
+                _ => consumers[p.0].push((i.0, 1)),
             }
         }
     }
-    Ok(NodeResponses { responses })
+    Some(consumers)
+}
+
+/// Back-substitution of a unit upper-triangular `(I - D A)^T g = e_output` in
+/// reverse id order, bit-identical to [`solve_in_place`] on the same
+/// system. There, no pivot is swapped and every elimination factor is
+/// zero, so only back-substitution does arithmetic. This sweep repeats it
+/// on every nonzero coefficient: each is formed as the dense path forms
+/// `M^T[col][j]` (`0 - T_j` once per use), subtracted in increasing `j`
+/// order, and divided by the unit pivot. The terms it skips are `0 * g[j]`,
+/// a signed zero for finite `g[j]`, and subtracting a signed zero changes
+/// only a `-0` accumulator. An accumulator starts at `+0` or 1 and reaches
+/// zero only by exact cancellation, which rounds to `+0`, so it is never
+/// `-0`.
+fn sweep(consumers: &[Vec<(usize, usize)>], t: &[Complex], g: &mut [Complex]) {
+    for col in (0..g.len()).rev() {
+        let mut acc = g[col];
+        for &(j, uses) in &consumers[col] {
+            let mut c = Complex::ZERO;
+            for _ in 0..uses {
+                c -= t[j];
+            }
+            acc -= c * g[j];
+        }
+        g[col] = acc / Complex::ONE;
+    }
 }
 
 /// Gaussian elimination with partial pivoting on a row-major `n x n` system.
@@ -392,9 +526,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn feedback_loop_matches_iir_closed_form() {
-        // y = x + 0.5 y z^-1  <=>  H = 1 / (1 - 0.5 z^-1).
+    /// `y = x + 0.5 y z^-1`: the input, and the adder that is the output.
+    fn feedback_loop() -> (Sfg, NodeId, NodeId) {
         let mut g = Sfg::new();
         let x = g.add_input();
         let add = g.add_block(Block::Add, &[x]).unwrap();
@@ -402,6 +535,13 @@ mod tests {
         let delay = g.add_block(Block::Delay(1), &[gain]).unwrap();
         g.set_inputs(add, &[x, delay]).unwrap();
         g.mark_output(add);
+        (g, x, add)
+    }
+
+    #[test]
+    fn feedback_loop_matches_iir_closed_form() {
+        // y = x + 0.5 y z^-1  <=>  H = 1 / (1 - 0.5 z^-1).
+        let (g, x, add) = feedback_loop();
         let npsd = 64;
         let resp = node_responses(&g, add, npsd).unwrap();
         let iir = Iir::new(vec![1.0], vec![1.0, -0.5]).unwrap();
@@ -556,5 +696,118 @@ mod tests {
         ] {
             assert!(matches!(bad, Err(SfgError::ResponseShape { .. })));
         }
+    }
+
+    /// A deterministic generator for the seeded graphs below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.unit() * n as f64) as usize
+        }
+
+        fn pick(&mut self, nodes: &[NodeId]) -> NodeId {
+            nodes[self.below(nodes.len())]
+        }
+    }
+
+    /// A forward graph from `seed`: gains, delays, FIR and IIR blocks,
+    /// adders with two distinct inputs and with one input repeated (the
+    /// first six nodes take each kind once), and four nodes past the
+    /// output, which reach it on no path.
+    fn seeded_forward_graph(seed: u64) -> (Sfg, NodeId) {
+        let mut rng = Lcg(seed);
+        let mut g = Sfg::new();
+        let mut nodes = vec![g.add_input()];
+        for i in 0..16 {
+            let kind = if i < 6 { i } else { rng.below(6) };
+            let src = rng.pick(&nodes);
+            let block = match kind {
+                0 => Block::Gain(3.0 * rng.unit() - 1.5),
+                1 => Block::Delay(1 + rng.below(3)),
+                2 => {
+                    Block::Fir(Fir::new((0..2 + rng.below(4)).map(|_| rng.unit() - 0.5).collect()))
+                }
+                3 => {
+                    let (r, w) = (0.3 + 0.6 * rng.unit(), std::f64::consts::PI * rng.unit());
+                    let b = vec![rng.unit(), rng.unit() - 0.5];
+                    Block::Iir(Iir::new(b, vec![1.0, -2.0 * r * w.cos(), r * r]).unwrap())
+                }
+                _ => Block::Add,
+            };
+            let inputs = match kind {
+                4 => vec![src, rng.pick(&nodes)],
+                5 => vec![src, rng.pick(&nodes), src],
+                _ => vec![src],
+            };
+            nodes.push(g.add_block(block, &inputs).unwrap());
+        }
+        let out = nodes[nodes.len() - 5];
+        g.mark_output(out);
+        (g, out)
+    }
+
+    /// Every variance cell's and the DC path's bits, per node.
+    fn kernel_bits(pre: &Preprocessed) -> Vec<(Vec<u64>, u64)> {
+        let bits =
+            |k: &SourceKernel| (k.variance.iter().map(|v| v.to_bits()).collect(), k.dc.to_bits());
+        pre.kernels().iter().map(bits).collect()
+    }
+
+    /// The reverse-id sweep performs the dense solver's arithmetic on every
+    /// nonzero coefficient, so on forward graphs its kernels equal the
+    /// dense kernels bit for bit, and `preprocess` takes the sweep.
+    #[test]
+    fn sweep_kernels_are_bit_identical_to_the_dense_solve() {
+        for seed in 0..48 {
+            let (g, out) = seeded_forward_graph(seed);
+            let feedback: Vec<Option<&[f64]>> = g
+                .nodes()
+                .iter()
+                .map(|node| match &node.block {
+                    Block::Iir(iir) => Some(iir.a()),
+                    _ => None,
+                })
+                .collect();
+            let npsd = [64, 96, 256][seed as usize % 3];
+            let mut solver = BinSolver::new(&g, out, npsd).unwrap();
+            assert!(matches!(solver.order, Order::Sweep(_)), "seed {seed}");
+            let swept = kernel_bits(&kernels_of(&solver, &feedback).unwrap());
+            solver.order = Order::Dense;
+            let dense = kernel_bits(&kernels_of(&solver, &feedback).unwrap());
+            for (s, (a, b)) in swept.iter().zip(&dense).enumerate() {
+                assert_eq!(a, b, "seed {seed}, node {s}");
+            }
+            assert_eq!(kernel_bits(&preprocess(&g, out, npsd).unwrap()), swept, "seed {seed}");
+            assert!(swept[g.len() - 1].0.iter().all(|&v| v == 0), "past the output");
+        }
+    }
+
+    /// A feedback loop, or an acyclic graph whose nodes are listed out of
+    /// dependency order, has an edge to a lower id and keeps the dense
+    /// solve.
+    #[test]
+    fn graphs_with_a_backward_edge_take_the_dense_solve() {
+        let (g, _, add) = feedback_loop();
+        assert!(matches!(BinSolver::new(&g, add, 64).unwrap().order, Order::Dense));
+
+        let mut g = Sfg::new();
+        let x = g.add_input();
+        let late = g.add_block(Block::Gain(2.0), &[x]).unwrap();
+        let early = g.add_block(Block::Gain(3.0), &[x]).unwrap();
+        g.set_inputs(late, &[early]).unwrap();
+        g.mark_output(late);
+        assert!(matches!(BinSolver::new(&g, late, 16).unwrap().order, Order::Dense));
+        let pre = preprocess(&g, late, 16).unwrap();
+        assert!((pre.kernel(x).dc - 6.0).abs() < 1e-12);
     }
 }

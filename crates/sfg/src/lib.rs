@@ -12,12 +12,16 @@
 //!   step 1 of the paper's Section III-B;
 //! * [`freq`] — exact per-frequency resolution `(I - D(F) A) Y = U` of the
 //!   whole graph, yielding the complex response from **every node** to the
-//!   output in one linear solve per bin. Feedback loops need no textual
-//!   breaking, and reconvergent paths of the same noise source interfere
-//!   with correct phase (the correlation information PSD-agnostic methods
-//!   lose). The responses are reduced to one real [`SourceKernel`] per
-//!   node, collected in the [`Preprocessed`] kernel set every evaluation
-//!   reads;
+//!   output in one linear solve per bin. A graph whose edges all run from
+//!   lower to higher node ids is swept in reverse id order in O(edges) per
+//!   bin; one with a backward edge (a feedback loop, or nodes listed out of
+//!   dependency order) is solved densely. Both give the same bits on a
+//!   forward graph. Feedback loops need no textual breaking, and
+//!   reconvergent paths of the same noise source interfere with correct
+//!   phase (the correlation information PSD-agnostic methods lose). Each
+//!   bin's responses are reduced as they are solved into one real
+//!   [`SourceKernel`] row per node, collected in the [`Preprocessed`]
+//!   kernel set every evaluation reads;
 //! * [`multirate`] — rational per-node sample rates for graphs containing
 //!   [`Block::Downsample`] / [`Block::Upsample`], and the analytical PSD
 //!   propagation (fold at decimators, image at expanders, Eq. 14 addition
