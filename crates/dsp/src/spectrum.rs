@@ -13,7 +13,10 @@ pub fn freq_grid(n: usize) -> Vec<f64> {
     (0..n).map(|k| k as f64 / n as f64).collect()
 }
 
-/// Samples the DTFT of a finite impulse response on `n` points.
+/// Samples the DTFT of a finite impulse response on `n` points, with the
+/// caller's `planner` (a pass sampling many responses shares one, so the
+/// `n`-point plan is built once; the plan, and so every bit of the result,
+/// is the same either way).
 ///
 /// Impulse responses longer than `n` are alias-folded (`h[i]` accumulates
 /// into tap `i mod n`), which *is* the exact sampling of the DTFT at those
@@ -22,13 +25,13 @@ pub fn freq_grid(n: usize) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics if `n == 0`.
-pub fn fir_frequency_response(h: &[f64], n: usize) -> Vec<Complex> {
+pub fn fir_frequency_response(h: &[f64], n: usize, planner: &mut FftPlanner) -> Vec<Complex> {
     assert!(n > 0, "frequency grid must be non-empty");
     let mut folded = vec![0.0; n];
     for (i, &v) in h.iter().enumerate() {
         folded[i % n] += v;
     }
-    FftPlanner::new().fft_real(&folded)
+    planner.fft_real(&folded)
 }
 
 /// Samples the rational transfer function `H(z) = B(z^-1) / A(z^-1)` on `n`
@@ -128,7 +131,7 @@ mod tests {
     #[test]
     fn fir_response_of_delay() {
         // h = [0, 1]: H(F) = e^(-2 pi i F), magnitude 1 everywhere.
-        let h = fir_frequency_response(&[0.0, 1.0], 8);
+        let h = fir_frequency_response(&[0.0, 1.0], 8, &mut FftPlanner::new());
         for (k, v) in h.iter().enumerate() {
             assert!((v.norm() - 1.0).abs() < 1e-12);
             let expect = Complex::cis(-std::f64::consts::TAU * k as f64 / 8.0);
@@ -138,7 +141,7 @@ mod tests {
 
     #[test]
     fn fir_response_of_moving_average_dc() {
-        let h = fir_frequency_response(&[0.25; 4], 16);
+        let h = fir_frequency_response(&[0.25; 4], 16, &mut FftPlanner::new());
         assert!((h[0] - Complex::ONE).norm() < 1e-12);
         // Null at F = 1/4 for a 4-tap boxcar.
         assert!(h[4].norm() < 1e-12);
@@ -148,7 +151,7 @@ mod tests {
     fn folding_matches_direct_dtft() {
         let h: Vec<f64> = (0..23).map(|i| 0.9f64.powi(i) * ((i as f64).sin() + 0.3)).collect();
         let n = 8;
-        let resp = fir_frequency_response(&h, n);
+        let resp = fir_frequency_response(&h, n, &mut FftPlanner::new());
         for k in 0..n {
             let f = k as f64 / n as f64;
             let direct: Complex = h
@@ -172,7 +175,7 @@ mod tests {
     fn iir_with_fir_numerator_matches_fir_path() {
         let b = [0.5, -0.25, 0.125];
         let via_iir = iir_frequency_response(&b, &[1.0], 16);
-        let via_fir = fir_frequency_response(&b, 16);
+        let via_fir = fir_frequency_response(&b, 16, &mut FftPlanner::new());
         for (x, y) in via_iir.iter().zip(&via_fir) {
             assert!((*x - *y).norm() < 1e-12);
         }

@@ -1,6 +1,6 @@
 //! Finite-impulse-response filters.
 
-use psdacc_fft::Complex;
+use psdacc_fft::{Complex, FftPlanner};
 
 use crate::response::LtiSystem;
 
@@ -100,7 +100,7 @@ impl LtiSystem for Fir {
     }
 
     fn frequency_response(&self, n: usize) -> Vec<Complex> {
-        psdacc_dsp::fir_frequency_response(&self.taps, n)
+        psdacc_dsp::fir_frequency_response(&self.taps, n, &mut FftPlanner::new())
     }
 
     fn dc_gain(&self) -> f64 {

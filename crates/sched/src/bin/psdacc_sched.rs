@@ -7,13 +7,15 @@
 //! ```
 //!
 //! Expands a batch spec locally and dispatches it across the daemons from
-//! one pull queue (each daemon takes the next unit while its in-flight
-//! window, sized by its advertised worker count, has room; a dead
-//! daemon's units retried once elsewhere). Merged result lines stream to
-//! stdout in submission order — bit-identical to a local `psdacc-engine
-//! run` on every stable field — and one `{"kind":"fleet"}` stats line
-//! (re-dispatch counter, per-daemon accounting) goes to stderr, or to
-//! `--stats-json PATH` for scripts.
+//! one pull queue (each daemon takes the next units while its in-flight
+//! window has room: two per advertised worker until a refill is measured,
+//! then as many as it finishes in 1 ms, up to its share of the queue and
+//! its advertised window; a dead daemon's units retried once elsewhere).
+//! Merged result lines stream to stdout in submission order —
+//! bit-identical to a local `psdacc-engine run` on every stable field —
+//! and one `{"kind":"fleet"}` stats line (re-dispatch counter, per-daemon
+//! accounting with the largest window granted and the refill writes) goes
+//! to stderr, or to `--stats-json PATH` for scripts.
 //!
 //! `--graph NAME=FILE` (repeatable) registers a declarative `GraphSpec`
 //! JSON file as a named scenario: locally (so the spec parses) and on
@@ -38,10 +40,13 @@ const USAGE: &str = "usage:
   psdacc-sched analyze --trace PATH [--json]
 
 Dispatches a batch spec across psdacc-serve daemons from one pull queue:
-each daemon takes the next unit while its in-flight window (advertised
-workers x 2) has room, dead daemons' units are retried once elsewhere,
-and results merge back in submission order
-(bit-identical to a single-process run). --graph NAME=FILE (repeatable)
+each daemon takes the next units while its in-flight window has room
+(advertised workers x 2 at first; once a refill is timed, the units it
+finishes in 1 ms, at most its workers' share of the units not yet sent
+and its advertised window), dead daemons' units are retried once
+elsewhere, and results merge back in submission order
+(bit-identical to a single-process run). The stats line reports each
+daemon's largest window and its refills (writes of unit lines). --graph NAME=FILE (repeatable)
 registers a GraphSpec JSON file as scenario NAME locally and on every
 daemon (define_scenario) before units stream; --trace-dir DIR resolves
 \"trace\":\"<hash>\" references in measured nodes to inline samples from

@@ -4,14 +4,20 @@
 //!
 //! One thread owns each daemon link, in the serve protocol's
 //! `evaluate_units` mode, and does all of its work. It runs the `hello`
-//! handshake and claims its first window of units off the front of the
-//! queue; no link sends a unit until every handshake has finished, so a
-//! half-dead fleet names every unreachable daemon at once. Then it sends
-//! its window in one write, reads a result and every further result
-//! already buffered, merges them, and refills the window in one write at
-//! once: no other thread stands between a result and the next dispatch.
-//! With nothing in flight it waits on the queue, which wakes it when a
-//! dead daemon's units return or the run ends. A premature EOF or an I/O
+//! handshake, which must name the daemon's protocol revision, worker count
+//! and window, and claims its first window of units (the floor: nothing is
+//! measured yet) off the front of the queue; no link sends a unit until
+//! every handshake has finished, so a half-dead fleet names every
+//! unreachable daemon at once. Then it sends its window in one write,
+//! reads a result and every further result already buffered, merges them,
+//! and refills the window in one write at once: no other thread stands
+//! between a result and the next dispatch. The queue times each refill
+//! from its hand-out, just before the write, to its last result, and sizes
+//! the daemon's next window by that time per unit (see
+//! [`queue`](crate::queue)): a fast daemon takes up to its advertised
+//! window per write, a straggler stays at the floor. With nothing in
+//! flight it waits on the queue, which wakes it when a dead daemon's
+//! units return or the run ends. A premature EOF or an I/O
 //! error declares its daemon dead, which puts the daemon's in-flight units
 //! back at the front of the queue for one retry on the survivors. When the
 //! run concludes the link half-closes and reads its daemon's stream to the
@@ -42,22 +48,11 @@ use psdacc_serve::protocol::{
 use psdacc_serve::{client, PROTOCOL_REVISION};
 
 use crate::error::SchedError;
-use crate::queue::{Dispatch, FleetQueue, Step, Unit};
+use crate::queue::{Capacity, Dispatch, FleetQueue, Step, Unit};
 
 /// One named graph definition to forward to daemons: `(name, canonical
 /// GraphSpec JSON)`.
 pub type ScenarioDefinition = (String, String);
-
-/// In-flight window per daemon = advertised workers x this factor. The
-/// window is a balance bound: it caps how many units one daemon holds
-/// while another could take them. It does not hide the refill's round
-/// trip, which for µs-scale units outlasts a window's work at any factor.
-const WINDOW_FACTOR: usize = 2;
-
-/// The in-flight window granted to a daemon advertising `workers`.
-fn window(workers: usize) -> usize {
-    workers.max(1) * WINDOW_FACTOR
-}
 
 /// Coordinator policy knobs.
 #[derive(Debug, Clone)]
@@ -99,8 +94,10 @@ pub struct DaemonReport {
     pub addr: String,
     /// Worker count the daemon advertised in its `hello`.
     pub workers: usize,
-    /// In-flight window the coordinator granted it.
+    /// The largest in-flight window the coordinator granted it.
     pub window: usize,
+    /// Writes of unit lines to this daemon: one per refill.
+    pub refills: usize,
     /// Units this daemon completed.
     pub served: usize,
     /// Whether the daemon died mid-batch.
@@ -195,6 +192,7 @@ impl FleetStats {
                 w.field_str("addr", &d.addr);
                 w.field_usize("workers", d.workers);
                 w.field_usize("window", d.window);
+                w.field_usize("refills", d.refills);
                 w.field_usize("served", d.served);
                 w.field_bool("dead", d.dead);
                 w.finish()
@@ -234,7 +232,9 @@ pub struct FleetOutcome {
 /// # Errors
 ///
 /// [`SchedError::Io`] listing **every** unreachable daemon during setup;
-/// [`SchedError::Protocol`] for malformed daemon traffic;
+/// [`SchedError::Protocol`] for malformed daemon traffic, or listing every
+/// failed daemon when one of them answered its handshake malformed or with
+/// an older protocol;
 /// [`SchedError::Fleet`] when the run cannot complete (a unit lost two
 /// daemons, or no live daemon remains).
 pub fn run_fleet(
@@ -280,14 +280,20 @@ pub fn run_fleet(
     });
     let Batch { hellos, queue, run, merge, roundtrip, .. } = batch;
     let Some(run) = run.into_inner().flatten() else {
-        let failures: Vec<String> =
+        let failures: Vec<SchedError> =
             hellos.into_iter().filter_map(|h| h.into_inner().and_then(Result::err)).collect();
-        return Err(SchedError::Io(format!(
+        let listed: Vec<String> = failures.iter().map(ToString::to_string).collect();
+        let message = format!(
             "{} of {} daemons failed setup: {}",
             failures.len(),
             daemons.len(),
-            failures.join("; ")
-        )));
+            listed.join("; ")
+        );
+        return Err(if failures.iter().any(|e| matches!(e, SchedError::Protocol(_))) {
+            SchedError::Protocol(message)
+        } else {
+            SchedError::Io(message)
+        });
     };
     let Merge { lines, failed, completed, mut events, .. } =
         merge.into_inner().expect("no link panics holding the merge");
@@ -301,7 +307,7 @@ pub fn run_fleet(
             jobs.len()
         )));
     }
-    let served = queue.served();
+    let tallies = queue.tallies();
     tracer.end_with(root, vec![("units".to_string(), jobs.len().to_string())]);
     // Merge: coordinator events first, then each live daemon's retained
     // trace stamped with its address. A fetch failure downgrades to a
@@ -332,15 +338,13 @@ pub fn run_fleet(
             .iter()
             .zip(hellos)
             .enumerate()
-            .map(|(d, (addr, hello))| {
-                let workers = hello.into_inner().and_then(Result::ok).unwrap_or(0);
-                DaemonReport {
-                    addr: addr.clone(),
-                    workers,
-                    window: window(workers),
-                    served: served[d],
-                    dead: queue.is_dead(d),
-                }
+            .map(|(d, (addr, hello))| DaemonReport {
+                addr: addr.clone(),
+                workers: hello.into_inner().and_then(Result::ok).map_or(0, |c| c.workers),
+                window: tallies[d].window,
+                refills: tallies[d].refills,
+                served: tallies[d].served,
+                dead: queue.is_dead(d),
             })
             .collect(),
         events,
@@ -366,9 +370,9 @@ pub fn run_fleet(
 struct Batch<'a, F> {
     daemons: &'a [String],
     config: &'a FleetConfig,
-    /// Each link's handshake outcome: the advertised worker count, or why
-    /// the daemon failed setup.
-    hellos: Vec<OnceLock<Result<usize, String>>>,
+    /// Each link's handshake outcome: the advertised capacity, or why the
+    /// daemon failed setup.
+    hellos: Vec<OnceLock<Result<Capacity, SchedError>>>,
     /// Every link waits here after its handshake.
     handshakes: Barrier,
     queue: FleetQueue,
@@ -405,21 +409,22 @@ struct Merge<F> {
 impl<F: FnMut(&str) + Send> Batch<'_, F> {
     /// Drives daemon `d`'s link from handshake to the end of its stream.
     fn link(&self, d: usize) {
-        let link = connect_daemon(&self.daemons[d], self.config);
-        let hello = link.as_ref().map(|&(_, workers)| workers).map_err(ToString::to_string);
-        self.hellos[d].set(hello).expect("one handshake per link");
+        let (stream, hello) = match connect_daemon(&self.daemons[d], self.config) {
+            Ok((stream, capacity)) => (Some(stream), Ok(capacity)),
+            Err(e) => (None, Err(e)),
+        };
         // Claim the first window before the barrier: a thread scheduled late
         // after it still finds units of its own.
-        let claimed = match &link {
-            Ok((_, workers)) => self.queue.claim(d, window(*workers)),
+        let claimed = match &hello {
+            Ok(capacity) => self.queue.claim(d, *capacity),
             Err(_) => Vec::new(),
         };
+        self.hellos[d].set(hello).expect("one handshake per link");
         self.handshakes.wait();
-        let (Some(run), Ok((stream, workers))) = (self.run.get_or_init(|| self.start()), link)
-        else {
+        let (Some(run), Some(stream)) = (self.run.get_or_init(|| self.start()), stream) else {
             return;
         };
-        if let Err(reason) = self.stream(d, &stream, window(workers), run, claimed) {
+        if let Err(reason) = self.stream(d, &stream, run, claimed) {
             // After the run concluded a failing link is no death.
             if !self.queue.is_finished() {
                 self.declare_dead(d, run, reason);
@@ -446,68 +451,73 @@ impl<F: FnMut(&str) + Send> Batch<'_, F> {
         Some(Run { tracer, root, open_line })
     }
 
-    /// The unit loop on one link: send the `claimed` units and then what
-    /// the window allows in one write, read and merge one result and every
-    /// further result already buffered, and repeat until the run stops.
+    /// The unit loop on one link: send the `claimed` units, read and merge
+    /// one result and every further result already buffered, send what the
+    /// window then allows in one write, and repeat until the run stops.
     /// `Err` says why the daemon is dead.
     fn stream(
         &self,
         d: usize,
         stream: &TcpStream,
-        window: usize,
         run: &Run,
         claimed: Vec<Dispatch>,
     ) -> Result<(), String> {
         let addr = &self.daemons[d];
-        let write_failed = |e: std::io::Error| format!("write to {addr} failed: {e}");
-        let mut writer = BufWriter::new(stream);
-        let mut reader = BufReader::new(stream);
-        writeln!(writer, "{}", run.open_line).map_err(write_failed)?;
-        for dispatch in &claimed {
-            writeln!(writer, "{}", dispatch.line).map_err(write_failed)?;
-        }
+        let mut writer = stream;
+        // Room for a whole refill's result lines, so the link reads them
+        // as one burst before it decides the next refill.
+        let mut reader = BufReader::with_capacity(1 << 16, stream);
+        let mut out = format!("{}\n", run.open_line);
         self.queue.start_clocks(d);
-        let mut sent = claimed;
+        let mut step = Step::Send(claimed);
         loop {
-            let step = self.queue.next(d, window);
-            if let Step::Send(dispatch) = step {
-                writeln!(writer, "{}", dispatch.line).map_err(write_failed)?;
-                sent.push(dispatch);
-                continue;
-            }
-            writer.flush().map_err(write_failed)?;
-            for dispatch in sent.drain(..) {
-                run.tracer.event(
-                    "fleet.dispatch",
-                    Severity::Info,
-                    root_id(run),
-                    Some(dispatch.id as u64),
-                    vec![
-                        ("daemon".to_string(), addr.clone()),
-                        ("queue_wait_ns".to_string(), dispatch.queue_wait.as_nanos().to_string()),
-                    ],
-                );
-            }
-            if matches!(step, Step::Stop) {
-                break;
-            }
-            // Refill once per burst of results, not once per line.
-            loop {
-                match read_capped_line(&mut reader) {
-                    Ok(Some(line)) => {
-                        if !self.accept(d, line, run) {
-                            // This daemon's traffic poisoned the run: drop
-                            // the link rather than wait on a misbehaving peer.
-                            return Ok(());
-                        }
+            match step {
+                Step::Send(units) => {
+                    for unit in &units {
+                        out.push_str(&unit.line);
+                        out.push('\n');
                     }
-                    Ok(None) => return Err(format!("{addr} closed mid-batch")),
-                    Err(e) => return Err(format!("read from {addr} failed: {e}")),
+                    writer
+                        .write_all(out.as_bytes())
+                        .map_err(|e| format!("write to {addr} failed: {e}"))?;
+                    out.clear();
+                    for unit in units {
+                        run.tracer.event(
+                            "fleet.dispatch",
+                            Severity::Info,
+                            root_id(run),
+                            Some(unit.id as u64),
+                            vec![
+                                ("daemon".to_string(), addr.clone()),
+                                (
+                                    "queue_wait_ns".to_string(),
+                                    unit.queue_wait.as_nanos().to_string(),
+                                ),
+                            ],
+                        );
+                    }
                 }
-                if !reader.buffer().contains(&b'\n') {
-                    break;
-                }
+                // Refill once per burst of results, not once per line.
+                Step::Read => loop {
+                    match read_capped_line(&mut reader) {
+                        Ok(Some(line)) => {
+                            if !self.accept(d, line, run) {
+                                // This daemon's traffic poisoned the run:
+                                // drop the link rather than wait on a
+                                // misbehaving peer.
+                                return Ok(());
+                            }
+                        }
+                        Ok(None) => return Err(format!("{addr} closed mid-batch")),
+                        Err(e) => return Err(format!("read from {addr} failed: {e}")),
+                    }
+                    if !reader.buffer().contains(&b'\n') {
+                        break;
+                    }
+                },
+                Step::Stop => break,
             }
+            step = self.queue.next(d);
         }
         // The run is over: half-close, then read to the daemon's end of
         // stream, so every unit it holds has finished when the batch
@@ -685,8 +695,10 @@ pub fn fetch_fleet_trace(
 }
 
 /// Connects to one daemon and runs the handshake: `hello` (returning the
-/// advertised worker count) and every forwarded definition.
-fn connect_daemon(addr: &str, config: &FleetConfig) -> Result<(TcpStream, usize), SchedError> {
+/// advertised capacity) and every forwarded definition. A reply without
+/// `protocol`, `workers` or `window`, or from an older protocol revision,
+/// is a [`SchedError::Protocol`] naming the daemon.
+fn connect_daemon(addr: &str, config: &FleetConfig) -> Result<(TcpStream, Capacity), SchedError> {
     let stream = client::connect_with_timeout(addr, config.connect_timeout)?;
     // Bound the handshake too: a listener that accepts but never answers
     // must not hang the whole fleet.
@@ -707,19 +719,23 @@ fn connect_daemon(addr: &str, config: &FleetConfig) -> Result<(TcpStream, usize)
             line.trim_end()
         )));
     }
-    let workers = reply
-        .get("workers")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| SchedError::Protocol(format!("{addr}: hello reply without workers")))?
-        as usize;
-    if let Some(protocol) = reply.get("protocol").and_then(Json::as_u64) {
-        if protocol < PROTOCOL_REVISION as u64 {
-            return Err(SchedError::Protocol(format!(
-                "{addr}: daemon speaks protocol {protocol}, coordinator needs \
-                 {PROTOCOL_REVISION} (evaluate_units, define_scenario)"
-            )));
-        }
+    let field = |name: &str| {
+        reply.get(name).and_then(Json::as_u64).map(|v| v as usize).ok_or_else(|| {
+            SchedError::Protocol(format!(
+                "{addr}: hello reply without {name} (a daemon older than protocol \
+                 {PROTOCOL_REVISION}?): {}",
+                line.trim_end()
+            ))
+        })
+    };
+    let protocol = field("protocol")?;
+    if protocol < PROTOCOL_REVISION {
+        return Err(SchedError::Protocol(format!(
+            "{addr}: daemon speaks protocol {protocol}, coordinator needs \
+             {PROTOCOL_REVISION} (hello window, evaluate_units, define_scenario)"
+        )));
     }
+    let capacity = Capacity { workers: field("workers")?, window: field("window")? };
     // Forward every named graph definition before any unit may reference
     // it — still under the handshake read deadline, so a daemon that
     // swallows definitions without answering is a fast, named error.
@@ -741,5 +757,5 @@ fn connect_daemon(addr: &str, config: &FleetConfig) -> Result<(TcpStream, usize)
     }
     // Unit execution may legitimately take long (cold preprocessing).
     stream.set_read_timeout(None)?;
-    Ok((stream, workers))
+    Ok((stream, capacity))
 }

@@ -14,9 +14,14 @@
 //!   engine's one shared expansion path, so unit ids *are* submission
 //!   order;
 //! * the coordinator holds a live `evaluate_units` connection per daemon
-//!   and keeps each daemon's **bounded in-flight window** (advertised
-//!   worker count x 2) full from the front of one FIFO — every completion
-//!   pulls the next unit, so a straggler simply pulls less often;
+//!   and refills each daemon's **bounded in-flight window** from the front
+//!   of one FIFO — every burst of results pulls the next units, so a
+//!   straggler simply pulls less often. The window is sized by the
+//!   daemon's measured time per unit: as many units as it finishes within
+//!   a 1 ms hold bound, never below two per advertised worker, never above
+//!   its workers' share of the units not yet sent nor the window its
+//!   `hello` advertised — one write carries a fast daemon's work for a
+//!   millisecond, and a straggler holds no more than the floor;
 //! * **one thread per link** does all of a daemon's work — handshake,
 //!   dispatch, reading and merging results — so the thread that reads a
 //!   result writes the next unit. The caller's thread drives the first

@@ -249,6 +249,9 @@ fn skewed_fleet_merges_bit_identically_with_steals() {
     // Capacity advertisement flowed through hello into the windows.
     assert_eq!(stats.daemons[0].workers, 1, "{stats:?}");
     assert_eq!(stats.daemons[1].workers, 2, "{stats:?}");
+    // A 30 ms unit is far above the hold bound: the straggler's window
+    // never grows past its floor of two units per worker.
+    assert_eq!(stats.daemons[0].window, 2, "{stats:?}");
 
     // Satellite: the daemons' stats replies carry per-verb latency
     // histograms populated by the unit-mode executions.
@@ -649,6 +652,65 @@ fn single_daemon_fleet_is_complete_and_identical() {
     }
     assert_eq!(outcome.stats.daemons[0].served, expected.len());
     daemon.shutdown();
+}
+
+/// One fast daemon serving a warm 41-unit batch is measured after its
+/// first refill and granted more than the floor of 2 units per write, so
+/// the batch takes fewer than the 21 refills a fixed window of 2 needs.
+#[test]
+fn one_fast_daemon_takes_a_cached_batch_in_fewer_refills_than_the_floor_needs() {
+    let spec = BatchSpec::parse(
+        "scenario fir-cascade stages=1 taps=9 cutoff=0.3\n\
+         batch npsd=64 bits=4..23 methods=psd,flat\n\
+         budget npsd=64 bits=8\n",
+    )
+    .unwrap();
+    let jobs = spec.jobs();
+    assert_eq!(jobs.len(), 41);
+    let expected = expected_lines(&spec);
+    let daemon = spawn_daemon(1, ServerConfig::default());
+    let daemons = [daemon.addr().to_string()];
+    // The first batch fills the daemon's cache; the second is all hits.
+    run_fleet(&daemons, &jobs, &FleetConfig::default(), |_| {}).unwrap();
+    let outcome = run_fleet(&daemons, &jobs, &FleetConfig::default(), |_| {}).unwrap();
+    assert_bit_identical(&outcome.lines, &expected);
+    let report = &outcome.stats.daemons[0];
+    assert_eq!((report.served, outcome.stats.failed), (41, 0), "{:?}", outcome.stats);
+    assert!(report.refills < 21, "{report:?}");
+    assert!(2 < report.window && report.window <= 16, "{report:?}");
+    let line = outcome.stats.to_json_line();
+    assert!(line.contains(&format!("\"refills\":{}", report.refills)), "{line}");
+    daemon.shutdown();
+}
+
+/// A `hello` reply that lacks `protocol` or `window` comes from a daemon
+/// older than the coordinator's protocol: setup fails with a protocol
+/// error naming the daemon, before any unit is sent.
+#[test]
+fn a_hello_without_protocol_or_window_is_a_named_protocol_error() {
+    use std::io::{BufRead, BufReader, Write};
+    for reply in [
+        r#"{"kind":"hello","workers":1}"#,
+        r#"{"kind":"hello","protocol":8,"workers":1}"#,
+        r#"{"kind":"hello","protocol":7,"workers":1,"window":16}"#,
+    ] {
+        let stub = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = stub.local_addr().unwrap().to_string();
+        let answer = std::thread::spawn(move || {
+            let (stream, _) = stub.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).unwrap();
+            writeln!(&stream, "{reply}").unwrap();
+            request
+        });
+        let jobs = BatchSpec::parse(SPEC).unwrap().jobs();
+        let err = run_fleet(std::slice::from_ref(&addr), &jobs, &FleetConfig::default(), |_| {})
+            .unwrap_err();
+        assert!(matches!(err, psdacc_sched::SchedError::Protocol(_)), "{reply}: {err}");
+        let msg = err.to_string();
+        assert!(msg.contains(&addr) && msg.contains("protocol"), "{reply}: {msg}");
+        assert!(answer.join().unwrap().contains("hello"));
+    }
 }
 
 /// The 20-unit batch of the `fleet_batch_*` bench probes: a bits sweep,

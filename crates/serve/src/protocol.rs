@@ -46,7 +46,9 @@
 //! After the client half-closes, the stream ends with one
 //! `{"kind":"summary","mode":"units",...}` line. The `psdacc-sched`
 //! coordinator drives this stream to keep a bounded in-flight window per
-//! daemon and refill it on every completion.
+//! daemon and refill it on every burst of completions. `hello` answers
+//! `{"kind":"hello","protocol":8,"workers":W,"window":16W}`: the window is
+//! the most units a coordinator keeps in flight on one connection.
 //!
 //! `evaluate_units` is an optional opener: sent before any job request, it
 //! opens the unit stream early and may carry a trace context. After a job

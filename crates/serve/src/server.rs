@@ -29,8 +29,16 @@ use crate::protocol::{parse_request, read_capped_line, Request, TraceContext};
 /// the batch mode that ran a connection's jobs only after half-close is
 /// gone), revision 7 dropped the `jobs_served` field from the `stats`
 /// reply (and the `serve_jobs_total` metric): with every connection a
-/// unit stream it always equalled `units_served`.
-pub const PROTOCOL_REVISION: usize = 7;
+/// unit stream it always equalled `units_served`, revision 8 added the
+/// `window` field to the `hello` reply, which a coordinator now requires.
+pub const PROTOCOL_REVISION: usize = 8;
+
+/// Units per worker a connection may keep in flight, as `hello` advertises
+/// it (its `window`). A coordinator sizes each daemon's window by the
+/// daemon's measured time per unit up to this bound; a connection that
+/// holds one unit per worker beyond it stops being read until a unit
+/// finishes.
+pub const WINDOW_PER_WORKER: usize = 16;
 
 /// Default retention bound for per-batch daemon-side traces (older
 /// batches evict FIFO); override with [`ServerConfig::trace_limit`].
@@ -192,13 +200,21 @@ impl ServerState {
     }
 
     /// Renders the `hello` response line: capacity advertisement for
-    /// schedulers (worker count sizes the in-flight window).
+    /// schedulers (the worker count sets a coordinator's window floor, and
+    /// `window` the most units one connection may keep in flight).
     pub fn hello_line(&self) -> String {
         let mut w = JsonWriter::new();
         w.field_str("kind", "hello");
         w.field_usize("protocol", PROTOCOL_REVISION);
         w.field_usize("workers", self.engine.threads());
+        w.field_usize("window", self.window());
         w.finish()
+    }
+
+    /// The in-flight window `hello` advertises: [`WINDOW_PER_WORKER`] units
+    /// per worker.
+    pub fn window(&self) -> usize {
+        WINDOW_PER_WORKER * self.engine.threads()
     }
 
     /// Renders the `stats` response line: protocol revision and the count
@@ -605,9 +621,10 @@ struct Unit {
 /// The unit stream opens with the first job line, or earlier with an
 /// optional `evaluate_units` opener that may carry a trace context; an
 /// opener after the stream has opened is an error line. Backpressure is
-/// per connection: at most three units per worker are in flight, and a
-/// peer that outruns the daemon blocks in the kernel's TCP window instead
-/// of growing an unbounded queue. A unit stays in flight until its result
+/// per connection: at most the advertised window plus one unit per worker
+/// are in flight (([`WINDOW_PER_WORKER`] + 1) × workers), and a peer that
+/// outruns the daemon blocks in the kernel's TCP window instead of growing
+/// an unbounded queue. A unit stays in flight until its result
 /// line is written. A line not written within [`WRITE_DEADLINE`] of being
 /// let go kills the connection, so a peer that reads slowly or not at all
 /// holds at most one thread, and only until one of its lines is that late.
@@ -626,8 +643,10 @@ struct Unit {
 /// the tracer only ever *observes* timings around the identical execution
 /// path.
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), ServeError> {
-    let max_in_flight = 3 * state.engine.threads();
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let max_in_flight = state.window() + state.engine.threads();
+    // Room for a coordinator's whole refill (up to the advertised window of
+    // lines) in one read, so it runs as one burst.
+    let mut reader = BufReader::with_capacity(1 << 16, stream.try_clone()?);
     let conn = Arc::new(Conn {
         stream,
         writing: Mutex::new(()),
@@ -701,8 +720,8 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> Result<(), 
                         Vec::new(),
                     );
                 }
-                // Block only at the bound, which the coordinator's window
-                // (two units per worker) never reaches.
+                // Block only at the bound, which a coordinator never
+                // reaches: it keeps at most the advertised window in flight.
                 in_flight -= done_rx.try_iter().count();
                 if in_flight == max_in_flight {
                     run_burst(&mut burst, tracer);
@@ -991,6 +1010,7 @@ mod tests {
         let v = json::parse(&state.hello_line()).unwrap();
         assert_eq!(v.get("kind").unwrap().as_str(), Some("hello"));
         assert_eq!(v.get("workers").unwrap().as_u64(), Some(5));
+        assert_eq!(v.get("window").unwrap().as_u64(), Some(5 * WINDOW_PER_WORKER as u64));
         assert_eq!(v.get("protocol").unwrap().as_u64(), Some(PROTOCOL_REVISION as u64));
     }
 

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use psdacc_fft::Complex;
+use psdacc_fft::{Complex, FftPlanner};
 use psdacc_filters::{Fir, Iir, LtiSystem};
 
 /// An estimated PSD attached to a [`Block::Measured`] source node: the
@@ -156,8 +156,9 @@ impl Block {
     }
 
     /// The block's transfer function sampled on the `n`-point grid
-    /// `F_k = k/n`.
-    pub fn frequency_response(&self, n: usize) -> Vec<Complex> {
+    /// `F_k = k/n`. An FIR block transforms its taps with `planner`, which
+    /// a pass over many blocks shares.
+    pub fn frequency_response(&self, n: usize, planner: &mut FftPlanner) -> Vec<Complex> {
         match self {
             Block::Input
             | Block::Add
@@ -170,7 +171,7 @@ impl Block {
             Block::Delay(k) => (0..n)
                 .map(|i| Complex::cis(-std::f64::consts::TAU * (i * k) as f64 / n as f64))
                 .collect(),
-            Block::Fir(fir) => fir.frequency_response(n),
+            Block::Fir(fir) => psdacc_dsp::fir_frequency_response(fir.taps(), n, planner),
             Block::Iir(iir) => iir.frequency_response(n),
         }
     }
@@ -254,7 +255,7 @@ mod tests {
 
     #[test]
     fn gain_response_flat() {
-        let h = Block::Gain(-2.5).frequency_response(8);
+        let h = Block::Gain(-2.5).frequency_response(8, &mut FftPlanner::new());
         for v in h {
             assert_eq!(v, Complex::from_re(-2.5));
         }
@@ -264,7 +265,7 @@ mod tests {
 
     #[test]
     fn delay_response_unit_magnitude() {
-        let h = Block::Delay(3).frequency_response(16);
+        let h = Block::Delay(3).frequency_response(16, &mut FftPlanner::new());
         for (k, v) in h.iter().enumerate() {
             assert!((v.norm() - 1.0).abs() < 1e-12);
             let expect = Complex::cis(-std::f64::consts::TAU * 3.0 * k as f64 / 16.0);
@@ -279,7 +280,7 @@ mod tests {
     fn fir_block_matches_filter_response() {
         let fir = Fir::new(vec![0.5, 0.5]);
         let direct = fir.frequency_response(8);
-        let via_block = Block::Fir(fir).frequency_response(8);
+        let via_block = Block::Fir(fir).frequency_response(8, &mut FftPlanner::new());
         for (a, b) in direct.iter().zip(&via_block) {
             assert!((*a - *b).norm() < 1e-12);
         }
@@ -331,7 +332,7 @@ mod tests {
             assert_eq!(b.energy(), 1.0);
             assert_eq!(b.dc_gain(), 1.0);
             assert_eq!(b.impulse_response(8, 0.0), vec![1.0]);
-            for v in b.frequency_response(8) {
+            for v in b.frequency_response(8, &mut FftPlanner::new()) {
                 assert_eq!(v, Complex::ONE);
             }
         }
@@ -348,7 +349,7 @@ mod tests {
         assert_eq!(b.impulse_response(8, 0.0), vec![1.0]);
         assert!(!b.changes_rate());
         assert!(!b.breaks_delay_free_path());
-        for v in b.frequency_response(8) {
+        for v in b.frequency_response(8, &mut FftPlanner::new()) {
             assert_eq!(v, Complex::ONE);
         }
         assert!((src.power() - 2.0).abs() < 1e-15);
@@ -370,7 +371,7 @@ mod tests {
             Block::Iir(Iir::new(vec![0.2], vec![1.0, -0.8]).unwrap()),
         ];
         for b in &blocks {
-            let grid = b.frequency_response(16);
+            let grid = b.frequency_response(16, &mut FftPlanner::new());
             for k in 0..16 {
                 let f = k as f64 / 16.0;
                 assert!((b.transfer_at(f) - grid[k]).norm() < 1e-9, "{} bin {k}", b.kind());

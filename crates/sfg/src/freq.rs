@@ -36,7 +36,7 @@
 //! kernel set ([`crate::multirate`]), so one scale-and-add per source
 //! evaluates every graph.
 
-use psdacc_fft::Complex;
+use psdacc_fft::{Complex, FftPlanner};
 
 use crate::block::Block;
 use crate::error::SfgError;
@@ -334,6 +334,8 @@ impl<'a> BinSolver<'a> {
         }
         crate::topo::check_realizable(sfg)?;
         let _frame = psdacc_obs::profile::frame("block_response");
+        // One planner for the pass: every FIR node shares the npsd-point plan.
+        let mut planner = FftPlanner::new();
         let factors = sfg
             .nodes()
             .iter()
@@ -346,8 +348,10 @@ impl<'a> BinSolver<'a> {
                     | Block::Gain(_)
                     | Block::Measured(_)
                     | Block::Downsample(_)
-                    | Block::Upsample(_) => Factor::Constant(node.block.frequency_response(1)[0]),
-                    _ => Factor::Sampled(node.block.frequency_response(npsd)),
+                    | Block::Upsample(_) => {
+                        Factor::Constant(node.block.frequency_response(1, &mut planner)[0])
+                    }
+                    _ => Factor::Sampled(node.block.frequency_response(npsd, &mut planner)),
                 }
             })
             .collect();

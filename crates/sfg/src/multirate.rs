@@ -40,6 +40,8 @@
 //! scalar DC path. Evaluating concrete noise moments is then one
 //! `O(Ne * N_PSD)` scale-and-add for every graph.
 
+use psdacc_fft::FftPlanner;
+
 use crate::block::Block;
 use crate::error::SfgError;
 use crate::freq::{Preprocessed, SourceKernel};
@@ -252,6 +254,8 @@ pub fn multirate_responses(
     // region's grid.
     let mag2: Vec<Option<Vec<f64>>> = {
         let _frame = psdacc_obs::profile::frame("block_response");
+        // One planner for the pass: FIR nodes of one region share its plan.
+        let mut planner = FftPlanner::new();
         sfg.iter()
             .map(|(id, node)| match node.block {
                 Block::Fir(_) | Block::Gain(_) => {
@@ -260,7 +264,7 @@ pub fn multirate_responses(
                     let _node = psdacc_obs::profile::frame_with(|| format!("node[{}]", id.0));
                     Some(
                         node.block
-                            .frequency_response(grids[id.0])
+                            .frequency_response(grids[id.0], &mut planner)
                             .iter()
                             .map(|v| v.norm_sqr())
                             .collect(),

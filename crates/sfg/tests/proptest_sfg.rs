@@ -1,7 +1,7 @@
 //! Property-based tests of the signal-flow-graph substrate.
 
 use proptest::prelude::*;
-use psdacc_fft::Complex;
+use psdacc_fft::{Complex, FftPlanner};
 use psdacc_filters::Fir;
 use psdacc_sfg::{
     check_realizable, execution_order, is_acyclic, multirate_responses, node_responses, Block,
@@ -95,7 +95,7 @@ proptest! {
             // already accounts for multi-edges (e.g. Add with both inputs
             // wired to the same node).
             for &c in &succ[id.0] {
-                let t = g.node(c).block.frequency_response(npsd);
+                let t = g.node(c).block.frequency_response(npsd, &mut FftPlanner::new());
                 let gc = resp.of(c);
                 for k in 0..npsd {
                     expect[k] += t[k] * gc[k];

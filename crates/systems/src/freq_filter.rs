@@ -10,7 +10,7 @@
 //! classification), so they describe the same machine.
 
 use psdacc_dsp::Window;
-use psdacc_fft::Complex;
+use psdacc_fft::{Complex, FftPlanner};
 use psdacc_filters::{design_fir, BandSpec, Fir, LtiSystem};
 use psdacc_fixed::{NoiseMoments, Quantizer, RoundingMode};
 
@@ -138,14 +138,17 @@ impl FreqFilterSystem {
         // grid.
         let cascade = psdacc_dsp::convolve(self.prefilter.taps(), self.hlp.taps());
         let hlp_bin_mag: Vec<f64> = self.hlp_spectrum.iter().map(|h| h.norm_sqr()).collect();
-        FreqFilterModel {
-            cascade_mag: psdacc_dsp::magnitude_squared(&psdacc_dsp::fir_frequency_response(
-                &cascade, npsd,
-            )),
-            hlp_mag: psdacc_dsp::magnitude_squared(&psdacc_dsp::fir_frequency_response(
-                self.hlp.taps(),
+        let mut planner = FftPlanner::new();
+        let mut mag = |taps: &[f64]| {
+            psdacc_dsp::magnitude_squared(&psdacc_dsp::fir_frequency_response(
+                taps,
                 npsd,
-            )),
+                &mut planner,
+            ))
+        };
+        FreqFilterModel {
+            cascade_mag: mag(&cascade),
+            hlp_mag: mag(self.hlp.taps()),
             hlp_stair: (0..npsd).map(|j| hlp_bin_mag[j * NFFT / npsd]).collect(),
             hlp_bin_mag,
             pre_dc: self.prefilter.dc_gain(),
