@@ -41,8 +41,8 @@ use std::collections::BTreeMap;
 use psdacc_fixed::RoundingMode;
 
 use crate::error::EngineError;
-use crate::job::EstimateMethod;
-use crate::provider::{self, ScenarioRegistry};
+use crate::job::{self, Bound, EstimateMethod};
+use crate::provider::{self, key_values, ScenarioRegistry};
 use crate::scenario::Scenario;
 use crate::units::{DirectiveKind, JobDirective};
 
@@ -62,8 +62,8 @@ pub struct BatchSpec {
 }
 
 impl BatchSpec {
-    /// Parses a spec document against the default scenario providers (the
-    /// builtin families plus inline `graph={...}` lines). Specs that
+    /// Parses a spec document against a fresh [`ScenarioRegistry`] (the
+    /// family table plus inline `graph={...}` lines). Specs that
     /// reference *named* runtime-defined scenarios need
     /// [`BatchSpec::parse_with`] and a populated registry.
     ///
@@ -125,6 +125,7 @@ impl BatchSpec {
             None => (line, ""),
         };
         let rest: Vec<&str> = remainder.split_whitespace().collect();
+        let kv = |tokens: &[&str]| key_values(tokens.iter().copied()).map_err(EngineError::Spec);
         match verb {
             "scenario" => {
                 // Inline graph declarations take the raw remainder of the
@@ -136,7 +137,7 @@ impl BatchSpec {
                 let name = rest
                     .first()
                     .ok_or_else(|| EngineError::Spec("scenario line needs a name".to_string()))?;
-                let params = key_values(&rest[1..])?;
+                let params = kv(&rest[1..])?;
                 // Sweeps (`index=0..146`, `cutoff=0.1,0.2`) expand into one
                 // scenario per point of the parameter cross product.
                 for point in expand_param_sweeps(&params)? {
@@ -144,26 +145,11 @@ impl BatchSpec {
                 }
                 Ok(())
             }
-            "batch" => {
-                let params = key_values(&rest)?;
-                self.expand_batch(&params)
-            }
-            "refine" => {
-                let params = key_values(&rest)?;
-                self.expand_refine(&params)
-            }
-            "min-uniform" => {
-                let params = key_values(&rest)?;
-                self.expand_min_uniform(&params)
-            }
-            "budget" => {
-                let params = key_values(&rest)?;
-                self.expand_budget(&params)
-            }
-            "simulate" => {
-                let params = key_values(&rest)?;
-                self.expand_simulate(&params)
-            }
+            "batch" => self.expand_batch(&kv(&rest)?),
+            "refine" => self.expand_refine(&kv(&rest)?),
+            "min-uniform" => self.expand_min_uniform(&kv(&rest)?),
+            "budget" => self.expand_budget(&kv(&rest)?),
+            "simulate" => self.expand_simulate(&kv(&rest)?),
             "threads" => {
                 let n = rest
                     .first()
@@ -198,7 +184,7 @@ impl BatchSpec {
     ) -> Result<(), EngineError> {
         self.directives.push(JobDirective {
             scenario_end: self.scenarios.len(),
-            npsd: parse_npsd(params)?,
+            npsd: parse_bounded(params, &job::NPSD)?,
             rounding: parse_rounding(params)?,
             kind,
         });
@@ -218,8 +204,8 @@ impl BatchSpec {
         known_keys(params, &["npsd", "budget", "start", "min", "rounding"])?;
         let kind = DirectiveKind::Refine {
             budget: parse_f64(params, "budget")?,
-            start_bits: parse_i32(params, "start", 16)?,
-            min_bits: parse_i32(params, "min", 2)?,
+            start_bits: parse_i32(params, "start", job::DEFAULT_START_BITS)?,
+            min_bits: parse_i32(params, "min", job::DEFAULT_MIN_BITS)?,
         };
         self.push_directive(params, kind)
     }
@@ -236,15 +222,15 @@ impl BatchSpec {
         known_keys(params, &["npsd", "bits", "samples", "nfft", "seed", "trials", "rounding"])?;
         let kind = DirectiveKind::Simulate {
             bits: parse_bits_list(params.get("bits").map(String::as_str).unwrap_or("12"))?,
-            samples: parse_usize_bounded(params, "samples", 20_000, 256..=100_000_000)?,
-            nfft: parse_usize_bounded(params, "nfft", 256, 2..=1 << 20)?,
+            samples: parse_bounded(params, &job::SAMPLES)?,
+            nfft: parse_bounded(params, &job::NFFT)?,
             seed: match params.get("seed") {
-                None => 0xC0FFEE,
+                None => job::DEFAULT_SEED,
                 Some(v) => v.parse::<u64>().map_err(|_| {
                     EngineError::Spec(format!("`seed` must be a non-negative integer, got `{v}`"))
                 })?,
             },
-            trials: parse_usize_bounded(params, "trials", 1, 1..=1024)?,
+            trials: parse_bounded(params, &job::TRIALS)?,
         };
         self.push_directive(params, kind)
     }
@@ -252,8 +238,8 @@ impl BatchSpec {
     fn expand_min_uniform(&mut self, params: &BTreeMap<String, String>) -> Result<(), EngineError> {
         self.require_scenarios()?;
         known_keys(params, &["npsd", "budget", "min", "max", "rounding"])?;
-        let min_bits = parse_i32(params, "min", 2)?;
-        let max_bits = parse_i32(params, "max", 32)?;
+        let min_bits = parse_i32(params, "min", job::DEFAULT_MIN_BITS)?;
+        let max_bits = parse_i32(params, "max", job::DEFAULT_MAX_BITS)?;
         if min_bits > max_bits {
             return Err(EngineError::Spec("min-uniform: min > max".to_string()));
         }
@@ -261,19 +247,6 @@ impl BatchSpec {
             DirectiveKind::MinUniform { budget: parse_f64(params, "budget")?, min_bits, max_bits };
         self.push_directive(params, kind)
     }
-}
-
-fn key_values(tokens: &[&str]) -> Result<BTreeMap<String, String>, EngineError> {
-    let mut map = BTreeMap::new();
-    for token in tokens {
-        let (k, v) = token
-            .split_once('=')
-            .ok_or_else(|| EngineError::Spec(format!("expected key=value, got `{token}`")))?;
-        if map.insert(k.to_string(), v.to_string()).is_some() {
-            return Err(EngineError::Spec(format!("duplicate key `{k}`")));
-        }
-    }
-    Ok(map)
 }
 
 fn known_keys(params: &BTreeMap<String, String>, allowed: &[&str]) -> Result<(), EngineError> {
@@ -286,17 +259,6 @@ fn known_keys(params: &BTreeMap<String, String>, allowed: &[&str]) -> Result<(),
         }
     }
     Ok(())
-}
-
-fn parse_npsd(params: &BTreeMap<String, String>) -> Result<usize, EngineError> {
-    match params.get("npsd") {
-        None => Ok(256),
-        Some(v) => {
-            v.parse::<usize>().ok().filter(|&n| n >= 2).ok_or_else(|| {
-                EngineError::Spec(format!("npsd must be an integer >= 2, got `{v}`"))
-            })
-        }
-    }
 }
 
 fn parse_rounding(params: &BTreeMap<String, String>) -> Result<RoundingMode, EngineError> {
@@ -332,14 +294,10 @@ fn parse_i32(
     }
 }
 
-fn parse_usize_bounded(
-    params: &BTreeMap<String, String>,
-    key: &str,
-    default: usize,
-    range: std::ops::RangeInclusive<usize>,
-) -> Result<usize, EngineError> {
-    match params.get(key) {
-        None => Ok(default),
+fn parse_bounded(params: &BTreeMap<String, String>, bound: &Bound) -> Result<usize, EngineError> {
+    let Bound { key, default, range } = bound;
+    match params.get(*key) {
+        None => Ok(*default),
         Some(v) => v.parse::<usize>().ok().filter(|n| range.contains(n)).ok_or_else(|| {
             EngineError::Spec(format!(
                 "`{key}` must be an integer in {}..={}, got `{v}`",
@@ -407,14 +365,8 @@ fn expand_param_sweeps(
     Ok(points)
 }
 
-/// Word-lengths a spec may ask for. Negative values are legal (coarser-
-/// than-integer grids are meaningful in the PQN model and exercised by the
-/// quantizer tests); the bound exists to turn obvious typos into parse
-/// errors instead of inf/zero-noise "successes".
-const BITS_RANGE: std::ops::RangeInclusive<i32> = -16..=64;
-
 /// `12`, `8..14` (inclusive), or `8,10,12` — [`expand_values`] sweep syntax
-/// narrowed to the supported bits range.
+/// narrowed to the supported [`job::BITS`] range.
 fn parse_bits_list(text: &str) -> Result<Vec<i32>, EngineError> {
     expand_values(text)?
         .iter()
@@ -422,13 +374,13 @@ fn parse_bits_list(text: &str) -> Result<Vec<i32>, EngineError> {
             let d = tok
                 .parse::<i32>()
                 .map_err(|_| EngineError::Spec(format!("bad bits value `{tok}`")))?;
-            if BITS_RANGE.contains(&d) {
+            if job::BITS.contains(&d) {
                 Ok(d)
             } else {
                 Err(EngineError::Spec(format!(
                     "bits value {d} outside the supported {}..={} range",
-                    BITS_RANGE.start(),
-                    BITS_RANGE.end()
+                    job::BITS.start(),
+                    job::BITS.end()
                 )))
             }
         })
@@ -465,7 +417,7 @@ pub fn demo_spec(min_jobs: usize) -> BatchSpec {
     // capped at the supported bits ceiling (a demo cannot exceed 7 x 3 x 58
     // = 1218 jobs; larger requests get the maximal sweep, not a panic).
     let sweeps = min_jobs.div_ceil(7 * 3).max(2);
-    let hi = (7 + sweeps as i32 - 1).min(*BITS_RANGE.end());
+    let hi = (7 + sweeps as i32 - 1).min(*job::BITS.end());
     text.push_str(&format!("batch npsd=256 bits=7..{hi} methods=psd,agnostic,flat\n"));
     BatchSpec::parse(&text).expect("demo spec is valid")
 }
@@ -516,6 +468,15 @@ mod tests {
         let err =
             BatchSpec::parse("scenario freq-filter\nbatch bits=-2000\n").unwrap_err().to_string();
         assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn grids_past_the_job_bound_are_spec_errors() {
+        let err =
+            BatchSpec::parse("scenario freq-filter\nbatch npsd=2097152\n").unwrap_err().to_string();
+        assert!(err.contains("line 2") && err.contains("`npsd` must be"), "{err}");
+        assert!(BatchSpec::parse("scenario freq-filter\nbatch npsd=1048576\n").is_ok());
+        assert!(BatchSpec::parse("scenario freq-filter\nbatch npsd=1\n").is_err());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! whole refinement loop riding on the shared preprocessing cache. Results
 //! are flat records that serialize to JSON lines (the CLI's stream format).
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -18,6 +19,42 @@ use crate::cache::PreprocessCache;
 use crate::error::EngineError;
 use crate::json::JsonWriter;
 use crate::scenario::Scenario;
+
+/// A bounded integer job parameter: its name, default and accepted range.
+/// The batch-spec parser and the wire parser read the same bounds, so both
+/// job grammars accept the same jobs.
+#[derive(Debug, Clone)]
+pub struct Bound {
+    /// Key in batch specs and wire requests.
+    pub key: &'static str,
+    /// Value when the key is absent.
+    pub default: usize,
+    /// Accepted values.
+    pub range: RangeInclusive<usize>,
+}
+
+/// PSD grid size (bins). Larger grids are resource exhaustion, not jobs.
+pub const NPSD: Bound = Bound { key: "npsd", default: 256, range: 2..=1 << 20 };
+/// Input samples per Monte-Carlo trial.
+pub const SAMPLES: Bound = Bound { key: "samples", default: 20_000, range: 256..=100_000_000 };
+/// Welch resolution of a simulation's measured error spectrum.
+pub const NFFT: Bound = Bound { key: "nfft", default: 256, range: 2..=1 << 20 };
+/// Monte-Carlo trials averaged per simulate job.
+pub const TRIALS: Bound = Bound { key: "trials", default: 1, range: 1..=1024 };
+
+/// Word lengths (fractional bits) a job may ask for. Negative values are
+/// legal (coarser-than-integer grids are meaningful in the PQN model and
+/// exercised by the quantizer tests); the bound exists to turn obvious
+/// typos into parse errors instead of inf/zero-noise "successes".
+pub const BITS: RangeInclusive<i32> = -16..=64;
+/// Base seed of a simulate job that names none.
+pub const DEFAULT_SEED: u64 = 0xC0FFEE;
+/// Uniform word length a greedy refinement starts from.
+pub const DEFAULT_START_BITS: i32 = 16;
+/// Word-length floor of greedy and min-uniform searches.
+pub const DEFAULT_MIN_BITS: i32 = 2;
+/// Word-length ceiling of a min-uniform search.
+pub const DEFAULT_MAX_BITS: i32 = 32;
 
 /// The analytical methods an estimate job runs. Simulation is a job kind
 /// of its own ([`JobKind::Simulate`]), so it has no variant here.

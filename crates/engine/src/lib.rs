@@ -12,7 +12,8 @@
 //!   — named, parameterized generators for every builtin system family
 //!   (Table I filter banks, FIR/IIR cascades, the Fig. 2 frequency filter,
 //!   CDF 9/7 wavelet pipelines, decimated codecs, seeded random SFGs)
-//!   behind a [`ScenarioProvider`] registry, plus **runtime-defined**
+//!   and the measured-signal families, declared in one family table and
+//!   parsed by a [`ScenarioRegistry`], plus **runtime-defined**
 //!   scenarios: any [`psdacc_sfg::GraphSpec`] is a scenario, inline in
 //!   spec files (`scenario graph={...}`) or registered by name
 //!   ([`ScenarioRegistry::define_graph`] — the serve `define_scenario`
@@ -85,9 +86,7 @@ pub use error::EngineError;
 pub use graphspec::{canonical_json, graph_spec_from_str, resolve_trace_refs, GraphScenario};
 pub use job::{run_job, run_job_traced, EstimateMethod, JobKind, JobResult, JobSpec, UnitTrace};
 pub use pool::Slot;
-pub use provider::{
-    BuiltinProvider, FamilyInfo, GraphProvider, ParamSpec, ScenarioProvider, ScenarioRegistry,
-};
+pub use provider::{FamilyInfo, ParamSpec, ScenarioRegistry};
 pub use scenario::Scenario;
 pub use units::{Units, WorkUnit};
 

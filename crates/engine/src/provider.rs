@@ -1,25 +1,24 @@
-//! The open scenario registry: providers, family introspection, and
-//! runtime graph definition.
+//! The scenario registry: one table of scenario families, the named
+//! graphs defined at runtime, and family introspection.
 //!
-//! PR 1's scenario registry was a closed table — adding a workload meant
-//! editing the engine. This module replaces it with a provider API:
-//!
-//! * [`ScenarioProvider`] — anything that can turn `name key=value ...`
-//!   tokens into a [`Scenario`] and describe its families (with per-family
-//!   **parameter schemas**, which is what the serve `describe` verb
-//!   returns to clients);
-//! * [`BuiltinProvider`] — the 9 paper-derived families, exactly as
-//!   before (parity-tested bit-identical through this path);
-//! * [`EstimProvider`] — the 3 measured-signal families whose noise model
-//!   comes from `psdacc-estim` spectrum estimation of seeded traces;
-//! * [`GraphProvider`] — runtime-defined [`GraphSpec`] scenarios,
-//!   registered by name (the `define_scenario` wire verb lands here) and
-//!   identified by content hash;
-//! * [`ScenarioRegistry`] — the provider chain a parser consults. Cloning
-//!   shares the underlying providers, so every connection thread of a
-//!   daemon sees definitions the moment they are registered.
+//! * One table, `FAMILIES`, declares every family once: its name, provenance tag
+//!   (`"builtin"` for the 9 paper-derived families, `"estim"` for the 3
+//!   measured-signal families whose noise model `psdacc-estim` estimates
+//!   from seeded traces), description, **parameter schema** (what the
+//!   serve `describe` verb returns to clients) and constructor. One parse
+//!   function serves every row: unknown keys are rejected, each parameter
+//!   takes its given value or else the schema's default, and the result
+//!   is range-checked — so the defaults `describe` advertises are the
+//!   ones applied.
+//! * [`ScenarioRegistry`] parses spec lines against that table, against
+//!   runtime-defined [`GraphSpec`] scenarios registered by name (the
+//!   `define_scenario` wire verb lands here; identified by content hash),
+//!   and against inline `graph={...}` JSON. Cloning shares the named and
+//!   inline graphs, so every connection thread of a daemon sees
+//!   definitions the moment they are registered.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::str::FromStr;
 use std::sync::{Arc, Mutex, RwLock};
 
 use psdacc_sfg::{spec, GraphSpec};
@@ -45,12 +44,22 @@ pub struct ParamSpec {
     pub constraint: &'static str,
 }
 
+/// An optional parameter with a default.
+const fn param(
+    name: &'static str,
+    kind: &'static str,
+    default: &'static str,
+    constraint: &'static str,
+) -> ParamSpec {
+    ParamSpec { name, kind, required: false, default: Some(default), constraint }
+}
+
 /// One scenario family: name, provenance, and parameter schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilyInfo {
     /// Family name as written in batch specs.
     pub name: String,
-    /// Which provider serves it (`"builtin"` or `"dynamic"`).
+    /// Which table serves it (`"builtin"`, `"estim"` or `"dynamic"`).
     pub provider: &'static str,
     /// One-line description.
     pub description: String,
@@ -102,308 +111,200 @@ impl FamilyInfo {
     }
 }
 
-/// A source of scenario families. Implementations must be cheap to query:
-/// parsers consult every provider per spec line.
-pub trait ScenarioProvider: Send + Sync + std::fmt::Debug {
-    /// Provenance tag recorded in [`FamilyInfo::provider`].
-    fn provider_name(&self) -> &'static str;
-
-    /// The families this provider currently serves.
-    fn families(&self) -> Vec<FamilyInfo>;
-
-    /// Parses `name params` into a scenario. `Ok(None)` means "not my
-    /// family" (the registry moves on to the next provider); `Err` means
-    /// the family is this provider's but the parameters are invalid.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Scenario`] for invalid parameters of an owned family.
-    fn parse(
-        &self,
-        name: &str,
-        params: &BTreeMap<String, String>,
-    ) -> Result<Option<Scenario>, EngineError>;
-}
-
-/// The 9 builtin families (Table I banks, cascades, the Fig. 2 chain, CDF
-/// 9/7 pipelines, decimated codecs, random SFGs) behind the provider API.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BuiltinProvider;
-
-struct BuiltinFamily {
+/// One row of the family table.
+struct Family {
     name: &'static str,
+    /// Provenance tag: `"builtin"` or `"estim"`.
+    provider: &'static str,
     description: &'static str,
+    /// Parameter schema; the only place a family's defaults are written.
     params: &'static [ParamSpec],
+    /// Builds the scenario from the resolved parameter values.
+    new: fn(&Args<'_>) -> Result<Scenario, EngineError>,
 }
 
-const BUILTIN_FAMILIES: &[BuiltinFamily] = &[
-    BuiltinFamily {
-        name: "fir-bank",
-        description: "one FIR of the paper's Table I population",
-        params: &[ParamSpec {
-            name: "index",
-            kind: "int",
-            required: true,
-            default: None,
-            constraint: "0..147",
-        }],
-    },
-    BuiltinFamily {
-        name: "iir-bank",
-        description: "one IIR of the paper's Table I population",
-        params: &[ParamSpec {
-            name: "index",
-            kind: "int",
-            required: true,
-            default: None,
-            constraint: "0..147",
-        }],
-    },
-    BuiltinFamily {
-        name: "fir-cascade",
-        description: "chain of identical lowpass FIR stages",
-        params: &[
-            ParamSpec {
-                name: "stages",
-                kind: "int",
-                required: false,
-                default: Some("2"),
-                constraint: "1..=16",
-            },
-            ParamSpec {
-                name: "taps",
-                kind: "int",
-                required: false,
-                default: Some("31"),
-                constraint: "3..=255",
-            },
-            ParamSpec {
-                name: "cutoff",
-                kind: "float",
-                required: false,
-                default: Some("0.2"),
-                constraint: "(0, 0.5)",
-            },
-        ],
-    },
-    BuiltinFamily {
-        name: "iir-cascade",
-        description: "chain of identical Butterworth IIR stages",
-        params: &[
-            ParamSpec {
-                name: "stages",
-                kind: "int",
-                required: false,
-                default: Some("2"),
-                constraint: "1..=16",
-            },
-            ParamSpec {
-                name: "order",
-                kind: "int",
-                required: false,
-                default: Some("4"),
-                constraint: "1..=10",
-            },
-            ParamSpec {
-                name: "cutoff",
-                kind: "float",
-                required: false,
-                default: Some("0.2"),
-                constraint: "(0, 0.5)",
-            },
-        ],
-    },
-    BuiltinFamily {
-        name: "freq-filter",
-        description: "Fig. 2 band-pass chain (prefilter + highpass)",
-        params: &[],
-    },
-    BuiltinFamily {
-        name: "dwt-pipeline",
-        description: "undecimated CDF 9/7 analysis/synthesis pipeline",
-        params: &[ParamSpec {
-            name: "levels",
-            kind: "int",
-            required: false,
-            default: Some("2"),
-            constraint: "1..=4",
-        }],
-    },
-    BuiltinFamily {
-        name: "dwt-decimated",
-        description: "decimated CDF 9/7 octave codec (true multirate; npsd divisible by 2^levels)",
-        params: &[ParamSpec {
-            name: "levels",
-            kind: "int",
-            required: false,
-            default: Some("2"),
-            constraint: "1..=4",
-        }],
-    },
-    BuiltinFamily {
-        name: "dwt-packet",
-        description: "decimated CDF 9/7 wavelet-packet bank (2^depth uniform subbands)",
-        params: &[ParamSpec {
-            name: "depth",
-            kind: "int",
-            required: false,
-            default: Some("2"),
-            constraint: "1..=3",
-        }],
-    },
-    BuiltinFamily {
-        name: "random-sfg",
-        description: "seeded random chain-with-forks DAG",
-        params: &[
-            ParamSpec {
-                name: "nodes",
-                kind: "int",
-                required: false,
-                default: Some("12"),
-                constraint: "1..=256",
-            },
-            ParamSpec {
-                name: "seed",
-                kind: "int",
-                required: false,
-                default: Some("1"),
-                constraint: "u64",
-            },
-        ],
-    },
-];
-
-impl ScenarioProvider for BuiltinProvider {
-    fn provider_name(&self) -> &'static str {
-        "builtin"
-    }
-
-    fn families(&self) -> Vec<FamilyInfo> {
-        BUILTIN_FAMILIES
-            .iter()
-            .map(|f| FamilyInfo {
-                name: f.name.to_string(),
-                provider: "builtin",
-                description: f.description.to_string(),
-                params: f.params.to_vec(),
-            })
-            .collect()
-    }
-
-    fn parse(
-        &self,
-        name: &str,
-        params: &BTreeMap<String, String>,
-    ) -> Result<Option<Scenario>, EngineError> {
-        let Some(family) = BUILTIN_FAMILIES.iter().find(|f| f.name == name) else {
-            return Ok(None);
-        };
-        for key in params.keys() {
-            if !family.params.iter().any(|p| p.name == key) {
-                let allowed: Vec<&str> = family.params.iter().map(|p| p.name).collect();
-                return Err(EngineError::Scenario(format!(
-                    "{name}: unknown parameter `{key}` (allowed: {})",
-                    if allowed.is_empty() { "none".to_string() } else { allowed.join(", ") }
-                )));
-            }
+impl Family {
+    /// The family's [`FamilyInfo`].
+    fn info(&self) -> FamilyInfo {
+        FamilyInfo {
+            name: self.name.to_string(),
+            provider: self.provider,
+            description: self.description.to_string(),
+            params: self.params.to_vec(),
         }
-        let get_usize = |key: &str, default: Option<usize>| -> Result<usize, EngineError> {
-            match params.get(key) {
-                Some(v) => v.parse().map_err(|_| {
-                    EngineError::Scenario(format!("{name}: `{key}` must be an integer, got `{v}`"))
-                }),
-                None => default.ok_or_else(|| {
-                    EngineError::Scenario(format!("{name}: missing required parameter `{key}`"))
-                }),
-            }
-        };
-        let get_f64 = |key: &str, default: f64| -> Result<f64, EngineError> {
-            match params.get(key) {
-                Some(v) => v.parse().map_err(|_| {
-                    EngineError::Scenario(format!("{name}: `{key}` must be a number, got `{v}`"))
-                }),
-                None => Ok(default),
-            }
-        };
-        let scenario = match name {
-            "fir-bank" => Scenario::FirBank { index: get_usize("index", None)? },
-            "iir-bank" => Scenario::IirBank { index: get_usize("index", None)? },
-            "fir-cascade" => Scenario::FirCascade {
-                stages: get_usize("stages", Some(2))?,
-                taps: get_usize("taps", Some(31))?,
-                cutoff: get_f64("cutoff", 0.2)?,
-            },
-            "iir-cascade" => Scenario::IirCascade {
-                stages: get_usize("stages", Some(2))?,
-                order: get_usize("order", Some(4))?,
-                cutoff: get_f64("cutoff", 0.2)?,
-            },
-            "freq-filter" => Scenario::FreqFilter,
-            "dwt-pipeline" => Scenario::DwtPipeline { levels: get_usize("levels", Some(2))? },
-            "dwt-decimated" => Scenario::DwtDecimated { levels: get_usize("levels", Some(2))? },
-            "dwt-packet" => Scenario::DwtPacket { depth: get_usize("depth", Some(2))? },
-            "random-sfg" => Scenario::RandomSfg {
-                nodes: get_usize("nodes", Some(12))?,
-                seed: get_usize("seed", Some(1))? as u64,
-            },
-            _ => unreachable!("family table matched above"),
-        };
+    }
+
+    /// Parses `given` parameters into a range-checked scenario of this
+    /// family; absent parameters take their schema defaults.
+    fn parse(&self, given: &BTreeMap<String, String>) -> Result<Scenario, EngineError> {
+        if let Some(key) = given.keys().find(|k| !self.params.iter().any(|p| p.name == *k)) {
+            let allowed: Vec<&str> = self.params.iter().map(|p| p.name).collect();
+            return Err(EngineError::Scenario(format!(
+                "{}: unknown parameter `{key}` (allowed: {})",
+                self.name,
+                if allowed.is_empty() { "none".to_string() } else { allowed.join(", ") }
+            )));
+        }
+        let scenario = (self.new)(&Args { family: self, given })?;
         // Range errors surface at parse time (with the spec's line number);
         // the full graph build is deferred to the evaluator cache so design
         // work is not paid twice per scenario.
         scenario.validate()?;
-        Ok(Some(scenario))
+        Ok(scenario)
     }
 }
 
-/// The 3 measured-signal families (PR 10): scenarios whose noise model is
-/// *estimated from a seeded trace* by `psdacc-estim` rather than derived
-/// from quantization formulas. Determinism per seed is what makes them
-/// fleet-safe: every daemon rebuilding the scenario from its spec line
-/// reproduces the trace, hence the spectrum, bit-identically.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct EstimProvider;
+/// The parameter values of one family parse: each given value, else the
+/// schema's default.
+struct Args<'a> {
+    family: &'a Family,
+    given: &'a BTreeMap<String, String>,
+}
 
-const ESTIM_FAMILIES: &[BuiltinFamily] = &[
-    BuiltinFamily {
+impl Args<'_> {
+    fn text(&self, key: &str) -> Option<&str> {
+        self.given
+            .get(key)
+            .map(String::as_str)
+            .or_else(|| self.family.params.iter().find(|p| p.name == key).and_then(|p| p.default))
+    }
+
+    /// `key`'s value parsed as `T` (`what` names `T` in the error), or
+    /// `None` when it is neither given nor defaulted.
+    fn parsed<T: FromStr>(&self, key: &str, what: &str) -> Result<Option<T>, EngineError> {
+        self.text(key)
+            .map(|v| {
+                v.parse().map_err(|_| {
+                    let name = self.family.name;
+                    EngineError::Scenario(format!("{name}: `{key}` must be {what}, got `{v}`"))
+                })
+            })
+            .transpose()
+    }
+
+    fn required<T: FromStr>(&self, key: &str, what: &str) -> Result<T, EngineError> {
+        self.parsed(key, what)?.ok_or_else(|| {
+            let name = self.family.name;
+            EngineError::Scenario(format!("{name}: missing required parameter `{key}`"))
+        })
+    }
+
+    fn int<T: FromStr>(&self, key: &str) -> Result<T, EngineError> {
+        self.required(key, "an integer")
+    }
+
+    fn float(&self, key: &str) -> Result<f64, EngineError> {
+        self.required(key, "a number")
+    }
+}
+
+/// `index` of the Table I population families.
+const BANK_INDEX: &[ParamSpec] = &[ParamSpec {
+    name: "index",
+    kind: "int",
+    required: true,
+    default: None,
+    constraint: "0..147",
+}];
+
+/// Every scenario family, builtin families first.
+const FAMILIES: &[Family] = &[
+    Family {
+        name: "fir-bank",
+        provider: "builtin",
+        description: "one FIR of the paper's Table I population",
+        params: BANK_INDEX,
+        new: |a| Ok(Scenario::FirBank { index: a.int("index")? }),
+    },
+    Family {
+        name: "iir-bank",
+        provider: "builtin",
+        description: "one IIR of the paper's Table I population",
+        params: BANK_INDEX,
+        new: |a| Ok(Scenario::IirBank { index: a.int("index")? }),
+    },
+    Family {
+        name: "fir-cascade",
+        provider: "builtin",
+        description: "chain of identical lowpass FIR stages",
+        params: &[
+            param("stages", "int", "2", "1..=16"),
+            param("taps", "int", "31", "3..=255"),
+            param("cutoff", "float", "0.2", "(0, 0.5)"),
+        ],
+        new: |a| {
+            Ok(Scenario::FirCascade {
+                stages: a.int("stages")?,
+                taps: a.int("taps")?,
+                cutoff: a.float("cutoff")?,
+            })
+        },
+    },
+    Family {
+        name: "iir-cascade",
+        provider: "builtin",
+        description: "chain of identical Butterworth IIR stages",
+        params: &[
+            param("stages", "int", "2", "1..=16"),
+            param("order", "int", "4", "1..=10"),
+            param("cutoff", "float", "0.2", "(0, 0.5)"),
+        ],
+        new: |a| {
+            Ok(Scenario::IirCascade {
+                stages: a.int("stages")?,
+                order: a.int("order")?,
+                cutoff: a.float("cutoff")?,
+            })
+        },
+    },
+    Family {
+        name: "freq-filter",
+        provider: "builtin",
+        description: "Fig. 2 band-pass chain (prefilter + highpass)",
+        params: &[],
+        new: |_| Ok(Scenario::FreqFilter),
+    },
+    Family {
+        name: "dwt-pipeline",
+        provider: "builtin",
+        description: "undecimated CDF 9/7 analysis/synthesis pipeline",
+        params: &[param("levels", "int", "2", "1..=4")],
+        new: |a| Ok(Scenario::DwtPipeline { levels: a.int("levels")? }),
+    },
+    Family {
+        name: "dwt-decimated",
+        provider: "builtin",
+        description: "decimated CDF 9/7 octave codec (true multirate; npsd divisible by 2^levels)",
+        params: &[param("levels", "int", "2", "1..=4")],
+        new: |a| Ok(Scenario::DwtDecimated { levels: a.int("levels")? }),
+    },
+    Family {
+        name: "dwt-packet",
+        provider: "builtin",
+        description: "decimated CDF 9/7 wavelet-packet bank (2^depth uniform subbands)",
+        params: &[param("depth", "int", "2", "1..=3")],
+        new: |a| Ok(Scenario::DwtPacket { depth: a.int("depth")? }),
+    },
+    Family {
+        name: "random-sfg",
+        provider: "builtin",
+        description: "seeded random chain-with-forks DAG",
+        params: &[param("nodes", "int", "12", "1..=256"), param("seed", "int", "1", "u64")],
+        new: |a| Ok(Scenario::RandomSfg { nodes: a.int("nodes")?, seed: a.int("seed")? }),
+    },
+    // The measured-signal families: deterministic per seed, so every
+    // daemon rebuilding one from its spec line reproduces the trace, hence
+    // the spectrum, bit-identically.
+    Family {
         name: "measured-welch",
+        provider: "estim",
         description: "Welch-estimated PSD of a seeded AR(1)+DC trace as a measured source",
         params: &[
-            ParamSpec {
-                name: "samples",
-                kind: "int",
-                required: false,
-                default: Some("4096"),
-                constraint: "256..=65536",
-            },
-            ParamSpec {
-                name: "seed",
-                kind: "int",
-                required: false,
-                default: Some("1"),
-                constraint: "u64",
-            },
-            ParamSpec {
-                name: "nfft",
-                kind: "int",
-                required: false,
-                default: Some("256"),
-                constraint: "power of two, 8..=16384, <= samples",
-            },
-            ParamSpec {
-                name: "overlap",
-                kind: "float",
-                required: false,
-                default: Some("0.5"),
-                constraint: "[0, 0.95]",
-            },
-            ParamSpec {
-                name: "window",
-                kind: "str",
-                required: false,
-                default: Some("hann"),
-                constraint: "hann | kaiser",
-            },
+            param("samples", "int", "4096", "256..=65536"),
+            param("seed", "int", "1", "u64"),
+            param("nfft", "int", "256", "power of two, 8..=16384, <= samples"),
+            param("overlap", "float", "0.5", "[0, 0.95]"),
+            param("window", "str", "hann", "hann | kaiser"),
             ParamSpec {
                 name: "beta",
                 kind: "float",
@@ -411,301 +312,85 @@ const ESTIM_FAMILIES: &[BuiltinFamily] = &[
                 default: None,
                 constraint: "kaiser shape, required iff window=kaiser",
             },
-            ParamSpec {
-                name: "taps",
-                kind: "int",
-                required: false,
-                default: Some("31"),
-                constraint: "3..=255",
-            },
+            param("taps", "int", "31", "3..=255"),
         ],
+        new: |a| {
+            Ok(Scenario::MeasuredWelch {
+                samples: a.int("samples")?,
+                seed: a.int("seed")?,
+                nfft: a.int("nfft")?,
+                overlap: a.float("overlap")?,
+                window: a.required("window", "a string")?,
+                beta: a.parsed("beta", "a number")?,
+                taps: a.int("taps")?,
+            })
+        },
     },
-    BuiltinFamily {
+    Family {
         name: "cross-spectrum",
+        provider: "estim",
         description: "two-channel cross-spectrum estimate rejecting uncorrelated sensor noise",
         params: &[
-            ParamSpec {
-                name: "samples",
-                kind: "int",
-                required: false,
-                default: Some("8192"),
-                constraint: "256..=65536",
-            },
-            ParamSpec {
-                name: "seed",
-                kind: "int",
-                required: false,
-                default: Some("1"),
-                constraint: "u64",
-            },
-            ParamSpec {
-                name: "nfft",
-                kind: "int",
-                required: false,
-                default: Some("128"),
-                constraint: "power of two, 8..=16384, <= samples",
-            },
-            ParamSpec {
-                name: "overlap",
-                kind: "float",
-                required: false,
-                default: Some("0.5"),
-                constraint: "[0, 0.95]",
-            },
-            ParamSpec {
-                name: "snr",
-                kind: "float",
-                required: false,
-                default: Some("0"),
-                constraint: "-40..=80 dB common-to-independent ratio",
-            },
-            ParamSpec {
-                name: "taps",
-                kind: "int",
-                required: false,
-                default: Some("31"),
-                constraint: "3..=255",
-            },
+            param("samples", "int", "8192", "256..=65536"),
+            param("seed", "int", "1", "u64"),
+            param("nfft", "int", "128", "power of two, 8..=16384, <= samples"),
+            param("overlap", "float", "0.5", "[0, 0.95]"),
+            param("snr", "float", "0", "-40..=80 dB common-to-independent ratio"),
+            param("taps", "int", "31", "3..=255"),
         ],
+        new: |a| {
+            Ok(Scenario::CrossSpectrum {
+                samples: a.int("samples")?,
+                seed: a.int("seed")?,
+                nfft: a.int("nfft")?,
+                overlap: a.float("overlap")?,
+                snr: a.float("snr")?,
+                taps: a.int("taps")?,
+            })
+        },
     },
-    BuiltinFamily {
+    Family {
         name: "sigma-delta",
+        provider: "estim",
         description: "bit-true sigma-delta modulator error spectrum feeding the decimation filter",
         params: &[
-            ParamSpec {
-                name: "order",
-                kind: "int",
-                required: false,
-                default: Some("2"),
-                constraint: "1..=2",
-            },
-            ParamSpec {
-                name: "osr",
-                kind: "int",
-                required: false,
-                default: Some("16"),
-                constraint: "power of two, 4..=128",
-            },
-            ParamSpec {
-                name: "amp",
-                kind: "float",
-                required: false,
-                default: Some("0.5"),
-                constraint: "(0, 1]",
-            },
-            ParamSpec {
-                name: "samples",
-                kind: "int",
-                required: false,
-                default: Some("16384"),
-                constraint: "256..=65536",
-            },
-            ParamSpec {
-                name: "seed",
-                kind: "int",
-                required: false,
-                default: Some("1"),
-                constraint: "u64",
-            },
-            ParamSpec {
-                name: "nfft",
-                kind: "int",
-                required: false,
-                default: Some("1024"),
-                constraint: "power of two, >= 8*osr, <= samples",
-            },
-            ParamSpec {
-                name: "taps",
-                kind: "int",
-                required: false,
-                default: Some("63"),
-                constraint: "3..=255",
-            },
+            param("order", "int", "2", "1..=2"),
+            param("osr", "int", "16", "power of two, 4..=128"),
+            param("amp", "float", "0.5", "(0, 1]"),
+            param("samples", "int", "16384", "256..=65536"),
+            param("seed", "int", "1", "u64"),
+            param("nfft", "int", "1024", "power of two, >= 8*osr, <= samples"),
+            param("taps", "int", "63", "3..=255"),
         ],
+        new: |a| {
+            Ok(Scenario::SigmaDelta {
+                order: a.int("order")?,
+                osr: a.int("osr")?,
+                amp: a.float("amp")?,
+                samples: a.int("samples")?,
+                seed: a.int("seed")?,
+                nfft: a.int("nfft")?,
+                taps: a.int("taps")?,
+            })
+        },
     },
 ];
 
-impl ScenarioProvider for EstimProvider {
-    fn provider_name(&self) -> &'static str {
-        "estim"
-    }
-
-    fn families(&self) -> Vec<FamilyInfo> {
-        ESTIM_FAMILIES
-            .iter()
-            .map(|f| FamilyInfo {
-                name: f.name.to_string(),
-                provider: "estim",
-                description: f.description.to_string(),
-                params: f.params.to_vec(),
-            })
-            .collect()
-    }
-
-    fn parse(
-        &self,
-        name: &str,
-        params: &BTreeMap<String, String>,
-    ) -> Result<Option<Scenario>, EngineError> {
-        let Some(family) = ESTIM_FAMILIES.iter().find(|f| f.name == name) else {
-            return Ok(None);
-        };
-        for key in params.keys() {
-            if !family.params.iter().any(|p| p.name == key) {
-                let allowed: Vec<&str> = family.params.iter().map(|p| p.name).collect();
-                return Err(EngineError::Scenario(format!(
-                    "{name}: unknown parameter `{key}` (allowed: {})",
-                    allowed.join(", ")
-                )));
-            }
+/// Collects `key=value` tokens into a map. The error is a bare message
+/// (`expected key=value, got ...` or `duplicate key ...`) that the caller
+/// wraps with its own context.
+pub(crate) fn key_values<'a>(
+    tokens: impl IntoIterator<Item = &'a str>,
+) -> Result<BTreeMap<String, String>, String> {
+    let mut map = BTreeMap::new();
+    for token in tokens {
+        let (k, v) =
+            token.split_once('=').ok_or_else(|| format!("expected key=value, got `{token}`"))?;
+        if map.insert(k.to_string(), v.to_string()).is_some() {
+            return Err(format!("duplicate key `{k}`"));
         }
-        let get_usize = |key: &str, default: usize| -> Result<usize, EngineError> {
-            match params.get(key) {
-                Some(v) => v.parse().map_err(|_| {
-                    EngineError::Scenario(format!("{name}: `{key}` must be an integer, got `{v}`"))
-                }),
-                None => Ok(default),
-            }
-        };
-        let get_f64 = |key: &str, default: f64| -> Result<f64, EngineError> {
-            match params.get(key) {
-                Some(v) => v.parse().map_err(|_| {
-                    EngineError::Scenario(format!("{name}: `{key}` must be a number, got `{v}`"))
-                }),
-                None => Ok(default),
-            }
-        };
-        let get_f64_opt = |key: &str| -> Result<Option<f64>, EngineError> {
-            params
-                .get(key)
-                .map(|v| {
-                    v.parse().map_err(|_| {
-                        EngineError::Scenario(format!(
-                            "{name}: `{key}` must be a number, got `{v}`"
-                        ))
-                    })
-                })
-                .transpose()
-        };
-        let scenario = match name {
-            "measured-welch" => Scenario::MeasuredWelch {
-                samples: get_usize("samples", 4096)?,
-                seed: get_usize("seed", 1)? as u64,
-                nfft: get_usize("nfft", 256)?,
-                overlap: get_f64("overlap", 0.5)?,
-                window: params.get("window").cloned().unwrap_or_else(|| "hann".to_string()),
-                beta: get_f64_opt("beta")?,
-                taps: get_usize("taps", 31)?,
-            },
-            "cross-spectrum" => Scenario::CrossSpectrum {
-                samples: get_usize("samples", 8192)?,
-                seed: get_usize("seed", 1)? as u64,
-                nfft: get_usize("nfft", 128)?,
-                overlap: get_f64("overlap", 0.5)?,
-                snr: get_f64("snr", 0.0)?,
-                taps: get_usize("taps", 31)?,
-            },
-            "sigma-delta" => Scenario::SigmaDelta {
-                order: get_usize("order", 2)?,
-                osr: get_usize("osr", 16)?,
-                amp: get_f64("amp", 0.5)?,
-                samples: get_usize("samples", 16384)?,
-                seed: get_usize("seed", 1)? as u64,
-                nfft: get_usize("nfft", 1024)?,
-                taps: get_usize("taps", 63)?,
-            },
-            _ => unreachable!("family table matched above"),
-        };
-        scenario.validate()?;
-        Ok(Some(scenario))
     }
-}
-
-/// Runtime-defined graph scenarios, registered by name. Registration is
-/// concurrency-safe (a daemon registers from connection threads while
-/// others parse), and redefinition under the same name simply replaces
-/// the entry — content-hash identity keeps caches and stores correct
-/// either way.
-#[derive(Debug, Default)]
-pub struct GraphProvider {
-    graphs: RwLock<BTreeMap<String, GraphScenario>>,
-}
-
-impl GraphProvider {
-    /// Validates and registers `spec` under `name`, returning the
-    /// content-addressed scenario. Idempotent for identical content.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Scenario`] for an ill-formed name,
-    /// [`EngineError::GraphSpec`] for a defective spec.
-    pub fn register(&self, name: &str, graph: GraphSpec) -> Result<GraphScenario, EngineError> {
-        if !spec::is_valid_name(name) {
-            return Err(EngineError::Scenario(format!(
-                "bad scenario name `{name}` (1..={} characters of [A-Za-z0-9_.-])",
-                spec::MAX_NAME_LEN
-            )));
-        }
-        let scenario = GraphScenario::new(graph, Some(name.to_string()))?;
-        self.graphs
-            .write()
-            .expect("graph registry lock poisoned")
-            .insert(name.to_string(), scenario.clone());
-        Ok(scenario)
-    }
-
-    /// The registered scenario for `name`, if any.
-    pub fn get(&self, name: &str) -> Option<GraphScenario> {
-        self.graphs.read().expect("graph registry lock poisoned").get(name).cloned()
-    }
-
-    /// Number of registered scenarios.
-    pub fn len(&self) -> usize {
-        self.graphs.read().expect("graph registry lock poisoned").len()
-    }
-
-    /// `true` when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl ScenarioProvider for GraphProvider {
-    fn provider_name(&self) -> &'static str {
-        "dynamic"
-    }
-
-    fn families(&self) -> Vec<FamilyInfo> {
-        self.graphs
-            .read()
-            .expect("graph registry lock poisoned")
-            .iter()
-            .map(|(name, g)| FamilyInfo {
-                name: name.clone(),
-                provider: "dynamic",
-                description: format!(
-                    "runtime-defined graph ({} nodes, {})",
-                    g.spec().nodes.len(),
-                    g.key()
-                ),
-                params: Vec::new(),
-            })
-            .collect()
-    }
-
-    fn parse(
-        &self,
-        name: &str,
-        params: &BTreeMap<String, String>,
-    ) -> Result<Option<Scenario>, EngineError> {
-        let Some(scenario) = self.get(name) else { return Ok(None) };
-        if let Some(key) = params.keys().next() {
-            return Err(EngineError::Scenario(format!(
-                "{name}: registered graph scenarios take no parameters (got `{key}`)"
-            )));
-        }
-        Ok(Some(Scenario::Graph(scenario)))
-    }
+    Ok(map)
 }
 
 /// How many compiled inline graphs a registry keeps.
@@ -725,52 +410,53 @@ struct InlineGraphs {
     order: VecDeque<Arc<str>>,
 }
 
-/// The provider chain spec parsers consult, plus the handle for runtime
-/// graph definition. [`ScenarioRegistry::new`] gives the default chain:
-/// the builtin families and an empty dynamic provider; inline
-/// `graph={...}` scenario text is handled by the registry itself (it
-/// needs no provider — the JSON *is* the definition).
-#[derive(Debug, Clone)]
+/// What spec parsers consult: the family table, the graphs
+/// registered by name at runtime, and inline `graph={...}` scenario text
+/// (which needs no registration — the JSON *is* the definition).
+///
+/// Registration is concurrency-safe (a daemon registers from connection
+/// threads while others parse), and redefinition under the same name
+/// simply replaces the entry — content-hash identity keeps caches and
+/// stores correct either way.
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioRegistry {
-    providers: Vec<Arc<dyn ScenarioProvider>>,
-    dynamic: Arc<GraphProvider>,
+    graphs: Arc<RwLock<BTreeMap<String, GraphScenario>>>,
     inline: Arc<Mutex<InlineGraphs>>,
 }
 
-impl Default for ScenarioRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ScenarioRegistry {
-    /// Builtin + measured-signal families + an empty dynamic provider.
+    /// Every table family, and no graph registered yet.
     pub fn new() -> Self {
-        let dynamic = Arc::new(GraphProvider::default());
-        ScenarioRegistry {
-            providers: vec![Arc::new(BuiltinProvider), Arc::new(EstimProvider), dynamic.clone()],
-            dynamic,
-            inline: Arc::default(),
-        }
+        Self::default()
     }
 
-    /// Validates and registers a named graph scenario. Rejects names that
-    /// shadow a builtin family (a registered graph must never change what
-    /// `fir-bank` means).
+    /// Validates and registers a named graph scenario, returning the
+    /// content-addressed scenario. Idempotent for identical content.
+    /// Rejects names that shadow a table family (a registered graph must
+    /// never change what `fir-bank` means).
     ///
     /// # Errors
     ///
-    /// [`EngineError::Scenario`] / [`EngineError::GraphSpec`].
+    /// [`EngineError::Scenario`] for a reserved or ill-formed name,
+    /// [`EngineError::GraphSpec`] for a defective spec.
     pub fn define_graph(&self, name: &str, graph: GraphSpec) -> Result<GraphScenario, EngineError> {
-        if name == "graph"
-            || BUILTIN_FAMILIES.iter().any(|f| f.name == name)
-            || ESTIM_FAMILIES.iter().any(|f| f.name == name)
-        {
+        if name == "graph" || FAMILIES.iter().any(|f| f.name == name) {
             return Err(EngineError::Scenario(format!(
                 "scenario name `{name}` is reserved (builtin family)"
             )));
         }
-        self.dynamic.register(name, graph)
+        if !spec::is_valid_name(name) {
+            return Err(EngineError::Scenario(format!(
+                "bad scenario name `{name}` (1..={} characters of [A-Za-z0-9_.-])",
+                spec::MAX_NAME_LEN
+            )));
+        }
+        let scenario = GraphScenario::new(graph, Some(name.to_string()))?;
+        self.graphs
+            .write()
+            .expect("graph registry lock poisoned")
+            .insert(name.to_string(), scenario.clone());
+        Ok(scenario)
     }
 
     /// [`ScenarioRegistry::define_graph`] over raw JSON text.
@@ -842,29 +528,34 @@ impl ScenarioRegistry {
         Ok(definitions)
     }
 
-    /// Number of dynamically registered scenarios.
+    /// Number of graphs registered by name.
     pub fn dynamic_count(&self) -> usize {
-        self.dynamic.len()
+        self.graphs.read().expect("graph registry lock poisoned").len()
     }
 
-    /// The dynamic provider (for direct lookups).
-    pub fn dynamic(&self) -> &GraphProvider {
-        &self.dynamic
-    }
-
-    /// Every family currently served, builtins first, then dynamic and
-    /// custom providers in registration order.
+    /// Every family currently served: the table's, then the registered
+    /// graphs by name.
     pub fn families(&self) -> Vec<FamilyInfo> {
-        self.providers.iter().flat_map(|p| p.families()).collect()
+        let graphs = self.graphs.read().expect("graph registry lock poisoned");
+        let dynamic = graphs.iter().map(|(name, g)| FamilyInfo {
+            name: name.clone(),
+            provider: "dynamic",
+            description: format!(
+                "runtime-defined graph ({} nodes, {})",
+                g.spec().nodes.len(),
+                g.key()
+            ),
+            params: Vec::new(),
+        });
+        FAMILIES.iter().map(Family::info).chain(dynamic).collect()
     }
 
-    /// Parses `name` + params by consulting the provider chain in order.
+    /// Parses `name` + params: a table family, else a registered graph.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Scenario`] when no provider serves `name` (listing
-    /// everything that is served) or when the owning provider rejects the
-    /// parameters.
+    /// [`EngineError::Scenario`] when nothing serves `name` (listing
+    /// everything that is served) or when the parameters are invalid.
     pub fn parse(
         &self,
         name: &str,
@@ -876,12 +567,19 @@ impl ScenarioRegistry {
                     .to_string(),
             ));
         }
-        for provider in &self.providers {
-            if let Some(scenario) = provider.parse(name, params)? {
-                return Ok(scenario);
-            }
+        if let Some(family) = FAMILIES.iter().find(|f| f.name == name) {
+            return family.parse(params);
         }
-        let known: Vec<String> = self.families().iter().map(|f| f.name.clone()).collect();
+        let graph = self.graphs.read().expect("graph registry lock poisoned").get(name).cloned();
+        if let Some(graph) = graph {
+            if let Some(key) = params.keys().next() {
+                return Err(EngineError::Scenario(format!(
+                    "{name}: registered graph scenarios take no parameters (got `{key}`)"
+                )));
+            }
+            return Ok(Scenario::Graph(graph));
+        }
+        let known: Vec<String> = self.families().into_iter().map(|f| f.name).collect();
         Err(EngineError::Scenario(format!(
             "unknown scenario `{name}`; known: {}, or inline `graph={{...}}`",
             known.join(", ")
@@ -912,19 +610,8 @@ impl ScenarioRegistry {
         }
         let mut tokens = trimmed.split_whitespace();
         let name = tokens.next().expect("non-empty trimmed text");
-        let mut params = BTreeMap::new();
-        for token in tokens {
-            let (k, v) = token.split_once('=').ok_or_else(|| {
-                EngineError::Scenario(format!(
-                    "expected key=value, got `{token}` in scenario spec `{trimmed}`"
-                ))
-            })?;
-            if params.insert(k.to_string(), v.to_string()).is_some() {
-                return Err(EngineError::Scenario(format!(
-                    "duplicate key `{k}` in scenario spec `{trimmed}`"
-                )));
-            }
-        }
+        let params = key_values(tokens)
+            .map_err(|e| EngineError::Scenario(format!("{e} in scenario spec `{trimmed}`")))?;
         self.parse(name, &params)
     }
 
@@ -1035,6 +722,30 @@ mod tests {
                 registry.parse(&family.name, &p).unwrap_or_else(|e| panic!("{}: {e}", family.name));
             let g = s.build().expect("default scenario builds");
             assert!(!g.outputs().is_empty(), "{}: output marked", family.name);
+        }
+    }
+
+    #[test]
+    fn advertised_defaults_are_the_applied_defaults() {
+        let registry = ScenarioRegistry::new();
+        for family in registry.families() {
+            let bare = if family.name.ends_with("-bank") {
+                params(&[("index", "3")])
+            } else {
+                params(&[])
+            };
+            let mut spelled = bare.clone();
+            for p in &family.params {
+                if let Some(default) = p.default {
+                    spelled.insert(p.name.to_string(), default.to_string());
+                }
+            }
+            assert_eq!(
+                registry.parse(&family.name, &bare).unwrap(),
+                registry.parse(&family.name, &spelled).unwrap(),
+                "{}",
+                family.name
+            );
         }
     }
 

@@ -7,9 +7,10 @@
 //! them run through the one shared [`psdacc_core::AccuracyEvaluator`]
 //! front-end and its cached preprocessing.
 //!
-//! The scenario space is **open**: besides the builtin families below
-//! (served by [`crate::provider::BuiltinProvider`]), any system expressible
-//! as a [`psdacc_sfg::GraphSpec`] is a scenario — inline in a batch spec
+//! The scenario space is **open**: besides the families below (declared,
+//! with their parameter schemas and defaults, in the family table of
+//! [`crate::provider`]), any system expressible as a
+//! [`psdacc_sfg::GraphSpec`] is a scenario — inline in a batch spec
 //! (`scenario graph={...}`), or registered under a name at runtime (the
 //! `define_scenario` wire verb; [`crate::provider::ScenarioRegistry`]).
 //! Graph scenarios are identified by the content hash of their canonical
@@ -30,13 +31,17 @@
 //! | `dwt-packet`    | `psdacc_systems::dwt_decimated` | `depth` (1..=3) |
 //! | `random-sfg`    | seeded generator over `psdacc_sfg` | `nodes`, `seed` |
 //!
+//! and the measured-signal families `measured-welch`, `cross-spectrum`
+//! and `sigma-delta`, whose noise source `psdacc_estim` estimates from a
+//! seeded trace.
+//!
 //! The `dwt-decimated` / `dwt-packet` families are *true multirate* graphs
 //! (`Downsample` / `Upsample` blocks): evaluation takes the fold/image PSD
 //! path in `psdacc_sfg::multirate`, and `npsd` must be divisible by
 //! `2^levels` (respectively `2^depth`) so every rate region gets an
 //! integer grid.
 
-use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use psdacc_filters::{butterworth, design_fir, BandSpec};
 use psdacc_sfg::{Block, NodeId, Sfg};
@@ -181,46 +186,7 @@ impl Scenario {
     /// Canonical identity string — the cache key and the `scenario` field of
     /// engine results. Two scenarios with equal keys build identical graphs.
     pub fn key(&self) -> String {
-        match self {
-            Scenario::FirBank { index } => format!("fir-bank[index={index}]"),
-            Scenario::IirBank { index } => format!("iir-bank[index={index}]"),
-            Scenario::FirCascade { stages, taps, cutoff } => {
-                format!("fir-cascade[stages={stages},taps={taps},cutoff={cutoff}]")
-            }
-            Scenario::IirCascade { stages, order, cutoff } => {
-                format!("iir-cascade[stages={stages},order={order},cutoff={cutoff}]")
-            }
-            Scenario::FreqFilter => "freq-filter".to_string(),
-            Scenario::DwtPipeline { levels } => format!("dwt-pipeline[levels={levels}]"),
-            Scenario::DwtDecimated { levels } => format!("dwt-decimated[levels={levels}]"),
-            Scenario::DwtPacket { depth } => format!("dwt-packet[depth={depth}]"),
-            Scenario::RandomSfg { nodes, seed } => {
-                format!("random-sfg[nodes={nodes},seed={seed}]")
-            }
-            Scenario::MeasuredWelch { samples, seed, nfft, overlap, window, beta, taps } => {
-                let beta = match beta {
-                    Some(b) => format!(",beta={b}"),
-                    None => String::new(),
-                };
-                format!(
-                    "measured-welch[samples={samples},seed={seed},nfft={nfft},\
-                     overlap={overlap},window={window}{beta},taps={taps}]"
-                )
-            }
-            Scenario::CrossSpectrum { samples, seed, nfft, overlap, snr, taps } => {
-                format!(
-                    "cross-spectrum[samples={samples},seed={seed},nfft={nfft},\
-                     overlap={overlap},snr={snr},taps={taps}]"
-                )
-            }
-            Scenario::SigmaDelta { order, osr, amp, samples, seed, nfft, taps } => {
-                format!(
-                    "sigma-delta[order={order},osr={osr},amp={amp},samples={samples},\
-                     seed={seed},nfft={nfft},taps={taps}]"
-                )
-            }
-            Scenario::Graph(g) => g.key(),
-        }
+        self.render(true)
     }
 
     /// Nodes a word-length plan must leave unquantized (role `exact` in a
@@ -362,9 +328,9 @@ impl Scenario {
 
     /// Renders the scenario in batch-spec syntax (`name key=value ...`) —
     /// the wire form `psdacc-serve` ships to daemons. Round-trips through
-    /// [`Scenario::parse_spec_line`] to an identical scenario (`f64`
-    /// `Display` is shortest-round-trip, so float parameters survive
-    /// bit-exactly).
+    /// [`ScenarioRegistry::parse_spec_line`] to an identical scenario
+    /// (`f64` `Display` is shortest-round-trip, so float parameters
+    /// survive bit-exactly).
     ///
     /// Graph scenarios render as their registration name when they have
     /// one (the receiving daemon resolves it against its registry — which
@@ -372,74 +338,121 @@ impl Scenario {
     /// streaming units), and as self-contained inline `graph={...}` JSON
     /// otherwise.
     pub fn to_spec_line(&self) -> String {
-        match self {
-            Scenario::FirBank { index } => format!("fir-bank index={index}"),
-            Scenario::IirBank { index } => format!("iir-bank index={index}"),
-            Scenario::FirCascade { stages, taps, cutoff } => {
-                format!("fir-cascade stages={stages} taps={taps} cutoff={cutoff}")
-            }
-            Scenario::IirCascade { stages, order, cutoff } => {
-                format!("iir-cascade stages={stages} order={order} cutoff={cutoff}")
-            }
-            Scenario::FreqFilter => "freq-filter".to_string(),
-            Scenario::DwtPipeline { levels } => format!("dwt-pipeline levels={levels}"),
-            Scenario::DwtDecimated { levels } => format!("dwt-decimated levels={levels}"),
-            Scenario::DwtPacket { depth } => format!("dwt-packet depth={depth}"),
-            Scenario::RandomSfg { nodes, seed } => {
-                format!("random-sfg nodes={nodes} seed={seed}")
-            }
-            Scenario::MeasuredWelch { samples, seed, nfft, overlap, window, beta, taps } => {
-                let beta = match beta {
-                    Some(b) => format!(" beta={b}"),
-                    None => String::new(),
-                };
-                format!(
-                    "measured-welch samples={samples} seed={seed} nfft={nfft} \
-                     overlap={overlap} window={window}{beta} taps={taps}"
-                )
-            }
-            Scenario::CrossSpectrum { samples, seed, nfft, overlap, snr, taps } => {
-                format!(
-                    "cross-spectrum samples={samples} seed={seed} nfft={nfft} \
-                     overlap={overlap} snr={snr} taps={taps}"
-                )
-            }
-            Scenario::SigmaDelta { order, osr, amp, samples, seed, nfft, taps } => {
-                format!(
-                    "sigma-delta order={order} osr={osr} amp={amp} samples={samples} \
-                     seed={seed} nfft={nfft} taps={taps}"
-                )
-            }
-            Scenario::Graph(g) => match g.name() {
-                Some(name) => name.to_string(),
-                None => format!("graph={}", g.canonical_json()),
-            },
-        }
+        self.render(false)
     }
 
-    /// Parses one concrete scenario from `name key=value ...` text (no
-    /// sweep syntax — that lives in batch specs), against the default
-    /// provider set: the builtin families plus inline `graph={...}` JSON.
-    /// Named dynamic scenarios need a populated registry — use
-    /// [`ScenarioRegistry::parse_spec_line`].
+    /// The one rendering of a scenario's fields: [`Scenario::key`] when
+    /// `key` (`name[k=v,...]`), else [`Scenario::to_spec_line`]
+    /// (`name k=v ...`).
+    fn render(&self, key: bool) -> String {
+        let w = |name: &str| Fields::new(name, key);
+        match self {
+            Scenario::FirBank { index } => w("fir-bank").field("index", index),
+            Scenario::IirBank { index } => w("iir-bank").field("index", index),
+            Scenario::FirCascade { stages, taps, cutoff } => {
+                w("fir-cascade").field("stages", stages).field("taps", taps).field("cutoff", cutoff)
+            }
+            Scenario::IirCascade { stages, order, cutoff } => w("iir-cascade")
+                .field("stages", stages)
+                .field("order", order)
+                .field("cutoff", cutoff),
+            Scenario::FreqFilter => w("freq-filter"),
+            Scenario::DwtPipeline { levels } => w("dwt-pipeline").field("levels", levels),
+            Scenario::DwtDecimated { levels } => w("dwt-decimated").field("levels", levels),
+            Scenario::DwtPacket { depth } => w("dwt-packet").field("depth", depth),
+            Scenario::RandomSfg { nodes, seed } => {
+                w("random-sfg").field("nodes", nodes).field("seed", seed)
+            }
+            Scenario::MeasuredWelch { samples, seed, nfft, overlap, window, beta, taps } => {
+                let w = w("measured-welch")
+                    .field("samples", samples)
+                    .field("seed", seed)
+                    .field("nfft", nfft)
+                    .field("overlap", overlap)
+                    .field("window", window);
+                match beta {
+                    Some(beta) => w.field("beta", beta),
+                    None => w,
+                }
+                .field("taps", taps)
+            }
+            Scenario::CrossSpectrum { samples, seed, nfft, overlap, snr, taps } => {
+                w("cross-spectrum")
+                    .field("samples", samples)
+                    .field("seed", seed)
+                    .field("nfft", nfft)
+                    .field("overlap", overlap)
+                    .field("snr", snr)
+                    .field("taps", taps)
+            }
+            Scenario::SigmaDelta { order, osr, amp, samples, seed, nfft, taps } => w("sigma-delta")
+                .field("order", order)
+                .field("osr", osr)
+                .field("amp", amp)
+                .field("samples", samples)
+                .field("seed", seed)
+                .field("nfft", nfft)
+                .field("taps", taps),
+            Scenario::Graph(g) if key => return g.key(),
+            Scenario::Graph(g) => {
+                return match g.name() {
+                    Some(name) => name.to_string(),
+                    None => format!("graph={}", g.canonical_json()),
+                }
+            }
+        }
+        .finish()
+    }
+
+    /// Parses one concrete scenario from `name key=value ...` text against
+    /// a fresh [`ScenarioRegistry`]: the family table plus inline
+    /// `graph={...}` JSON. Named graph scenarios need a populated registry
+    /// — use [`ScenarioRegistry::parse_spec_line`].
     ///
     /// # Errors
     ///
-    /// [`EngineError::Scenario`] on malformed tokens or invalid scenarios,
-    /// [`EngineError::GraphSpec`] for defective inline graphs.
+    /// See [`ScenarioRegistry::parse_spec_line`].
     pub fn parse_spec_line(text: &str) -> Result<Self, EngineError> {
         ScenarioRegistry::new().parse_spec_line(text)
     }
+}
 
-    /// Parses `name key=value ...` tokens (the batch-spec scenario syntax)
-    /// against the default provider set — see [`Scenario::parse_spec_line`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Scenario`] on unknown names, unknown/missing keys, or
-    /// malformed values.
-    pub fn parse(name: &str, params: &BTreeMap<String, String>) -> Result<Self, EngineError> {
-        ScenarioRegistry::new().parse(name, params)
+/// A family scenario's name and `key=value` fields written into one
+/// string: `name[k=v,k=v]` as a key, `name k=v k=v` as a spec line.
+struct Fields {
+    text: String,
+    key: bool,
+    empty: bool,
+}
+
+impl Fields {
+    fn new(name: &str, key: bool) -> Self {
+        // Room for the longest family key, so no field reallocates.
+        let mut text = String::with_capacity(128);
+        text.push_str(name);
+        Fields { text, key, empty: true }
+    }
+
+    fn field(mut self, name: &str, value: impl std::fmt::Display) -> Self {
+        let sep = match (self.key, self.empty) {
+            (true, true) => '[',
+            (true, false) => ',',
+            (false, _) => ' ',
+        };
+        self.empty = false;
+        self.text.push(sep);
+        self.text.push_str(name);
+        self.text.push('=');
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.text, "{value}");
+        self
+    }
+
+    fn finish(mut self) -> String {
+        if self.key && !self.empty {
+            self.text.push(']');
+        }
+        self.text
     }
 }
 
@@ -668,6 +681,8 @@ fn measured_graph(bins: Vec<f64>, mean: f64, taps: usize) -> Result<Sfg, EngineE
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn params(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
@@ -682,7 +697,8 @@ mod tests {
             } else {
                 params(&[])
             };
-            let s = Scenario::parse(&family.name, &p)
+            let s = ScenarioRegistry::new()
+                .parse(&family.name, &p)
                 .unwrap_or_else(|e| panic!("{}: {e}", family.name));
             let g = s.build().expect("default scenario builds");
             assert!(!g.outputs().is_empty(), "{}: output marked", family.name);
@@ -807,12 +823,13 @@ mod tests {
 
     #[test]
     fn bad_parameters_are_rejected() {
+        let registry = ScenarioRegistry::new();
         assert!(Scenario::FirBank { index: 147 }.build().is_err());
-        assert!(Scenario::parse("no-such", &params(&[])).is_err());
-        assert!(Scenario::parse("fir-bank", &params(&[])).is_err(), "index required");
-        assert!(Scenario::parse("fir-cascade", &params(&[("bogus", "1")])).is_err());
+        assert!(registry.parse("no-such", &params(&[])).is_err());
+        assert!(registry.parse("fir-bank", &params(&[])).is_err(), "index required");
+        assert!(registry.parse("fir-cascade", &params(&[("bogus", "1")])).is_err());
         assert!(
-            Scenario::parse("fir-cascade", &params(&[("cutoff", "0.9")])).is_err(),
+            registry.parse("fir-cascade", &params(&[("cutoff", "0.9")])).is_err(),
             "parse validates eagerly"
         );
     }

@@ -1,13 +1,13 @@
 //! Redesign parity: every builtin family must evaluate **bit-identically**
-//! through the new provider/registry scenario path.
+//! through the registry scenario path.
 //!
 //! `golden/builtins.jsonl` was captured by running `golden/builtins.spec`
 //! through the engine *before* the open-scenario-API redesign (all 9
 //! families x psd/agnostic/flat x two word-lengths, plus seeded simulate
 //! and min-uniform jobs — 72 rows including the deterministic
 //! flat-on-multirate error rows). This test re-runs the identical spec
-//! through `BatchSpec::parse` (which now resolves scenarios through
-//! `ScenarioRegistry` / `BuiltinProvider`) and demands equality on every
+//! through `BatchSpec::parse` (which now resolves scenarios through the
+//! `ScenarioRegistry` family table) and demands equality on every
 //! stable field — powers, means, variances, and SQNRs compared as exact
 //! `f64` values, error strings verbatim.
 //!
@@ -16,6 +16,10 @@
 //! npsd 64, 96, 256 and 1000 over word-lengths 6..24, plus noise budgets
 //! and a min-uniform search — 948 rows, captured from `golden/families.spec`
 //! before the preprocessing was reduced to per-source kernels.
+//!
+//! `golden/describe.jsonl` and `golden/scenarios.jsonl` pin the
+//! introspection wire lines (every family's schema and defaults) as they
+//! were before the family table replaced the per-provider parsers.
 
 use psdacc_engine::json::{self, Json};
 use psdacc_engine::{BatchSpec, Engine, Scenario, ScenarioRegistry};
@@ -24,6 +28,8 @@ const GOLDEN_SPEC: &str = include_str!("golden/builtins.spec");
 const GOLDEN_ROWS: &str = include_str!("golden/builtins.jsonl");
 const FAMILIES_SPEC: &str = include_str!("golden/families.spec");
 const FAMILIES_ROWS: &str = include_str!("golden/families.jsonl");
+const DESCRIBE_LINE: &str = include_str!("golden/describe.jsonl");
+const SCENARIOS_LINE: &str = include_str!("golden/scenarios.jsonl");
 
 /// Drops the run-dependent fields (timings, cache flags), keeping
 /// everything the redesign must preserve.
@@ -64,6 +70,13 @@ fn all_builtin_families_match_pre_redesign_golden_outputs() {
 #[test]
 fn all_families_match_the_pre_kernel_golden_at_every_grid() {
     assert_matches_golden(FAMILIES_SPEC, FAMILIES_ROWS, 12);
+}
+
+#[test]
+fn introspection_lines_match_the_golden_capture() {
+    let registry = ScenarioRegistry::new();
+    assert_eq!(registry.describe_json_line(None).unwrap(), DESCRIBE_LINE.trim_end());
+    assert_eq!(registry.scenarios_json_line(), SCENARIOS_LINE.trim_end());
 }
 
 #[test]

@@ -71,6 +71,7 @@
 //! reported `power` bit-exactly.
 
 use psdacc_engine::graphspec::parse_graph_spec;
+use psdacc_engine::job::{self, Bound};
 use psdacc_engine::json::{self, Json, JsonWriter};
 use psdacc_engine::{EstimateMethod, JobKind, JobSpec, ScenarioRegistry};
 use psdacc_fixed::RoundingMode;
@@ -291,10 +292,10 @@ fn parse_job_spec(
             }
         }
     }
-    // The daemon faces untrusted peers, so the wire enforces the same
-    // bounds the batch-spec parser does — nfft=0 would panic a pool
-    // worker, and absurd sizes are resource exhaustion, not jobs.
-    let npsd = opt_usize_bounded(value, "npsd", 256, 2..=1 << 20)?;
+    // The daemon faces untrusted peers, so the wire enforces the bounds
+    // the batch-spec parser does — nfft=0 would panic a pool worker, and
+    // absurd sizes are resource exhaustion, not jobs.
+    let npsd = opt_bounded(value, &job::NPSD)?;
     let rounding = match value.get("rounding").map(|v| v.as_str()) {
         None | Some(Some("truncate")) => RoundingMode::Truncate,
         Some(Some("nearest")) => RoundingMode::RoundNearest,
@@ -307,40 +308,43 @@ fn parse_job_spec(
                 Some(name) => name.and_then(EstimateMethod::from_name),
             }
             .ok_or("`method` must be \"psd\", \"agnostic\", or \"flat\"")?;
-            JobKind::Estimate { method, frac_bits: req_i32(value, "bits")? }
+            JobKind::Estimate { method, frac_bits: req_bits(value)? }
         }
         "greedy" => JobKind::GreedyRefine {
             budget: req_budget(value)?,
-            start_bits: opt_i32(value, "start", 16)?,
-            min_bits: opt_i32(value, "min", 2)?,
+            start_bits: opt_i32(value, "start", job::DEFAULT_START_BITS)?,
+            min_bits: opt_i32(value, "min", job::DEFAULT_MIN_BITS)?,
         },
         "min-uniform" => {
-            let min_bits = opt_i32(value, "min", 2)?;
-            let max_bits = opt_i32(value, "max", 32)?;
+            let min_bits = opt_i32(value, "min", job::DEFAULT_MIN_BITS)?;
+            let max_bits = opt_i32(value, "max", job::DEFAULT_MAX_BITS)?;
             if min_bits > max_bits {
                 return Err("`min` must not exceed `max`".to_string());
             }
             JobKind::MinUniform { budget: req_budget(value)?, min_bits, max_bits }
         }
-        "budget" => JobKind::Budget { frac_bits: req_i32(value, "bits")? },
+        "budget" => JobKind::Budget { frac_bits: req_bits(value)? },
         "simulate" => JobKind::Simulate {
-            frac_bits: req_i32(value, "bits")?,
-            samples: opt_usize_bounded(value, "samples", 20_000, 256..=100_000_000)?,
-            nfft: opt_usize_bounded(value, "nfft", 256, 2..=1 << 20)?,
+            frac_bits: req_bits(value)?,
+            samples: opt_bounded(value, &job::SAMPLES)?,
+            nfft: opt_bounded(value, &job::NFFT)?,
             seed: opt_seed(value)?,
-            trials: opt_usize_bounded(value, "trials", 1, 1..=1024)?,
+            trials: opt_bounded(value, &job::TRIALS)?,
         },
         _ => unreachable!("caller matched job kinds"),
     };
     Ok(JobSpec { scenario, npsd, rounding, kind })
 }
 
-fn req_i32(value: &Json, key: &str) -> Result<i32, String> {
+fn req_bits(value: &Json) -> Result<i32, String> {
     value
-        .get(key)
+        .get("bits")
         .and_then(Json::as_i64)
         .and_then(|v| i32::try_from(v).ok())
-        .ok_or_else(|| format!("`{key}` must be an integer"))
+        .filter(|v| job::BITS.contains(v))
+        .ok_or_else(|| {
+            format!("`bits` must be an integer in {}..={}", job::BITS.start(), job::BITS.end())
+        })
 }
 
 fn opt_i32(value: &Json, key: &str, default: i32) -> Result<i32, String> {
@@ -353,14 +357,10 @@ fn opt_i32(value: &Json, key: &str, default: i32) -> Result<i32, String> {
     }
 }
 
-fn opt_usize_bounded(
-    value: &Json,
-    key: &str,
-    default: usize,
-    range: std::ops::RangeInclusive<usize>,
-) -> Result<usize, String> {
+fn opt_bounded(value: &Json, bound: &Bound) -> Result<usize, String> {
+    let Bound { key, default, range } = bound;
     match value.get(key) {
-        None => Ok(default),
+        None => Ok(*default),
         Some(v) => v.as_u64().map(|v| v as usize).filter(|v| range.contains(v)).ok_or_else(|| {
             format!("`{key}` must be an integer in {}..={}", range.start(), range.end())
         }),
@@ -380,7 +380,7 @@ fn req_budget(value: &Json) -> Result<f64, String> {
 /// requests.
 fn opt_seed(value: &Json) -> Result<u64, String> {
     match value.get("seed") {
-        None => Ok(0xC0FFEE),
+        None => Ok(job::DEFAULT_SEED),
         Some(Json::Str(s)) => {
             s.parse::<u64>().map_err(|_| "`seed` string must be a u64".to_string())
         }
@@ -846,15 +846,24 @@ mod tests {
     #[test]
     fn hostile_sizes_are_rejected_at_the_wire() {
         // nfft=0 would panic a pool worker deep in the Welch PSD; absurd
-        // sample/npsd counts are resource exhaustion. All parse errors.
+        // sample/npsd counts are resource exhaustion; word lengths past
+        // the batch-spec bounds are typos. All parse errors.
         for line in [
             r#"{"kind":"simulate","scenario":"freq-filter","bits":8,"nfft":0}"#,
             r#"{"kind":"simulate","scenario":"freq-filter","bits":8,"trials":0}"#,
             r#"{"kind":"simulate","scenario":"freq-filter","bits":8,"samples":10}"#,
             r#"{"kind":"simulate","scenario":"freq-filter","bits":8,"samples":999999999999}"#,
             r#"{"kind":"evaluate","scenario":"freq-filter","bits":8,"npsd":1000000000}"#,
+            r#"{"kind":"evaluate","scenario":"freq-filter","bits":65}"#,
+            r#"{"kind":"budget","scenario":"freq-filter","bits":-17}"#,
+            r#"{"kind":"simulate","scenario":"freq-filter","bits":2147483647}"#,
         ] {
             assert!(parse_request(line, 0, &reg()).is_err(), "{line}");
+        }
+        // The bounds' extremes are the batch spec's, and legal.
+        for bits in [-16, 64] {
+            let line = format!(r#"{{"kind":"evaluate","scenario":"freq-filter","bits":{bits}}}"#);
+            assert!(parse_request(&line, 0, &reg()).is_ok(), "{line}");
         }
     }
 

@@ -133,6 +133,12 @@ fn protocol_robustness_over_a_raw_socket() {
         .unwrap();
     let v = next_line();
     assert_eq!(v.get("kind").unwrap().as_str(), Some("error"));
+    // ...and so does a word length outside the bounds batch specs accept.
+    writeln!(&stream, "{{\"kind\":\"evaluate\",\"scenario\":\"freq-filter\",\"bits\":65}}")
+        .unwrap();
+    let v = next_line();
+    assert_eq!(v.get("kind").unwrap().as_str(), Some("error"));
+    assert!(v.get("error").unwrap().as_str().unwrap().contains("`bits`"), "{v:?}");
 
     // ...while a valid job executes at once: its result arrives while the
     // write side is still open, tagged with its request id.
